@@ -3,8 +3,7 @@
 Distributes prevention (lowering infection rates) and correction
 (raising recovery rates) under a unit-per-node budget by solving the
 certificate-constrained geometric program, then inspects where the
-money went. Runtime is dominated by the interior-point solve
-(about half a minute).
+money went. Runtime is dominated by the interior-point solve.
 """
 
 from importlib import resources

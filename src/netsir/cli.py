@@ -5,8 +5,9 @@ JSON config describes the experiment; --seed/--replicas/--out/--mode
 override config fields. Every command is deterministic given its
 config, including all Monte Carlo output.
 
-Exit codes: 0 success, 2 infeasible model, 3 validation failure,
-4 config or I/O error.
+Exit codes: 0 success, 2 infeasible model, 3 validation failure (also
+an optimized allocation whose solve did not converge or whose
+certificate failed re-verification), 4 config or I/O error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import allocator, bound, exact_oracle, simulator
 from .allocator import (AllocationInfeasible, BudgetModelError,
-                        allocation_csv_rows)
+                        CertificateError, allocation_csv_rows)
 from .graph import Graph, load_edge_list
 from .phase_type import ErlangSpec, erlang
 from .simulator import EpidemicParams
@@ -61,10 +62,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("plain", "isolation"):
             raise ConfigError(f"mode must be plain or isolation, got {self.mode!r}")
-        if self.replicas < 1:
-            raise ConfigError("replicas must be >= 1")
-        if self.erlang_shape < 1:
-            raise ConfigError("erlang_shape must be >= 1")
+        for name, least in (("replicas", 1), ("seed", 0),
+                            ("erlang_shape", 1), ("workers", 1)):
+            value = getattr(self, name)
+            if value is None and name == "workers":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
+        for name in ("budget", "lambda_cap", "epsilon", "solver_tol"):
+            value = getattr(self, name)
+            if value is None and name in ("budget", "lambda_cap"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not 0 < value < math.inf:
+                raise ConfigError(
+                    f"{name} must be a positive number, got {value!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -371,14 +385,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.load(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.replicas is not None:
-            cfg.replicas = args.replicas
-        if args.out is not None:
-            cfg.out_dir = args.out
-        if args.mode is not None:
-            cfg.mode = args.mode
+        overrides = {"seed": args.seed, "replicas": args.replicas,
+                     "out_dir": args.out, "mode": args.mode}
+        # replace() runs the field checks again on the overridden values
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items()
+                                          if v is not None})
         return _COMMANDS[args.command](cfg)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -386,6 +397,9 @@ def main(argv=None) -> int:
     except (AllocationInfeasible, BudgetModelError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except exact_oracle.StateSpaceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -7,8 +7,11 @@ affine forms, so the program
     minimize f0(x)  s.t.  f_i(x) <= 1,  g_j(x) = 1,  x in boxes
 
 turns into a smooth convex problem that a damped-Newton barrier method
-solves to tight KKT residuals. Monomial equalities are affine in y and
-are eliminated up front through a null-space parametrization.
+solves to tight KKT residuals. The problem is compiled once into stacked
+arrays (StackedLse): one sparse term-exponent matrix, the log-coefficients
+and a term-to-constraint segment index, so each Newton step is a few
+array operations. Monomial equalities are affine in y and are eliminated
+once, up front, through a null-space parametrization of that matrix.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,113 +171,181 @@ class GpSolution:
     newton_iters: int = 0
 
 
-class _Lse:
-    """Compiled log-sum-exp of affine forms over a subset of variables."""
+class StackedLse:
+    """Log-sum-exps of affine forms, stacked into one sparse system.
 
-    __slots__ = ("a", "b", "cols", "kind")
+    Row r of the term-exponent matrix F (terms x vars) and b[r] give the
+    affine form F[r] @ y + b[r] of one monomial term in log space. Rows
+    fall into contiguous segments, segment k spanning rows
+    starts[k]:starts[k+1], and each segment is the log-sum-exp of its
+    rows; ptr is starts with the term count appended. Segment 0 is the
+    objective; every other segment is a constraint meaning <= 0.
+    """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, cols: np.ndarray,
-                 kind: str):
-        self.a = a
-        self.b = b
-        self.cols = cols
-        self.kind = kind
+    def __init__(self, F, b: np.ndarray, starts: np.ndarray):
+        self.F = sp.csr_matrix(F)
+        self.b = np.asarray(b, dtype=float)
+        self.starts = np.asarray(starts, dtype=np.intp)
+        self.ptr = np.append(self.starts, len(self.b))
+        self.seg = np.repeat(np.arange(len(self.starts)),
+                             np.diff(self.ptr))
+
+    @property
+    def dim(self) -> int:
+        return self.F.shape[1]
+
+    def _lse(self, y: np.ndarray):
+        """Segment values and the term weights, normalized per segment."""
+        z = self.F @ y + self.b
+        zmax = np.maximum.reduceat(z, self.starts)
+        e = np.exp(z - zmax[self.seg])
+        total = np.add.reduceat(e, self.starts)
+        return zmax + np.log(total), e / total[self.seg]
+
+    def values(self, y: np.ndarray) -> np.ndarray:
+        return self._lse(y)[0]
+
+    def value_grads(self, y: np.ndarray):
+        """Segment values, term weights w and the segment gradients as
+        sparse rows G = S diag(w) F, S the segment indicator."""
+        vals, w = self._lse(y)
+        s_w = sp.csr_matrix((w, np.arange(len(w)), self.ptr),
+                            shape=(len(self.starts), len(w)))
+        return vals, w, s_w @ self.F
+
+    def barrier_newton(self, t: float, y: np.ndarray):
+        """Segment values, gradient and dense Hessian of the barrier
+
+            H = F^T diag(w s_seg) F + G^T diag(q) G,
+
+        with per-segment weights s = (t, 1/-f_k) and outer weights
+        q = (-t, 1/f_k^2 - 1/-f_k)."""
+        vals, w, g = self.value_grads(y)
+        s = np.concatenate([[t], -1.0 / vals[1:]])
+        q = -s
+        q[1:] += s[1:] ** 2
+        h = self.F.T @ sp.diags(w * s[self.seg]) @ self.F \
+            + g.T @ sp.diags(q) @ g
+        return vals, g.T @ s, h.toarray()
+
+    def reparametrized(self, y0: np.ndarray, basis) -> "StackedLse":
+        """The same segments as functions of z, where y = y0 + basis z."""
+        return StackedLse(self.F @ basis, self.b + self.F @ y0, self.starts)
+
+    def phase1(self) -> "StackedLse":
+        """minimize s s.t. f_k(y) - s <= 0 over (y, s): every constraint
+        row gains a -1 column, which keeps it a log-sum-exp, and the
+        objective becomes s."""
+        terms, n = self.F.shape
+        first = self.starts[1]
+        objective = sp.csr_matrix(([1.0], ([0], [n])), shape=(1, n + 1))
+        cons = sp.hstack([self.F[first:],
+                          sp.csr_matrix(np.full((terms - first, 1), -1.0))])
+        return StackedLse(sp.vstack([objective, cons]),
+                          np.concatenate([[0.0], self.b[first:]]),
+                          np.append(0, self.starts[1:] - first + 1))
+
+
+def barrier_value(t: float, vals: np.ndarray) -> float:
+    """t*f0 - sum log(-f_k) from segment values; inf unless strictly
+    feasible."""
+    if np.any(vals[1:] >= 0):
+        return math.inf
+    return float(t * vals[0] - np.log(-vals[1:]).sum())
+
+
+class _Segment:
+    """View of one segment of a compiled problem."""
+
+    def __init__(self, lcp: "LogConvexProblem", k: int):
+        self._lcp = lcp
+        self._k = k
+
+    @property
+    def kind(self) -> str:
+        return self._lcp.kinds[self._k]
 
     def value(self, y: np.ndarray) -> float:
-        z = self.a @ y[self.cols] + self.b
-        zmax = z.max()
-        return float(zmax + np.log(np.exp(z - zmax).sum()))
-
-    def value_grad(self, y: np.ndarray):
-        z = self.a @ y[self.cols] + self.b
-        zmax = z.max()
-        w = np.exp(z - zmax)
-        s = w.sum()
-        val = float(zmax + np.log(s))
-        w /= s
-        return val, self.a.T @ w, w
-
-    def grad_full(self, y: np.ndarray, n: int) -> np.ndarray:
-        _, g_loc, _ = self.value_grad(y)
-        g = np.zeros(n)
-        g[self.cols] = g_loc
-        return g
-
-
-def _compile(p: Posynomial, var_index: Mapping[str, int],
-             kind: str, scale: float = 1.0) -> _Lse:
-    cols = sorted({var_index[k] for t in p.terms for k in t.exponents})
-    pos = {c: j for j, c in enumerate(cols)}
-    a = np.zeros((len(p.terms), len(cols)))
-    b = np.empty(len(p.terms))
-    for r, t in enumerate(p.terms):
-        b[r] = math.log(t.coeff * scale)
-        for k, e in t.exponents.items():
-            a[r, pos[var_index[k]]] = e
-    return _Lse(a, b, np.array(cols, dtype=int), kind)
+        return float(self._lcp.system.values(y)[self._k])
 
 
 class LogConvexProblem:
-    """Log-space form of a GpProblem.
+    """Log-space form of a GpProblem, compiled once into a StackedLse.
 
     objective and constraints are log-sum-exps of affine forms in
-    y = log x; constraints (posynomial and box alike) mean <= 0; the
-    equality system is affine: eq_mat @ y = eq_rhs.
+    y = log x; constraints (posynomials first, then an upper and a lower
+    side per unpinned box) mean <= 0; the equality system, monomial
+    equalities and pinned boxes, is affine: eq_mat @ y = eq_rhs.
     """
 
     def __init__(self, problem: GpProblem):
         self.variables = sorted(problem.variables() | set(problem.box))
         self.var_index = {v: i for i, v in enumerate(self.variables)}
         n = len(self.variables)
-        self.objective = _compile(problem.objective, self.var_index, "objective")
-        cons: List[_Lse] = []
+        rows, cols, exps, b, starts = [], [], [], [], []
+        self.kinds: List[str] = []
+
+        def add(terms, kind):
+            """terms: (log coefficient, {column: exponent}) per monomial"""
+            starts.append(len(b))
+            self.kinds.append(kind)
+            for log_c, row in terms:
+                for c, e in row.items():
+                    rows.append(len(b))
+                    cols.append(c)
+                    exps.append(e)
+                b.append(log_c)
+
+        def terms_of(p):
+            return [(math.log(t.coeff),
+                     {self.var_index[k]: e for k, e in t.exponents.items()})
+                    for t in Posynomial.wrap(p).terms]
+
+        add(terms_of(problem.objective), "objective")
         for c in problem.ineq_constraints:
-            cons.append(_compile(c, self.var_index, "posynomial"))
+            add(terms_of(c), "posynomial")
+        # monomial equalities and pinned boxes: (log coefficient, row)
+        eqs = [tm for m in problem.eq_constraints for tm in terms_of(m)]
         for name, (lo, hi) in sorted(problem.box.items()):
             i = self.var_index[name]
             if lo == hi:
-                # pinned variable: handled as an equality below
+                eqs.append((-math.log(lo), {i: 1.0}))
                 continue
-            cons.append(_Lse(np.array([[1.0]]), np.array([-math.log(hi)]),
-                             np.array([i]), "box_upper"))
-            cons.append(_Lse(np.array([[-1.0]]), np.array([math.log(lo)]),
-                             np.array([i]), "box_lower"))
-        self.constraints = cons
-        rows, rhs = [], []
-        for m in problem.eq_constraints:
-            row = np.zeros(n)
-            for k, e in m.exponents.items():
-                row[self.var_index[k]] = e
-            rows.append(row)
-            rhs.append(-math.log(m.coeff))
-        for name, (lo, hi) in sorted(problem.box.items()):
-            if lo == hi:
-                row = np.zeros(n)
-                row[self.var_index[name]] = 1.0
-                rows.append(row)
-                rhs.append(math.log(lo))
-        self.eq_mat = np.array(rows) if rows else np.zeros((0, n))
-        self.eq_rhs = np.array(rhs) if rhs else np.zeros(0)
+            add([(-math.log(hi), {i: 1.0})], "box_upper")
+            add([(math.log(lo), {i: -1.0})], "box_lower")
+        self.system = StackedLse(
+            sp.csr_matrix((exps, (rows, cols)), shape=(len(b), n)),
+            np.array(b), np.array(starts))
+        self.eq_mat = np.zeros((len(eqs), n))
+        for r, (_, row) in enumerate(eqs):
+            self.eq_mat[r, list(row)] = list(row.values())
+        self.eq_rhs = np.array([-log_c for log_c, _ in eqs])
         self._box = dict(problem.box)
 
     @property
     def dim(self) -> int:
         return len(self.variables)
 
+    @property
+    def objective(self) -> _Segment:
+        return _Segment(self, 0)
+
+    @property
+    def constraints(self) -> List[_Segment]:
+        return [_Segment(self, k) for k in range(1, len(self.kinds))]
+
     def constraint_values(self, y: np.ndarray) -> np.ndarray:
-        return np.array([c.value(y) for c in self.constraints])
+        return self.system.values(y)[1:]
+
+    def _segment_value_grad(self, k: int, y: np.ndarray):
+        vals, _, g = self.system.value_grads(y)
+        return float(vals[k]), g[k].toarray().ravel()
 
     def constraint_value_grad(self, k: int, y: np.ndarray):
-        val, g_loc, _ = self.constraints[k].value_grad(y)
-        g = np.zeros(self.dim)
-        g[self.constraints[k].cols] = g_loc
-        return val, g
+        return self._segment_value_grad(k + 1, y)
 
     def objective_value_grad(self, y: np.ndarray):
-        val, g_loc, _ = self.objective.value_grad(y)
-        g = np.zeros(self.dim)
-        g[self.objective.cols] = g_loc
-        return val, g
+        return self._segment_value_grad(0, y)
 
     def center_point(self) -> np.ndarray:
         y = np.zeros(self.dim)
@@ -281,15 +353,33 @@ class LogConvexProblem:
             y[self.var_index[name]] = 0.5 * (math.log(lo) + math.log(hi))
         return y
 
+    def reduced(self):
+        """(system in z, y0, basis) with y = y0 + basis @ z solving the
+        equalities for every z, basis orthonormal; None when the
+        equalities are inconsistent."""
+        n = self.dim
+        if not len(self.eq_rhs):
+            return self.system, np.zeros(n), sp.identity(n, format="csr")
+        y0 = np.linalg.lstsq(self.eq_mat, self.eq_rhs, rcond=None)[0]
+        if np.linalg.norm(self.eq_mat @ y0 - self.eq_rhs) > 1e-8:
+            return None
+        basis = scipy.linalg.null_space(self.eq_mat)
+        return self.system.reparametrized(y0, basis), y0, basis
+
     def to_json(self) -> str:
-        def dump_lse(l: _Lse):
-            return {"kind": l.kind,
-                    "cols": [self.variables[c] for c in l.cols],
-                    "exponents": l.a.tolist(),
-                    "log_coeffs": l.b.tolist()}
+        s = self.system
+
+        def dump(k: int):
+            terms = slice(s.ptr[k], s.ptr[k + 1])
+            rows = s.F[terms]
+            cols = np.unique(rows.indices)
+            return {"kind": self.kinds[k],
+                    "cols": [self.variables[c] for c in cols],
+                    "exponents": rows[:, cols].toarray().tolist(),
+                    "log_coeffs": s.b[terms].tolist()}
         doc = {"variables": self.variables,
-               "objective": dump_lse(self.objective),
-               "constraints": [dump_lse(c) for c in self.constraints],
+               "objective": dump(0),
+               "constraints": [dump(k) for k in range(1, len(self.kinds))],
                "equalities": {"matrix": self.eq_mat.tolist(),
                               "rhs": self.eq_rhs.tolist()}}
         return json.dumps(doc, indent=2)
@@ -303,26 +393,29 @@ def to_log_convex(problem: GpProblem) -> LogConvexProblem:
 # barrier interior-point solver
 
 
-def _add_lse_hessian(h: np.ndarray, lse: _Lse, y: np.ndarray, w_scale: float,
-                     g_scale_outer: float):
-    """h += w_scale * hess(LSE) + g_scale_outer * grad grad^T, touching
-    only the constraint's local variable block."""
-    z = lse.a @ y[lse.cols] + lse.b
-    zmax = z.max()
-    w = np.exp(z - zmax)
-    w /= w.sum()
-    aw = lse.a.T @ w
-    loc = lse.a.T @ (lse.a * w[:, None]) - np.outer(aw, aw)
-    if g_scale_outer != 0.0:
-        loc = w_scale * loc + g_scale_outer * np.outer(aw, aw)
-    else:
-        loc = w_scale * loc
-    idx = lse.cols
-    h[np.ix_(idx, idx)] += loc
+def _newton_step(system: StackedLse, t_bar: float, y: np.ndarray):
+    """Segment values, barrier gradient g and the Newton direction d."""
+    vals, g, h = system.barrier_newton(t_bar, y)
+    n = len(y)
+    # solve h d = -g, Jacobi-equilibrated, with a ridge fallback
+    scale = np.sqrt(np.maximum(np.diag(h), 1e-300))
+    hs = h / scale[:, None] / scale[None, :]
+    gs = g / scale
+    d = None
+    ridge = 0.0
+    for _ in range(4):
+        try:
+            cho = scipy.linalg.cho_factor(hs + ridge * np.eye(n), lower=True)
+            d = scipy.linalg.cho_solve(cho, -gs) / scale
+            break
+        except np.linalg.LinAlgError:
+            ridge = max(ridge * 100, 1e-14)
+    if d is None:
+        d = np.linalg.lstsq(h, -g, rcond=None)[0]
+    return vals, g, d
 
 
-def _newton_barrier(cons: Sequence[_Lse], objective: Optional[_Lse],
-                    t_bar: float, y: np.ndarray, n: int,
+def _newton_barrier(system: StackedLse, t_bar: float, y: np.ndarray,
                     newton_tol: float, max_steps: int):
     """Damped Newton on t_bar*f0(y) - sum log(-f_k(y)). Returns
     (y, steps, converged). y must be strictly feasible. Breaks early
@@ -332,34 +425,7 @@ def _newton_barrier(cons: Sequence[_Lse], objective: Optional[_Lse],
     best_dec = math.inf
     stalled = 0
     while steps < max_steps:
-        vals = np.empty(len(cons))
-        g = np.zeros(n)
-        h = np.zeros((n, n))
-        if objective is not None:
-            _, g0 = objective.value_grad(y)[:2]
-            g[objective.cols] += t_bar * g0
-            _add_lse_hessian(h, objective, y, t_bar, 0.0)
-        for k, c in enumerate(cons):
-            v, g_loc, _ = c.value_grad(y)
-            vals[k] = v
-            g[c.cols] += g_loc / (-v)
-            _add_lse_hessian(h, c, y, 1.0 / (-v), 1.0 / v ** 2)
-        # solve h d = -g, Jacobi-equilibrated, with a ridge fallback
-        scale = np.sqrt(np.maximum(np.diag(h), 1e-300))
-        hs = h / scale[:, None] / scale[None, :]
-        gs = g / scale
-        d = None
-        ridge = 0.0
-        for _ in range(4):
-            try:
-                cho = scipy.linalg.cho_factor(
-                    hs + ridge * np.eye(n), lower=True)
-                d = scipy.linalg.cho_solve(cho, -gs) / scale
-                break
-            except np.linalg.LinAlgError:
-                ridge = max(ridge * 100, 1e-14)
-        if d is None:
-            d = np.linalg.lstsq(h, -g, rcond=None)[0]
+        vals, g, d = _newton_step(system, t_bar, y)
         decrement2 = float(-g @ d)
         if decrement2 / 2.0 <= newton_tol:
             return y, steps, True
@@ -372,79 +438,18 @@ def _newton_barrier(cons: Sequence[_Lse], objective: Optional[_Lse],
         best_dec = min(best_dec, decrement2)
         # backtracking: stay strictly feasible, then Armijo
         alpha = 1.0
-        phi0 = barrier_value(cons, objective, t_bar, y, vals)
+        phi0 = barrier_value(t_bar, vals)
         for _ in range(80):
             y_new = y + alpha * d
-            ok = all(c.value(y_new) < 0 for c in cons)
-            if ok:
-                phi1 = barrier_value(cons, objective, t_bar, y_new, None)
-                if phi1 <= phi0 + 0.25 * alpha * float(g @ d):
-                    break
+            phi1 = barrier_value(t_bar, system.values(y_new))
+            if phi1 <= phi0 + 0.25 * alpha * float(g @ d):
+                break
             alpha *= 0.5
         else:
             return y, steps, False
         y = y_new
         steps += 1
     return y, steps, False
-
-
-def g0_full(lse: _Lse, g_loc: np.ndarray, n: int) -> np.ndarray:
-    g = np.zeros(n)
-    g[lse.cols] = g_loc
-    return g
-
-
-def barrier_value(cons, objective, t_bar, y, vals):
-    if vals is None:
-        vals = np.array([c.value(y) for c in cons])
-    if np.any(vals >= 0):
-        return math.inf
-    total = float(-np.log(-vals).sum())
-    if objective is not None:
-        total += t_bar * objective.value(y)
-    return total
-
-
-def _eliminate_equalities(lcp: LogConvexProblem):
-    """Affine reparametrization y = y0 + basis @ z clearing eq_mat y = rhs.
-    Returns (y0, basis) or None when the system is inconsistent."""
-    n = lcp.dim
-    if lcp.eq_mat.shape[0] == 0:
-        return np.zeros(n), np.eye(n)
-    y0, res, rank, _ = np.linalg.lstsq(lcp.eq_mat, lcp.eq_rhs, rcond=None)
-    if np.linalg.norm(lcp.eq_mat @ y0 - lcp.eq_rhs) > 1e-8:
-        return None
-    basis = scipy.linalg.null_space(lcp.eq_mat)
-    return y0, basis
-
-
-class _Reduced:
-    """LSE composed with y = y0 + basis z."""
-
-    def __init__(self, lse: _Lse, y0: np.ndarray, basis: np.ndarray):
-        a_full = np.zeros((lse.a.shape[0], len(y0)))
-        a_full[:, lse.cols] = lse.a
-        a_red = a_full @ basis
-        b_red = a_full @ y0 + lse.b
-        self.inner = _Lse(a_red, b_red, np.arange(basis.shape[1]), lse.kind)
-
-    def value(self, z):
-        return self.inner.value(z)
-
-    def value_grad(self, z):
-        return self.inner.value_grad(z)
-
-    @property
-    def cols(self):
-        return self.inner.cols
-
-    @property
-    def a(self):
-        return self.inner.a
-
-    @property
-    def b(self):
-        return self.inner.b
 
 
 def solve(problem: GpProblem, tol: float = 1e-7,
@@ -461,33 +466,22 @@ def solve(problem: GpProblem, tol: float = 1e-7,
     if phase1_tol is None:
         phase1_tol = tol
     lcp = to_log_convex(problem)
-    if lcp.eq_mat.shape[0] == 0:
-        # fast path: constraints keep their local variable blocks
-        nz = lcp.dim
-        cons = lcp.constraints
-        obj = lcp.objective
-        z = lcp.center_point()
+    reduction = lcp.reduced()
+    if reduction is None:
+        return GpSolution(point={}, objective_value=math.nan,
+                          status="infeasible", kkt_residual=math.inf)
+    system, y0, basis = reduction
+    nz = system.dim
 
-        def to_point(zz):
-            return {v: math.exp(zz[i]) for i, v in enumerate(lcp.variables)}
-    else:
-        reduction = _eliminate_equalities(lcp)
-        if reduction is None:
-            return GpSolution(point={}, objective_value=math.nan,
-                              status="infeasible", kkt_residual=math.inf)
-        y0, basis = reduction
-        nz = basis.shape[1]
-        cons = [_Reduced(c, y0, basis) for c in lcp.constraints]
-        obj = _Reduced(lcp.objective, y0, basis)
+    def to_point(zz):
+        y = y0 + basis @ zz
+        return {v: math.exp(y[i]) for i, v in enumerate(lcp.variables)}
 
-        def to_point(zz):
-            y = y0 + basis @ zz
-            return {v: math.exp(y[i]) for i, v in enumerate(lcp.variables)}
-
-        z = np.linalg.lstsq(basis, lcp.center_point() - y0, rcond=None)[0]
+    z = basis.T @ (lcp.center_point() - y0)
     total_steps = 0
 
-    vals = np.array([c.value(z) for c in cons])
+    vals = system.values(z)[1:]
+    m = len(vals)
     if nz == 0:
         # fully pinned problem: feasibility is a direct check
         if np.all(vals < 0):
@@ -500,23 +494,15 @@ def solve(problem: GpProblem, tol: float = 1e-7,
                           kkt_residual=float(vals.max()))
 
     if np.any(vals >= -1e-10):
-        # ----- phase I on (z, s): minimize s s.t. f_k(z) - s <= 0,
-        # which stays a log-sum-exp since LSE(a z + b - s) = f_k(z) - s
+        # ----- phase I on (z, s), started with margin one
+        p1 = system.phase1()
         s0 = float(vals.max()) + 1.0
         zs = np.concatenate([z, [s0]])
-        p1_cons = []
-        for c in cons:
-            a_aug = np.hstack([c.a, np.full((c.a.shape[0], 1), -1.0)])
-            p1_cons.append(_Lse(a_aug, c.b.copy(),
-                                np.append(c.cols, nz), "phase1"))
-        p1_obj = _Lse(np.array([[1.0]]), np.array([0.0]),
-                      np.array([nz]), "objective")
         t_bar = 1.0
-        m = len(p1_cons)
         s_val = s0
         while True:
-            zs, steps, converged = _newton_barrier(p1_cons, p1_obj, t_bar, zs,
-                                                   nz + 1, 1e-12, max_newton)
+            zs, steps, converged = _newton_barrier(p1, t_bar, zs, 1e-12,
+                                                   max_newton)
             total_steps += steps
             s_val = zs[-1]
             if s_val < -1e-3:
@@ -542,13 +528,11 @@ def solve(problem: GpProblem, tol: float = 1e-7,
 
     # ----- phase II: follow the central path, advancing the barrier
     # parameter only from centered points so late stages stay sane
-    m = len(cons)
     t_bar = 1.0
     retried = False
     while True:
         z, steps, converged = _newton_barrier(
-            cons, obj, t_bar, z, nz, 1e-12,
-            min(150, max_newton - total_steps))
+            system, t_bar, z, 1e-12, min(150, max_newton - total_steps))
         total_steps += steps
         if not converged and not retried and total_steps < max_newton:
             retried = True
@@ -564,26 +548,29 @@ def solve(problem: GpProblem, tol: float = 1e-7,
         retried = False
         t_bar *= mu
 
-    def kkt_residual(zz):
-        vals = np.array([c.value(zz) for c in cons])
-        _, g0 = obj.value_grad(zz)[:2]
-        stat = t_bar * g0_full(obj, g0, nz)
-        for c, v in zip(cons, vals):
-            _, g_loc, _ = c.value_grad(zz)
-            stat += g0_full(c, g_loc, nz) / (-v)
-        return float(np.linalg.norm(stat, np.inf) / t_bar), float(vals.max())
-
     # polish stationarity at the final barrier parameter: the gap stop
-    # leaves the Newton decrement small but not the raw gradient
-    kkt, feas = kkt_residual(z)
+    # leaves the Newton decrement small but not the raw gradient. The
+    # KKT residual is the barrier gradient over t_bar. The barrier value,
+    # about t_bar*f0, is too coarse in floating point here to rank
+    # nearby points, so Newton steps backtrack on the residual itself.
+    vals, g, d = _newton_step(system, t_bar, z)
     for _ in range(30):
-        if kkt <= 0.1 * tol:
+        if np.linalg.norm(g, np.inf) <= 0.1 * tol * t_bar:
             break
-        z, steps, moved = _newton_barrier(cons, obj, t_bar, z, nz, 1e-24, 1)
-        total_steps += steps
-        kkt, feas = kkt_residual(z)
-        if steps == 0:
+        alpha = 1.0
+        for _ in range(60):
+            z_new = z + alpha * d
+            if np.all(system.values(z_new)[1:] < 0):
+                step = _newton_step(system, t_bar, z_new)
+                if np.linalg.norm(step[1], np.inf) < np.linalg.norm(g, np.inf):
+                    break
+            alpha *= 0.5
+        else:
             break
+        z, (vals, g, d) = z_new, step
+        total_steps += 1
+    kkt = float(np.linalg.norm(g, np.inf) / t_bar)
+    feas = float(vals[1:].max())
     pt = to_point(z)
     status = "optimal" if (kkt <= tol and feas <= tol) else "max_iter"
     return GpSolution(point=pt,

@@ -140,6 +140,22 @@ class TestProblem1:
         assert lams[1] <= lams[0] + 1e-6
         assert lams[2] <= lams[1] + 1e-6
 
+    def test_social68_reference_optimum(self):
+        """The acceptance-7 instance solves to the optimum that SLSQP
+        finds apart from netsir.gp (perfbench/reference_optimum.py)."""
+        from importlib import resources
+        g = load_edge_list((resources.files("netsir") / "data"
+                            / "social68.txt").read_text())
+        rng = np.random.default_rng(2024)
+        infected = frozenset(int(i) for i in
+                             rng.choice(g.node_count, size=4, replace=False))
+        costs = CostModel(beta_box=(0.00266, 0.0133), delta_box=(0.05, 0.1),
+                          budget=68.0)
+        sol = gp.solve(build_problem1(g, infected, costs).gp_problem,
+                       tol=1e-6)
+        assert sol.status == "optimal"
+        assert abs(sol.point["t"] - len(infected) - 1.950556) <= 1e-4
+
 
 class TestProblem2:
     ISO_COSTS = CostModel(beta_box=(0.05, 0.5), gamma_box=(0.5, 4.0),

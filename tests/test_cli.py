@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from netsir import gp
 from netsir.cli import ConfigError, ExperimentConfig, main
 
 
@@ -50,6 +52,19 @@ class TestConfig:
     def test_missing_graph_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"mode": "plain"})
+
+    def test_string_replicas_is_exit_4(self, sim_config, capsys):
+        doc = json.loads(sim_config.read_text())
+        sim_config.write_text(json.dumps(dict(doc, replicas="10")))
+        assert main(["validate", "--config", str(sim_config)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: replicas") and err.count("\n") == 1
+
+    def test_zero_replicas_override_is_exit_4(self, sim_config, capsys):
+        assert main(["validate", "--config", str(sim_config),
+                     "--replicas", "0"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: replicas") and err.count("\n") == 1
 
 
 class TestSimulate:
@@ -137,6 +152,15 @@ class TestOptimize:
             "budget": 1e-6, "lambda_cap": 0.05, "solver_tol": 1e-6,
             "out_dir": str(tmp_path / "out")}))
         assert main(["optimize", "--config", str(cfg)]) == 2
+
+    def test_unconverged_solve_is_exit_3(self, opt_config, monkeypatch,
+                                         capsys):
+        monkeypatch.setattr(gp, "solve", lambda problem, tol: gp.GpSolution(
+            point={}, objective_value=math.nan, status="max_iter",
+            kkt_residual=math.inf))
+        assert main(["optimize", "--config", str(opt_config)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_random_infected_selection(self, tmp_path, two_node_graph):
         cfg = tmp_path / "c.json"

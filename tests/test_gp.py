@@ -136,6 +136,45 @@ class TestTransform:
         assert doc["variables"] == ["x", "y"]
         assert len(doc["constraints"]) == 1 + 4  # posynomial + box sides
 
+    def test_compiled_barrier_derivatives(self, rng):
+        """Gradient and Hessian of the compiled barrier, before and after
+        eliminating a monomial equality and a pinned box, against central
+        differences of its value."""
+        names = ["a", "b", "c"]
+
+        def posy(scale):
+            return Posynomial(tuple(
+                Monomial(float(rng.uniform(0.2, 1.0)) * scale,
+                         {n: float(rng.uniform(-1, 1)) for n in names})
+                for _ in range(2)))
+        prob = GpProblem(objective=posy(1.0),
+                         ineq_constraints=(posy(0.05), posy(0.05)),
+                         eq_constraints=(Monomial(2.0, {"a": 1.0,
+                                                        "b": -1.0}),),
+                         box={"a": (0.1, 10.0), "b": (0.1, 10.0),
+                              "c": (1.5, 1.5)})
+        lcp = gp.to_log_convex(prob)
+        reduced, y0, basis = lcp.reduced()
+        assert reduced.dim == 1
+        t, h = 3.0, 1e-4
+        for system in (lcp.system, reduced):
+            n = system.dim
+
+            def f(z):
+                return gp.barrier_value(t, system.values(z))
+            for _ in range(5):
+                z = rng.uniform(-0.2, 0.2, size=n)
+                _, grad, hess = system.barrier_newton(t, z)
+                e = np.eye(n) * h
+                fd_grad = np.array([(f(z + e[i]) - f(z - e[i])) / (2 * h)
+                                    for i in range(n)])
+                fd_hess = np.array([[(f(z + e[i] + e[j]) - f(z + e[i] - e[j])
+                                      - f(z - e[i] + e[j])
+                                      + f(z - e[i] - e[j])) / (4 * h * h)
+                                     for j in range(n)] for i in range(n)])
+                assert np.allclose(grad, fd_grad, rtol=1e-6, atol=1e-7)
+                assert np.allclose(hess, fd_hess, rtol=1e-5, atol=1e-5)
+
 
 class TestSolve:
     def test_monomial_floor(self):
