@@ -447,24 +447,15 @@ def build_problem2(g: Graph, infected, costs: CostModel,
                              delta_fixed=delta, fits=tuple(fits))
 
 
-def _system_for(prob: AllocationProblem, beta: np.ndarray,
-                second: np.ndarray) -> bound_mod.ComparisonSystem:
-    n = prob.graph.node_count
-    if prob.mode == "plain":
-        j = np.ones(n)
-        for i in prob.infected:
-            j[i] = 0.0
-        a = prob.graph.adjacency_matrix()
-        m = (j * beta)[:, None] * a - np.diag(second)
-        x0 = np.zeros(n)
-        for i in prob.infected:
-            x0[i] = 1.0
-        return bound_mod.ComparisonSystem(matrix=m, weight_row=second,
-                                          initial=x0,
-                                          sigma_I0=len(prob.infected))
-    laws = [erlang(ErlangSpec(prob.p, float(gm))) for gm in second]
-    return bound_mod.isolation_system_from(prob.graph, prob.infected,
-                                           prob.delta_fixed, laws, beta)
+def _system(g: Graph, infected, mode: str, beta, second,
+            delta_fixed=None, p: int = 1) -> bound_mod.ComparisonSystem:
+    """Comparison system of one allocation: `second` holds the recovery
+    rates in plain mode and the Erlang means in isolation mode."""
+    if mode == "plain":
+        return bound_mod.plain_system_from(g, infected, beta, second)
+    laws = [erlang(ErlangSpec(p, float(gm))) for gm in second]
+    return bound_mod.isolation_system_from(g, infected, delta_fixed, laws,
+                                           beta)
 
 
 def _solve_relaxing(problem: gp.GpProblem, tol: float) -> gp.GpSolution:
@@ -505,7 +496,8 @@ def solve_allocation(prob: AllocationProblem,
         lambda_bar = max(0.0, sol.point["t"] - sigma_i0)
     else:
         lambda_bar = prob.lambda_cap
-    sys = _system_for(prob, beta, second)
+    sys = _system(prob.graph, prob.infected, prob.mode, beta, second,
+                  prob.delta_fixed, prob.p)
     if not bound_mod.verify_certificate(sys, v, lambda_bar,
                                         slack=prob.epsilon / 2):
         raise CertificateError("solver output failed certificate validation")
@@ -526,22 +518,7 @@ def _certify(g: Graph, infected, costs: CostModel, beta, second,
              strategy: str = "baseline") -> Allocation:
     """Wrap externally chosen rates into an Allocation, synthesizing a
     certificate when the comparison system is Hurwitz."""
-    infected = frozenset(int(i) for i in infected)
-    n = g.node_count
-    if costs.mode == "plain":
-        j = np.ones(n)
-        for i in infected:
-            j[i] = 0.0
-        m = (j * beta)[:, None] * g.adjacency_matrix() - np.diag(second)
-        x0 = np.zeros(n)
-        for i in infected:
-            x0[i] = 1.0
-        sys = bound_mod.ComparisonSystem(matrix=m, weight_row=second,
-                                         initial=x0, sigma_I0=len(infected))
-    else:
-        laws = [erlang(ErlangSpec(p, float(gm))) for gm in second]
-        sys = bound_mod.isolation_system_from(g, infected, delta_fixed,
-                                              laws, beta)
+    sys = _system(g, infected, costs.mode, beta, second, delta_fixed, p)
     cert = bound_mod.certificate_for(sys, margin=DEFAULT_EPSILON)
     if cert is None:
         lambda_bar, v = bound_mod.UNBOUNDED, None

@@ -4,10 +4,19 @@ number of accumulated infections.
 Without isolation the comparison matrix is M = J B A - D acting on the
 expected infection indicators; with isolation it is the block matrix
 oplus_i (Pi'_i)^T + (J B A) kron (u1 1^T) on the expected phase
-indicators. Whenever the matrix is Hurwitz the accumulated-infection
-functional integrates to -weight_row @ M^{-1} @ initial - sigma_I(0),
-and a positive certificate vector witnesses both stability and the
-bound (the Metzler matrix equivalence).
+indicators. Both are assembled sparse, from the graph's sparse
+adjacency. Whenever M is Hurwitz the accumulated-infection functional
+integrates to -weight_row @ M^{-1} @ initial - sigma_I(0).
+
+For Metzler M, Hurwitz is the same as -M being a nonsingular M-matrix,
+which holds exactly when v = (-M)^{-T} (w + eps 1) is positive for any
+w >= 0 and eps > 0 (Berman & Plemmons, ch. 6); such a v is also the
+certificate v^T M + w < 0 that witnesses the bound. So one sparse LU of
+M decides stability, yields the certificate and gives the bound. The
+rule is factor and verify: a system counts as Hurwitz only when its
+LU is nonsingular and the solved v is finite, positive and passes
+`verify_certificate` with half the synthesis margin, so a "bounded"
+answer always carries a certificate that checks on its own.
 """
 
 from __future__ import annotations
@@ -17,34 +26,43 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .graph import Graph, PowerIterationError
+from .graph import Graph
 from .phase_type import PhaseType
 from .simulator import EpidemicParams
 
 UNBOUNDED = math.inf
 DEFAULT_SLACK = 1e-6
+# Fill-reducing column ordering of the comparison LU: minimum degree on
+# the structure of M^T + M. On the Erlang(3) system of a 2000-node,
+# 6000-edge graph its LU has about a seventh of the nonzeros that
+# SuperLU's default COLAMD leaves, and factors about ten times faster.
+_ORDERING = "MMD_AT_PLUS_A"
 
 
 @dataclass(frozen=True, eq=False)
 class ComparisonSystem:
-    """Metzler matrix plus the removal-weight row and initial-condition
-    column that close the accumulated-infection bound."""
+    """Sparse Metzler matrix plus the removal-weight row and
+    initial-condition column that close the accumulated-infection
+    bound. `matrix` may be given dense or sparse; it is stored as a
+    `scipy.sparse.csr_array`."""
 
-    matrix: np.ndarray
+    matrix: sp.csr_array
     weight_row: np.ndarray
     initial: np.ndarray
     sigma_I0: int
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = sp.csr_array(self.matrix, dtype=float)
         w = np.asarray(self.weight_row, dtype=float)
         x0 = np.asarray(self.initial, dtype=float)
         if m.shape[0] != m.shape[1] or w.shape != (m.shape[0],) \
                 or x0.shape != (m.shape[0],):
             raise ValueError("inconsistent system dimensions")
-        off = m - np.diag(np.diag(m))
-        if np.any(off < 0):
+        coo = m.tocoo()
+        if np.any(coo.data[coo.row != coo.col] < 0):
             raise ValueError("comparison matrix must be Metzler")
         if np.any(w < 0) or np.any(x0 < 0):
             raise ValueError("weight row and initial must be nonnegative")
@@ -57,23 +75,34 @@ class ComparisonSystem:
         return self.matrix.shape[0]
 
 
+def _masked_transmission(g: Graph, infected: frozenset, beta) -> sp.csr_array:
+    """J B A: row i scaled by beta_i, zero for initially infected i."""
+    j = np.ones(g.node_count)
+    j[list(infected)] = 0.0
+    return sp.diags_array(j * beta) @ sp.csr_array(g.adjacency_sparse())
+
+
+def plain_system_from(g: Graph, infected, beta, delta) -> ComparisonSystem:
+    """M = J B A - D from raw per-node data: J masks the initially
+    infected rows, weight_row = delta, initial = infected indicator."""
+    n = g.node_count
+    beta = np.broadcast_to(np.asarray(beta, float), (n,))
+    delta = np.broadcast_to(np.asarray(delta, float), (n,))
+    infected = frozenset(int(i) for i in infected)
+    m = _masked_transmission(g, infected, beta) - sp.diags_array(delta)
+    x0 = np.zeros(n)
+    x0[list(infected)] = 1.0
+    return ComparisonSystem(matrix=m, weight_row=delta.copy(), initial=x0,
+                            sigma_I0=len(infected))
+
+
 def build_sir_system(g: Graph, params: EpidemicParams) -> ComparisonSystem:
-    """M = J B A - D with J masking initially infected rows,
-    weight_row = delta, initial = infected indicator."""
+    """Plain comparison system of rates checked against the graph."""
     if params.isolation is not None:
         raise ValueError("params carry isolation laws; use build_isolation_system")
     params.validate_for(g)
-    n = g.node_count
-    a = g.adjacency_matrix()
-    j = np.ones(n)
-    for i in params.initially_infected:
-        j[i] = 0.0
-    m = (j * params.beta)[:, None] * a - np.diag(params.delta)
-    x0 = np.zeros(n)
-    for i in params.initially_infected:
-        x0[i] = 1.0
-    return ComparisonSystem(matrix=m, weight_row=params.delta.copy(),
-                            initial=x0, sigma_I0=len(params.initially_infected))
+    return plain_system_from(g, params.initially_infected, params.beta,
+                             params.delta)
 
 
 def isolation_system_from(g: Graph, infected, delta,
@@ -92,24 +121,15 @@ def isolation_system_from(g: Graph, infected, delta,
     p = laws[0].p
     if any(law.p != p for law in laws):
         raise ValueError("isolation laws must share one phase count")
-    a = g.adjacency_matrix()
-    j = np.ones(n)
-    for i in infected:
-        j[i] = 0.0
-    jba = (j * beta)[:, None] * a
-
-    big = np.zeros((n * p, n * p))
-    weight = np.zeros(n * p)
-    for i in range(n):
-        pi_prime = laws[i].Pi - delta[i] * np.eye(p)
-        big[i * p:(i + 1) * p, i * p:(i + 1) * p] = pi_prime.T
-        weight[i * p:(i + 1) * p] = -pi_prime.sum(axis=1)
+    pi_primes = [law.Pi - d * np.eye(p) for law, d in zip(laws, delta)]
     u1_ones = np.zeros((p, p))
     u1_ones[0, :] = 1.0
-    big += np.kron(jba, u1_ones)
+    big = sp.block_diag([pp.T for pp in pi_primes], format="csr") \
+        + sp.kron(_masked_transmission(g, infected, beta), u1_ones,
+                  format="csr")
+    weight = np.concatenate([-pp.sum(axis=1) for pp in pi_primes])
     x0 = np.zeros(n * p)
-    for i in infected:
-        x0[i * p] = 1.0
+    x0[[i * p for i in infected]] = 1.0
     return ComparisonSystem(matrix=big, weight_row=weight, initial=x0,
                             sigma_I0=len(infected))
 
@@ -122,63 +142,45 @@ def build_isolation_system(g: Graph, params: EpidemicParams) -> ComparisonSystem
                                  params.isolation, params.beta)
 
 
-def is_hurwitz_metzler(m: np.ndarray, tol: float = 1e-10,
-                       max_iter: int = 100_000) -> bool:
-    """True iff the Metzler matrix has spectral abscissa < -tol.
+def _factor_and_verify(sys: ComparisonSystem, margin: float):
+    """(lu, v, lambda_bar) from one sparse LU of M, or None when M is not
+    Hurwitz: v solves v^T M = -(weight_row + margin) and must be finite,
+    positive and pass `verify_certificate` at margin/2."""
+    try:
+        lu = spla.splu(sys.matrix.tocsc(), permc_spec=_ORDERING)
+    except RuntimeError:  # exactly singular factor
+        return None
+    v = lu.solve(-(sys.weight_row + margin), trans="T")
+    if not np.all(np.isfinite(v)):
+        return None
+    lam = float(v @ sys.initial) - sys.sigma_I0 + margin
+    if not verify_certificate(sys, v, lam, slack=margin / 2):
+        return None
+    return lu, v, lam
 
-    Shifts to the nonnegative matrix N = m + c I (c = 1 + max |diag|),
-    whose Perron root is the abscissa plus c, and brackets that root
-    with Collatz-Wielandt ratio bounds along power iterates. The upper
-    bound is rigorous for every strictly positive iterate, so a True
-    answer never overcertifies; the lower bound restricts the ratios to
-    the dominant support of the iterate, which decides reducible cases
-    the plain ratios cannot.
-    """
-    m = np.asarray(m, dtype=float)
+
+def is_hurwitz_metzler(m, tol: float = 1e-10) -> bool:
+    """True iff the Metzler matrix (dense or sparse) has spectral
+    abscissa < -tol, decided by factor and verify on m + tol I."""
+    m = sp.csr_array(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    off = m - np.diag(np.diag(m))
-    if np.any(off < 0):
-        raise ValueError("matrix must be Metzler")
     n = m.shape[0]
-    if n == 1:
-        return m[0, 0] < -tol
-    c = 1.0 + float(np.max(np.abs(np.diag(m))))
-    big = m + c * np.eye(n)
-    theta = c - tol  # Hurwitz iff rho(N) < theta
-    x = np.full(n, 1.0)
-    lb = ub = None
-    for _ in range(max_iter):
-        y = big @ x
-        ratios = y / x
-        ub = float(ratios.max())
-        support = x > 1e-13 * x.max()
-        lb = float(ratios[support].min())
-        lb = max(lb, float(np.max(np.diag(big))))
-        if ub < theta:
-            return True
-        if lb >= theta:
-            return False
-        x = y / y.max()
-        x = np.maximum(x, 1e-290)
-    raise PowerIterationError(
-        f"Perron bracketing undecided after {max_iter} iterations "
-        f"(abscissa in [{lb - c:.3e}, {ub - c:.3e}], tol={tol})",
-        estimate=ub - c, residual=ub - lb, vector=x)
+    shifted = ComparisonSystem(matrix=m + tol * sp.eye_array(n),
+                               weight_row=np.zeros(n), initial=np.zeros(n),
+                               sigma_I0=0)
+    return _factor_and_verify(shifted, margin=1.0) is not None
 
 
 def lambda_bound(sys: ComparisonSystem) -> float:
     """Certified upper bound on accumulated infections, or the
     UNBOUNDED marker (math.inf) when the comparison matrix is not
     Hurwitz, meaning this instance certifies nothing."""
-    try:
-        stable = is_hurwitz_metzler(sys.matrix)
-    except PowerIterationError:
+    factored = _factor_and_verify(sys, DEFAULT_SLACK)
+    if factored is None:
         return UNBOUNDED
-    if not stable:
-        return UNBOUNDED
-    sol = np.linalg.solve(sys.matrix, sys.initial)
-    val = float(-sys.weight_row @ sol) - sys.sigma_I0
+    val = float(-sys.weight_row @ factored[0].solve(sys.initial)) \
+        - sys.sigma_I0
     if not np.isfinite(val):
         raise ArithmeticError("singular solve on a Hurwitz comparison matrix")
     return max(0.0, val)
@@ -207,13 +209,5 @@ def certificate_for(sys: ComparisonSystem,
     """Construct (v, lambda_bar) witnessing the bound for a Hurwitz
     system: v solves v^T M = -(weight_row + margin) and lambda_bar is
     v^T initial - sigma_I0 + margin. Returns None when not Hurwitz."""
-    try:
-        if not is_hurwitz_metzler(sys.matrix):
-            return None
-    except PowerIterationError:
-        return None
-    v = np.linalg.solve(sys.matrix.T, -(sys.weight_row + margin))
-    if np.any(v <= 0):
-        return None
-    lam = float(v @ sys.initial) - sys.sigma_I0 + margin
-    return v, lam
+    factored = _factor_and_verify(sys, margin)
+    return None if factored is None else factored[1:]

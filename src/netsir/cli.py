@@ -7,7 +7,10 @@ config, including all Monte Carlo output.
 
 Exit codes: 0 success, 2 infeasible model, 3 validation failure (also
 an optimized allocation whose solve did not converge or whose
-certificate failed re-verification), 4 config or I/O error.
+certificate failed re-verification, and a Monte Carlo replica past the
+simulator's event cap), 4 config or I/O error (also a misordered or
+non-positive rate box and an initially infected node outside the
+graph).
 """
 
 from __future__ import annotations
@@ -128,6 +131,9 @@ def _infected_set(cfg: ExperimentConfig, g: Graph) -> frozenset:
     nodes = frozenset(int(i) for i in spec)
     if not nodes:
         raise ConfigError("initially_infected must be non-empty")
+    bad = sorted(i for i in nodes if not 0 <= i < g.node_count)
+    if bad:
+        raise ConfigError(f"initially infected nodes out of range: {bad}")
     return nodes
 
 
@@ -185,14 +191,16 @@ def _cost_model(cfg: ExperimentConfig) -> allocator.CostModel:
     if cfg.mode == "plain":
         if cfg.delta_box is None:
             raise ConfigError("plain mode needs 'delta_box'")
+        boxes = {"delta_box": tuple(cfg.delta_box)}
+    else:
+        if cfg.gamma_box is None:
+            raise ConfigError("isolation mode needs 'gamma_box'")
+        boxes = {"gamma_box": tuple(cfg.gamma_box)}
+    try:
         return allocator.CostModel(beta_box=tuple(cfg.beta_box),
-                                   delta_box=tuple(cfg.delta_box),
-                                   budget=float(cfg.budget))
-    if cfg.gamma_box is None:
-        raise ConfigError("isolation mode needs 'gamma_box'")
-    return allocator.CostModel(beta_box=tuple(cfg.beta_box),
-                               gamma_box=tuple(cfg.gamma_box),
-                               budget=float(cfg.budget))
+                                   budget=float(cfg.budget), **boxes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _build_allocation_problem(cfg: ExperimentConfig, g: Graph,
@@ -397,7 +405,7 @@ def main(argv=None) -> int:
     except (AllocationInfeasible, BudgetModelError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except CertificateError as exc:
+    except (CertificateError, simulator.EventCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except exact_oracle.StateSpaceTooLarge as exc:

@@ -115,7 +115,13 @@ def _build_chain(g: Graph, params: EpidemicParams):
 
 def exact_lambda(g: Graph, params: EpidemicParams) -> float:
     """Expected infections after t=0: E[final removed] - sigma_I(0),
-    by direct sparse-LU solve of the hitting system."""
+    by direct sparse-LU solve of the hitting system.
+
+    The transient states are ordered by the sum of their node codes and
+    factored in that order. Every transition of a plain or Erlang chain
+    raises the sum, so Q_TT is then upper triangular and its LU has no
+    fill; laws with backward phase moves stay exact through pivoting.
+    """
     (states, _, rows, cols, rates, absorbing_mask, removed,
      init_idx) = _build_chain(g, params)
     m = len(states)
@@ -123,33 +129,29 @@ def exact_lambda(g: Graph, params: EpidemicParams) -> float:
     if absorbing_mask[init_idx]:
         return 0.0
     trans_idx = np.flatnonzero(~absorbing_mask)
+    code_sums = np.array([sum(s) for s in states])
+    trans_idx = trans_idx[np.argsort(code_sums[trans_idx], kind="stable")]
+    k = len(trans_idx)
     pos = -np.ones(m, dtype=int)
-    pos[trans_idx] = np.arange(len(trans_idx))
+    pos[trans_idx] = np.arange(k)
 
-    q = sp.coo_matrix((rates, (rows, cols)), shape=(m, m)).tocsr()
-    diag = np.zeros(m)
-    diag[:] = -np.asarray(q.sum(axis=1)).ravel()
+    # only transient states have outgoing transitions
+    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    rates = np.asarray(rates, dtype=float)
+    out_rate = np.bincount(rows, weights=rates, minlength=m)
     # hitting expectation f: Q_TT f_T = -Q_TA f_A, f_A = removed count
-    q_tt_rows, q_tt_cols, q_tt_vals = [], [], []
-    rhs = np.zeros(len(trans_idx))
-    coo = q.tocoo()
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        if absorbing_mask[r]:
-            continue
-        if absorbing_mask[c]:
-            rhs[pos[r]] -= v * removed[c]
-        else:
-            q_tt_rows.append(pos[r])
-            q_tt_cols.append(pos[c])
-            q_tt_vals.append(v)
-    for si in trans_idx:
-        q_tt_rows.append(pos[si])
-        q_tt_cols.append(pos[si])
-        q_tt_vals.append(diag[si])
-    q_tt = sp.csc_matrix((q_tt_vals, (q_tt_rows, q_tt_cols)),
-                         shape=(len(trans_idx),) * 2)
+    to_abs = absorbing_mask[cols]
+    rhs = -np.bincount(pos[rows[to_abs]],
+                       weights=rates[to_abs] * removed[cols[to_abs]],
+                       minlength=k)
+    tt = ~to_abs
+    on_diag = np.arange(k)
+    q_tt = sp.csc_array(
+        (np.concatenate([rates[tt], -out_rate[trans_idx]]),
+         (np.concatenate([pos[rows[tt]], on_diag]),
+          np.concatenate([pos[cols[tt]], on_diag]))), shape=(k, k))
     try:
-        f_t = spla.splu(q_tt).solve(rhs)
+        f_t = spla.splu(q_tt, permc_spec="NATURAL").solve(rhs)
     except RuntimeError as exc:  # singular factorization
         raise ArithmeticError(f"hitting system solve failed: {exc}") from exc
     lam = float(f_t[pos[init_idx]]) - sigma_i0

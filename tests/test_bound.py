@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from netsir import (ComparisonSystem, EpidemicParams, ErlangSpec, Graph,
                     UNBOUNDED, build_isolation_system, build_sir_system,
                     certificate_for, erlang, exact_lambda, is_hurwitz_metzler,
                     isolation_system_from, lambda_bound, load_edge_list,
-                    verify_certificate)
+                    plain_system_from, verify_certificate)
 from conftest import random_instance
 
 TWO_NODE = load_edge_list("0 1")
@@ -23,7 +25,7 @@ def random_metzler(rng, n):
 class TestBuildSirSystem:
     def test_two_node_matrix(self):
         sys_ = build_sir_system(TWO_NODE, RACE_P)
-        assert sys_.matrix.tolist() == [[-0.5, 0.0], [0.2, -0.5]]
+        assert sys_.matrix.toarray().tolist() == [[-0.5, 0.0], [0.2, -0.5]]
         assert sys_.weight_row.tolist() == [0.5, 0.5]
         assert sys_.initial.tolist() == [1.0, 0.0]
         assert sys_.sigma_I0 == 1
@@ -31,13 +33,13 @@ class TestBuildSirSystem:
     def test_all_infected_drops_transmission(self):
         params = EpidemicParams.build(2, 0.7, 0.3, [0, 1])
         sys_ = build_sir_system(TWO_NODE, params)
-        assert np.allclose(sys_.matrix, -0.3 * np.eye(2))
+        assert np.allclose(sys_.matrix.toarray(), -0.3 * np.eye(2))
 
     def test_edgeless_is_minus_d(self):
         g = Graph(node_count=3, edges=frozenset())
         params = EpidemicParams.build(3, 0.7, 0.4, [1])
         sys_ = build_sir_system(g, params)
-        assert np.allclose(sys_.matrix, -0.4 * np.eye(3))
+        assert np.allclose(sys_.matrix.toarray(), -0.4 * np.eye(3))
 
 
 class TestBuildIsolationSystem:
@@ -48,7 +50,7 @@ class TestBuildIsolationSystem:
         p_merged = EpidemicParams.build(2, 0.4, delta + 1 / gamma, [0])
         a = build_isolation_system(TWO_NODE, p_iso)
         b = build_sir_system(TWO_NODE, p_merged)
-        assert np.allclose(a.matrix, b.matrix, atol=1e-14)
+        assert np.allclose(a.matrix.toarray(), b.matrix.toarray(), atol=1e-14)
         assert np.allclose(a.weight_row, b.weight_row, atol=1e-14)
         assert np.allclose(a.initial, b.initial)
 
@@ -58,7 +60,7 @@ class TestBuildIsolationSystem:
         params = EpidemicParams.build(1, 0.2, 0.3, [0], isolation=iso)
         sys_ = build_isolation_system(g, params)
         pi_prime = iso[0].Pi - 0.3 * np.eye(2)
-        assert np.allclose(sys_.matrix, pi_prime.T)
+        assert np.allclose(sys_.matrix.toarray(), pi_prime.T)
         assert lambda_bound(sys_) == 0.0
 
     def test_two_node_p2_kronecker_blocks(self):
@@ -74,7 +76,7 @@ class TestBuildIsolationSystem:
         expected[2:4, 2:4] = pi_prime_t
         expected[2, 0] = beta  # J_11 * beta * a_10, u1 row, both phases of node 0
         expected[2, 1] = beta
-        assert np.allclose(sys_.matrix, expected)
+        assert np.allclose(sys_.matrix.toarray(), expected)
         assert np.allclose(sys_.weight_row, [delta, r + delta, delta, r + delta])
         assert sys_.initial.tolist() == [1.0, 0.0, 0.0, 0.0]
 
@@ -82,6 +84,21 @@ class TestBuildIsolationSystem:
         laws = [erlang(ErlangSpec(2, 1.0)) for _ in range(2)]
         sys_ = isolation_system_from(TWO_NODE, [0], 0.0, laws, 0.4)
         assert is_hurwitz_metzler(sys_.matrix)
+
+
+    def test_sparse_assembly_of_erlang3_on_2000_nodes(self):
+        # no dense n*p x n*p array: Pi'^T blocks plus p entries per arc
+        rng = np.random.default_rng(2000)
+        n, p = 2000, 3
+        edges = set()
+        while len(edges) < 3 * n:
+            i, j = sorted(int(k) for k in rng.choice(n, size=2, replace=False))
+            edges.add((i, j))
+        g = Graph(node_count=n, edges=frozenset(edges))
+        laws = [erlang(ErlangSpec(p, 1.0)) for _ in range(n)]
+        sys_ = isolation_system_from(g, range(10), 1.0, laws, 0.05)
+        assert sp.issparse(sys_.matrix) and sys_.dim == n * p
+        assert sys_.matrix.nnz <= n * p * p + 2 * g.edge_count * p
 
 
 class TestHurwitz:
@@ -236,6 +253,62 @@ class TestCertificates:
                 assert is_hurwitz_metzler(sys_.matrix)
                 assert lambda_bound(sys_) <= lam + 1e-9
                 done += 1
+
+
+@st.composite
+def small_systems(draw):
+    """Plain or isolation systems on at most 4 nodes, p in {1, 2, 3},
+    with zero delta allowed in the raw isolation interface."""
+    n = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    g = Graph(node_count=n, edges=frozenset(edges))
+    infected = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    rates = st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n)
+    beta = draw(rates)
+    p = draw(st.sampled_from([None, 1, 2, 3]))
+    if p is None:
+        return plain_system_from(g, infected, beta, draw(rates))
+    delta = draw(st.one_of(st.just(0.0), rates))
+    means = draw(st.lists(st.floats(0.2, 5.0), min_size=n, max_size=n))
+    laws = [erlang(ErlangSpec(p, m)) for m in means]
+    return isolation_system_from(g, infected, delta, laws, beta)
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+class TestSparseProperties:
+    @_PROPERTY
+    @given(small_systems())
+    def test_finite_bound_carries_verifying_certificate(self, sys_):
+        lb = lambda_bound(sys_)
+        cert = certificate_for(sys_, margin=1e-6)
+        assert math.isfinite(lb) == (cert is not None)
+        if cert is not None:
+            v, lam = cert
+            assert verify_certificate(sys_, v, lam, slack=5e-7)
+            assert lb <= lam
+
+    @_PROPERTY
+    @given(small_systems())
+    def test_bound_matches_dense_reference(self, sys_):
+        dense = sys_.matrix.toarray()
+        abscissa = float(np.max(np.linalg.eigvals(dense).real))
+        lb = lambda_bound(sys_)
+        if not math.isfinite(lb):
+            assert abscissa > -1e-6
+            return
+        assert abscissa < 1e-9
+        ref = float(-sys_.weight_row @ np.linalg.solve(dense, sys_.initial))
+        assert lb == pytest.approx(max(0.0, ref - sys_.sigma_I0), rel=1e-10,
+                                   abs=1e-10 * sys_.sigma_I0)
+
+    @_PROPERTY
+    @given(small_systems())
+    def test_hurwitz_same_on_sparse_and_dense(self, sys_):
+        assert is_hurwitz_metzler(sys_.matrix) == \
+            is_hurwitz_metzler(sys_.matrix.toarray())
 
 
 def test_comparison_system_validation():

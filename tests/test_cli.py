@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from netsir import gp
+from netsir import gp, simulator
 from netsir.cli import ConfigError, ExperimentConfig, main
 
 
@@ -66,6 +66,21 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: replicas") and err.count("\n") == 1
 
+    def test_misordered_box_is_exit_4(self, opt_config, capsys):
+        doc = json.loads(opt_config.read_text())
+        opt_config.write_text(json.dumps(dict(doc, beta_box=[0.5, 0.05])))
+        assert main(["optimize", "--config", str(opt_config)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: beta_box") and err.count("\n") == 1
+
+    def test_out_of_range_infected_is_exit_4(self, sim_config, capsys):
+        doc = json.loads(sim_config.read_text())
+        sim_config.write_text(json.dumps(dict(doc, initially_infected=[5])))
+        assert main(["validate", "--config", str(sim_config)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: initially infected") \
+            and err.count("\n") == 1
+
 
 class TestSimulate:
     def test_writes_outputs(self, sim_config, tmp_path):
@@ -91,6 +106,15 @@ class TestSimulate:
               "--out", str(tmp_path / "out2")])
         other = (tmp_path / "out2" / "counts.csv").read_text()
         assert base != other
+
+    def test_event_cap_is_exit_3(self, sim_config, monkeypatch, capsys):
+        def capped(*args, **kwargs):
+            raise simulator.EventCapExceeded(
+                f"exceeded {simulator.EVENT_CAP} events in one replica")
+        monkeypatch.setattr(simulator, "estimate_lambda", capped)
+        assert main(["simulate", "--config", str(sim_config)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: exceeded") and err.count("\n") == 1
 
     def test_missing_config_is_exit_4(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 4

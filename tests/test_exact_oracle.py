@@ -53,6 +53,18 @@ class TestExactLambda:
         assert exact_lambda(TWO_NODE, scaled) == pytest.approx(
             exact_lambda(TWO_NODE, params), rel=1e-9)
 
+    def test_backward_phase_move_closed_form(self):
+        # Node 1 is infected iff node 0 infects it before leaving its
+        # phases, so lambda = 1 - u1^T (beta I - Pi')^{-1} w' with
+        # Pi' = Pi - delta I and w' = -Pi' 1. With beta = 1, delta = 1/2:
+        # Pi' = [[-5/2, 1], [3/2, -7/2]], w' = [3/2, 2],
+        # beta I - Pi' = [[7/2, -1], [-3/2, 9/2]] with determinant 57/4,
+        # so u1^T (beta I - Pi')^{-1} w' = (9/2 * 3/2 + 2) / (57/4) = 35/57.
+        law = PhaseType(Pi=np.array([[-2.0, 1.0], [1.5, -3.0]]))
+        params = EpidemicParams.build(2, 1.0, 0.5, [0], isolation=(law, law))
+        assert exact_lambda(TWO_NODE, params) == pytest.approx(22 / 57,
+                                                               rel=1e-12)
+
     def test_isolation_p1_matches_merged_rate(self):
         gamma, delta = 2.0, 0.3
         iso = tuple(erlang(ErlangSpec(1, gamma)) for _ in range(2))
