@@ -30,7 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .graph import Graph
-from .phase_type import PhaseType
+from .phase_type import PhaseType, require_phase_one
 from .simulator import EpidemicParams
 
 UNBOUNDED = math.inf
@@ -111,8 +111,8 @@ def isolation_system_from(g: Graph, infected, delta,
     """Block comparison system from raw per-node data.
 
     `laws` are the isolation-time laws (natural recovery not yet folded
-    in); delta may be zero entrywise, which models removal by isolation
-    only.
+    in), each starting in phase 1; delta may be zero entrywise, which
+    models removal by isolation only.
     """
     n = g.node_count
     delta = np.broadcast_to(np.asarray(delta, float), (n,))
@@ -121,6 +121,7 @@ def isolation_system_from(g: Graph, infected, delta,
     p = laws[0].p
     if any(law.p != p for law in laws):
         raise ValueError("isolation laws must share one phase count")
+    require_phase_one(laws)
     pi_primes = [law.Pi - d * np.eye(p) for law, d in zip(laws, delta)]
     u1_ones = np.zeros((p, p))
     u1_ones[0, :] = 1.0

@@ -81,6 +81,18 @@ def erlang(spec: ErlangSpec) -> PhaseType:
     return PhaseType(Pi=pi)
 
 
+def require_phase_one(laws) -> None:
+    """Raise ValueError unless every law starts in phase 1 (phi = u1).
+
+    The simulator, the comparison system and the exact oracle all enter
+    a new infection in phase 1, so they refuse any other phi.
+    """
+    for law in laws:
+        first, *rest = law.phi.tolist()
+        if first != 1.0 or any(rest):
+            raise ValueError("isolation laws must start in phase 1 (phi = u1)")
+
+
 def min_with_exponential(y: PhaseType, delta: float) -> PhaseType:
     """Law of min(X, Y) for X ~ Exp(delta) independent of Y.
 

@@ -1,10 +1,12 @@
 """Event-driven exact simulation of the networked SIR process.
 
-Gillespie direct method with per-node rate bookkeeping: a susceptible
-node i flips to infected at rate beta_i times its current number of
-infected neighbors; an infected node is removed at rate delta_i (or,
-with isolation, leaves through the phase machinery of its removal-time
-law). Statistically this realizes the Poisson-counter dynamics exactly.
+One Gillespie kernel (direct method, per-node rate bookkeeping) runs
+both models: a susceptible node i flips to infected at rate beta_i
+times its current number of infected neighbors, and an infected node
+leaves through the phases of its removal-time law with the natural
+recovery rate delta_i folded in. Plain SIR is the one-phase law Pi = 0,
+whose only exit is recovery at rate delta_i. Statistically this
+realizes the Poisson-counter dynamics exactly.
 
 Replica r of a Monte Carlo run consumes the counter-based stream
 (seed, r), so serial and parallel execution produce bit-identical
@@ -16,15 +18,15 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass
 from math import log
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .graph import Graph
-from .phase_type import PhaseType
+from .phase_type import require_phase_one
 
 EVENT_CAP = 100_000_000
-_BATCH = 128  # uniforms drawn per rng call inside the kernels
+_BATCH = 128  # uniforms drawn per rng call inside the kernel
 
 
 class EventCapExceeded(RuntimeError):
@@ -36,9 +38,9 @@ class EpidemicParams:
     """Per-node rates and the initial infected set.
 
     `isolation`, when present, holds one removal-time law per node
-    (all with the same phase count); the natural-recovery exponential
-    delta_i is folded in by the simulator via the min-with-exponential
-    closure.
+    (all with the same phase count, all starting in phase 1); the
+    natural-recovery exponential delta_i is folded in by the simulator
+    via the min-with-exponential closure.
     """
 
     beta: np.ndarray
@@ -67,6 +69,7 @@ class EpidemicParams:
             ps = {d.p for d in iso}
             if len(ps) != 1:
                 raise ValueError("isolation laws must share one phase count")
+            require_phase_one(iso)
 
     @classmethod
     def build(cls, n: int, beta, delta, infected, isolation=None):
@@ -131,28 +134,32 @@ def _poke_stream(bg: np.random.Philox, replica: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def _run_plain(neigh, beta, delta, infected0, rng, record):
-    """Core Gillespie loop for the plain SIR model.
+def _run(neigh, beta, tables, infected0, rng, record):
+    """Gillespie direct method for the networked SIR process.
 
-    Returns (ever_infected, event_log, counts_rows); the random stream
-    consumed is independent of `record`.
+    A susceptible node's rate is beta_i times its infected neighbours;
+    an infected node's rate is the hold rate of its current removal
+    phase. `tables` come from `_law_tables`. Returns (ever_infected,
+    event_log, counts_rows); the random stream consumed is independent
+    of `record`.
     """
+    start, hold, jumps, recover_w, third = tables
     n = len(neigh)
-    status = [0] * n           # 0 S, 1 I, 2 R
+    status = [0] * n      # 0 S, 1 I, 2 R
+    slot = start.copy()   # node i's current slot; infections enter phase 1
     rate = [0.0] * n
     total = 0.0
     n_inf = 0
     for i in infected0:
         status[i] = 1
-        rate[i] = delta[i]
-        total += delta[i]
+        rate[i] = hold[slot[i]]
+        total += rate[i]
         n_inf += 1
     for i in infected0:
         for j in neigh[i]:
             if status[j] == 0:
                 rate[j] += beta[j]
                 total += beta[j]
-    ever_infected = n_inf
     n_rem = 0
     log_rows = [] if record else None
     counts = [(0.0, n - n_inf, n_inf, 0)] if record else None
@@ -164,11 +171,10 @@ def _run_plain(neigh, beta, delta, infected0, rng, record):
         if bi >= _BATCH - 1:
             buf = rng.random(_BATCH).tolist()
             bi = 0
-        u1 = buf[bi]
-        u2 = buf[bi + 1]
+        if record:   # only the log needs the event times
+            t += -log(1.0 - buf[bi]) / total
+        x = buf[bi + 1] * total
         bi += 2
-        t += -log(1.0 - u1) / total
-        x = u2 * total
         acc = 0.0
         k = -1
         for i in range(n):
@@ -182,10 +188,10 @@ def _run_plain(neigh, beta, delta, infected0, rng, record):
             k = max(range(n), key=lambda i: rate[i])
         if status[k] == 0:
             status[k] = 1
-            total += delta[k] - rate[k]
-            rate[k] = delta[k]
+            h = hold[slot[k]]
+            total += h - rate[k]
+            rate[k] = h
             n_inf += 1
-            ever_infected += 1
             for j in neigh[k]:
                 if status[j] == 0:
                     rate[j] += beta[j]
@@ -193,118 +199,28 @@ def _run_plain(neigh, beta, delta, infected0, rng, record):
             if record:
                 log_rows.append((t, k, "infect"))
         else:
-            status[k] = 2
-            total -= rate[k]
-            rate[k] = 0.0
-            n_inf -= 1
-            n_rem += 1
-            for j in neigh[k]:
-                if status[j] == 0:
-                    rate[j] -= beta[j]
-                    total -= beta[j]
-            if record:
-                log_rows.append((t, k, "recover"))
-        if record:
-            counts.append((t, n - ever_infected, n_inf, n_rem))
-        events += 1
-        if events >= EVENT_CAP:
-            raise EventCapExceeded(f"exceeded {EVENT_CAP} events in one replica")
-    return ever_infected, log_rows, counts
-
-
-def _run_isolation(neigh, beta, delta, pi_rows, exit_w, natural_frac,
-                   infected0, rng, record):
-    """Gillespie loop with per-node removal phases.
-
-    pi_rows[i][l] lists (m, rate) phase jumps out of phase l under the
-    folded generator Pi - delta_i*I; exit_w[i][l] is the matching exit
-    rate; natural_frac[i][l] is the probability an exit is a natural
-    recovery rather than an isolation.
-    """
-    n = len(neigh)
-    status = [0] * n        # 0 S, 1 I, 2 R
-    phase = [0] * n
-    rate = [0.0] * n
-    total = 0.0
-    n_inf = 0
-    hold = [[sum(r for _, r in pi_rows[i][l]) + exit_w[i][l]
-             for l in range(len(exit_w[i]))] for i in range(n)]
-    for i in infected0:
-        status[i] = 1
-        phase[i] = 0
-        rate[i] = hold[i][0]
-        total += rate[i]
-        n_inf += 1
-    for i in infected0:
-        for j in neigh[i]:
-            if status[j] == 0:
-                rate[j] += beta[j]
-                total += beta[j]
-    ever_infected = n_inf
-    n_rem = 0
-    log_rows = [] if record else None
-    counts = [(0.0, n - n_inf, n_inf, 0)] if record else None
-    t = 0.0
-    events = 0
-    buf = rng.random(_BATCH).tolist()
-    bi = 0
-    while n_inf > 0:
-        if bi >= _BATCH - 2:
-            buf = rng.random(_BATCH).tolist()
-            bi = 0
-        u1 = buf[bi]
-        u2 = buf[bi + 1]
-        bi += 2
-        t += -log(1.0 - u1) / total
-        x = u2 * total
-        acc = 0.0
-        k = -1
-        for i in range(n):
-            r = rate[i]
-            if r > 0.0:
-                acc += r
-                if x < acc:
-                    k = i
-                    break
-        if k < 0:
-            k = max(range(n), key=lambda i: rate[i])
-        if status[k] == 0:
-            status[k] = 1
-            phase[k] = 0
-            total += hold[k][0] - rate[k]
-            rate[k] = hold[k][0]
-            n_inf += 1
-            ever_infected += 1
-            for j in neigh[k]:
-                if status[j] == 0:
-                    rate[j] += beta[j]
-                    total += beta[j]
-            if record:
-                log_rows.append((t, k, "infect"))
-        else:
-            l = phase[k]
-            # pick phase jump vs exit inside node k; one extra uniform
-            # (always consumed, so record mode never shifts the stream)
-            if bi >= _BATCH:
-                buf = rng.random(_BATCH).tolist()
-                bi = 0
-            u3 = buf[bi]
-            bi += 1
-            y = u3 * rate[k]
-            acc2 = 0.0
-            jumped = False
-            for m, r in pi_rows[k][l]:
-                acc2 += r
-                if y < acc2:
-                    phase[k] = m
-                    total += hold[k][m] - rate[k]
-                    rate[k] = hold[k][m]
-                    jumped = True
-                    break
-            if not jumped:
-                # exit: classify natural recovery vs isolation
-                frac_point = acc2 + exit_w[k][l] * natural_frac[k][l]
-                kind = "recover" if y < frac_point else "isolate"
+            s = slot[k]
+            kind = "recover"
+            if third[s]:
+                # a third uniform picks a phase jump or the kind of exit
+                if bi >= _BATCH:
+                    buf = rng.random(_BATCH).tolist()
+                    bi = 0
+                y = buf[bi] * rate[k]
+                bi += 1
+                acc = 0.0
+                for m, r in jumps[s]:
+                    acc += r
+                    if y < acc:   # a phase jump inside node k; not logged
+                        slot[k] = m
+                        total += hold[m] - rate[k]
+                        rate[k] = hold[m]
+                        kind = None
+                        break
+                else:
+                    if y >= acc + recover_w[s]:
+                        kind = "isolate"
+            if kind:
                 status[k] = 2
                 total -= rate[k]
                 rate[k] = 0.0
@@ -316,37 +232,44 @@ def _run_isolation(neigh, beta, delta, pi_rows, exit_w, natural_frac,
                         total -= beta[j]
                 if record:
                     log_rows.append((t, k, kind))
-            if record and jumped:
-                pass  # internal phase jumps are not logged
         if record:
-            counts.append((t, n - ever_infected, n_inf, n_rem))
+            counts.append((t, n - n_inf - n_rem, n_inf, n_rem))
         events += 1
         if events >= EVENT_CAP:
             raise EventCapExceeded(f"exceeded {EVENT_CAP} events in one replica")
-    return ever_infected, log_rows, counts
+    # every node ever infected is removed by the end, so n_rem counts them
+    return n_rem, log_rows, counts
 
 
-def _isolation_tables(params: EpidemicParams):
-    """Fold delta into each node's law and precompute jump tables."""
-    pi_rows, exit_w, natural_frac = [], [], []
-    for i, law in enumerate(params.isolation):
-        d = float(params.delta[i])
-        p = law.p
-        pip = law.Pi - d * np.eye(p)
+def _law_tables(params: EpidemicParams):
+    """Per-(node, phase) tables of the removal law with delta folded in.
+
+    Slot i*p + l is node i in phase l of the folded generator
+    Pi_i - delta_i*I. The tables are each node's phase-1 slot and, per
+    slot, its hold rate, its phase jumps as (slot, rate), the
+    natural-recovery part of its exit rate w', and whether an event
+    there needs a third uniform. A node with no isolation law has the
+    one-phase law Pi = 0: no jumps, w' = delta_i, natural fraction
+    delta_i/delta_i = 1.0, so every exit is a recovery drawn from two
+    uniforms.
+    """
+    p = params.phase_count
+    hold, jumps, recover_w, third = [], [], [], []
+    for i, d in enumerate(params.delta.tolist()):
+        pi = np.zeros((1, 1)) if params.isolation is None \
+            else params.isolation[i].Pi
+        pip = pi - d * np.eye(p)
         w_prime = -pip.sum(axis=1)
-        rows = []
         for l in range(p):
-            rows.append([(m, float(pip[l, m]))
-                         for m in range(p) if m != l and pip[l, m] > 0.0])
-        pi_rows.append(rows)
-        exit_w.append([float(w_prime[l]) for l in range(p)])
-        natural_frac.append([d / w_prime[l] if w_prime[l] > 0 else 0.0
-                             for l in range(p)])
-    return pi_rows, exit_w, natural_frac
-
-
-def _counts_array(counts):
-    return np.array(counts, dtype=float)
+            row = [(i * p + m, float(pip[l, m]))
+                   for m in range(p) if m != l and pip[l, m] > 0.0]
+            w = float(w_prime[l])
+            natural = d / w if w > 0 else 0.0
+            hold.append(sum(r for _, r in row) + w)
+            jumps.append(row)
+            recover_w.append(w * natural)
+            third.append(bool(row) or natural != 1.0)
+    return list(range(0, len(hold), p)), hold, jumps, recover_w, third
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -355,19 +278,23 @@ def _as_rng(rng) -> np.random.Generator:
     return replica_rng(int(rng), 0)
 
 
+def _simulate(g: Graph, params: EpidemicParams, rng) -> SimOutcome:
+    params.validate_for(g)
+    ever, log_rows, counts = _run(
+        g.neighbor_lists, params.beta.tolist(), _law_tables(params),
+        sorted(params.initially_infected), _as_rng(rng), record=True)
+    return SimOutcome(final_removed=ever,
+                      infections_after_t0=ever - len(params.initially_infected),
+                      event_log=tuple(log_rows),
+                      counts_series=np.array(counts, dtype=float))
+
+
 def simulate_sir(g: Graph, params: EpidemicParams, rng) -> SimOutcome:
     """One exact realization of the plain SIR process; runs until no
     node is infected. `rng` is a Generator or an integer seed."""
     if params.isolation is not None:
         raise ValueError("params carry isolation laws; use simulate_sir_isolation")
-    params.validate_for(g)
-    ever, log_rows, counts = _run_plain(
-        g.neighbor_lists, params.beta.tolist(), params.delta.tolist(),
-        sorted(params.initially_infected), _as_rng(rng), record=True)
-    return SimOutcome(final_removed=ever,
-                      infections_after_t0=ever - len(params.initially_infected),
-                      event_log=tuple(log_rows),
-                      counts_series=_counts_array(counts))
+    return _simulate(g, params, rng)
 
 
 def simulate_sir_isolation(g: Graph, params: EpidemicParams, rng) -> SimOutcome:
@@ -376,37 +303,18 @@ def simulate_sir_isolation(g: Graph, params: EpidemicParams, rng) -> SimOutcome:
     folded generator Pi - delta*I."""
     if params.isolation is None:
         raise ValueError("params lack isolation laws; use simulate_sir")
-    params.validate_for(g)
-    pi_rows, exit_w, natural_frac = _isolation_tables(params)
-    ever, log_rows, counts = _run_isolation(
-        g.neighbor_lists, params.beta.tolist(), params.delta.tolist(),
-        pi_rows, exit_w, natural_frac,
-        sorted(params.initially_infected), _as_rng(rng), record=True)
-    return SimOutcome(final_removed=ever,
-                      infections_after_t0=ever - len(params.initially_infected),
-                      event_log=tuple(log_rows),
-                      counts_series=_counts_array(counts))
+    return _simulate(g, params, rng)
 
 
 def _replica_block(args):
-    (neigh, beta, delta, iso_tables, infected0, seed, r0, r1) = args
+    (neigh, beta, tables, infected0, seed, r0, r1) = args
     bg = np.random.Philox(key=seed)
     out = np.empty(r1 - r0, dtype=np.int64)
     k0 = len(infected0)
-    if iso_tables is None:
-        for r in range(r0, r1):
-            rng = _poke_stream(bg, r)
-            ever, _, _ = _run_plain(neigh, beta, delta, infected0, rng,
-                                    record=False)
-            out[r - r0] = ever - k0
-    else:
-        pi_rows, exit_w, natural_frac = iso_tables
-        for r in range(r0, r1):
-            rng = _poke_stream(bg, r)
-            ever, _, _ = _run_isolation(neigh, beta, delta, pi_rows, exit_w,
-                                        natural_frac, infected0, rng,
-                                        record=False)
-            out[r - r0] = ever - k0
+    for r in range(r0, r1):
+        ever, _, _ = _run(neigh, beta, tables, infected0, _poke_stream(bg, r),
+                          record=False)
+        out[r - r0] = ever - k0
     return r0, out
 
 
@@ -422,17 +330,16 @@ def replica_infections(g: Graph, params: EpidemicParams, replicas: int,
     params.validate_for(g)
     neigh = g.neighbor_lists
     beta = params.beta.tolist()
-    delta = params.delta.tolist()
+    tables = _law_tables(params)
     infected0 = sorted(params.initially_infected)
-    iso_tables = None if params.isolation is None else _isolation_tables(params)
     out = np.empty(replicas, dtype=np.int64)
     if workers <= 1 or replicas < 256:
         _, block = _replica_block(
-            (neigh, beta, delta, iso_tables, infected0, seed, 0, replicas))
+            (neigh, beta, tables, infected0, seed, 0, replicas))
         return block
     nchunks = workers * 4
     bounds = np.linspace(0, replicas, nchunks + 1, dtype=int)
-    tasks = [(neigh, beta, delta, iso_tables, infected0, seed, int(a), int(b))
+    tasks = [(neigh, beta, tables, infected0, seed, int(a), int(b))
              for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for r0, block in pool.map(_replica_block, tasks):

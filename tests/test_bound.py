@@ -6,10 +6,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from netsir import (ComparisonSystem, EpidemicParams, ErlangSpec, Graph,
-                    UNBOUNDED, build_isolation_system, build_sir_system,
-                    certificate_for, erlang, exact_lambda, is_hurwitz_metzler,
-                    isolation_system_from, lambda_bound, load_edge_list,
-                    plain_system_from, verify_certificate)
+                    PhaseType, UNBOUNDED, build_isolation_system,
+                    build_sir_system, certificate_for, erlang, exact_lambda,
+                    is_hurwitz_metzler, isolation_system_from, lambda_bound,
+                    load_edge_list, plain_system_from, verify_certificate)
 from conftest import random_instance
 
 TWO_NODE = load_edge_list("0 1")
@@ -79,6 +79,26 @@ class TestBuildIsolationSystem:
         assert np.allclose(sys_.matrix.toarray(), expected)
         assert np.allclose(sys_.weight_row, [delta, r + delta, delta, r + delta])
         assert sys_.initial.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    def test_phi_other_than_u1_refused(self):
+        # every layer enters an infection in phase 1, so a law that
+        # starts in phase 2 is refused rather than misread
+        law = PhaseType(Pi=np.array([[-1.0, 1.0], [0.0, -10.0]]),
+                        phi=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="phase 1"):
+            EpidemicParams.build(2, 0.5, 0.1, [0], isolation=(law, law))
+        with pytest.raises(ValueError, match="phase 1"):
+            isolation_system_from(TWO_NODE, [0], 0.1, [law, law], 0.5)
+
+    def test_explicit_u1_phi_accepted(self):
+        pi = np.array([[-1.0, 1.0], [0.0, -10.0]])
+        explicit = PhaseType(Pi=pi, phi=np.array([1.0, 0.0]))
+        params = EpidemicParams.build(2, 0.5, 0.1, [0],
+                                      isolation=(explicit, explicit))
+        a = lambda_bound(build_isolation_system(TWO_NODE, params))
+        b = lambda_bound(isolation_system_from(TWO_NODE, [0], 0.1,
+                                               [PhaseType(Pi=pi)] * 2, 0.5))
+        assert math.isfinite(a) and a == b
 
     def test_raw_interface_allows_zero_delta(self):
         laws = [erlang(ErlangSpec(2, 1.0)) for _ in range(2)]

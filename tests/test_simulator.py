@@ -15,6 +15,25 @@ def star_graph(k):
     return load_edge_list("\n".join(f"0 {i}" for i in range(1, k + 1)))
 
 
+def path_graph(n):
+    return load_edge_list("\n".join(f"{i} {i + 1}" for i in range(n - 1)))
+
+
+def build_params(n, beta, delta, infected, isolated):
+    """Plain rates, or the same rates with Erlang(2) isolation of mean 1."""
+    iso = tuple(erlang(ErlangSpec(2, 1.0)) for _ in range(n)) if isolated \
+        else None
+    return EpidemicParams.build(n, beta, delta, infected, isolation=iso)
+
+
+def run_for(params):
+    return simulate_sir if params.isolation is None else simulate_sir_isolation
+
+
+MODES = pytest.mark.parametrize("isolated", [False, True],
+                                ids=["plain", "erlang2"])
+
+
 class TestSingleRun:
     def test_edgeless_never_transmits(self):
         g = Graph(node_count=5, edges=frozenset())
@@ -88,14 +107,57 @@ class TestEstimateLambda:
         b = replica_infections(TWO_NODE, RACE_P, 500, seed=9)
         assert np.array_equal(a, b)
 
-    def test_parallel_matches_serial(self):
-        a = replica_infections(TWO_NODE, RACE_P, 2000, seed=5, workers=1)
-        b = replica_infections(TWO_NODE, RACE_P, 2000, seed=5, workers=2)
+    @MODES
+    def test_parallel_matches_serial(self, isolated):
+        params = build_params(2, 0.2, 0.5, [0], isolated)
+        a = replica_infections(TWO_NODE, params, 2000, seed=5, workers=1)
+        b = replica_infections(TWO_NODE, params, 2000, seed=5, workers=2)
         assert np.array_equal(a, b)
 
     def test_replica_streams_differ(self):
         xs = replica_infections(TWO_NODE, RACE_P, 4000, seed=0)
         assert 0 < xs.mean() < 1
+
+
+class TestStreams:
+    @MODES
+    def test_record_run_consumes_the_replica_stream(self, isolated):
+        # a recorded run on stream (seed, r) is replica r of the Monte
+        # Carlo run; the star is big enough to refill the uniform buffer
+        g = star_graph(40)
+        params = build_params(41, 1.0, 0.2, [0], isolated)
+        xs = replica_infections(g, params, 40, seed=13)
+        assert len(set(xs.tolist())) > 5
+        for r in (0, 1, 7, 23, 39):
+            out = run_for(params)(g, params, replica_rng(13, r))
+            assert out.infections_after_t0 == xs[r]
+
+    @MODES
+    @pytest.mark.parametrize("g", [star_graph(6), path_graph(7)],
+                             ids=["star", "path"])
+    def test_event_log_invariants(self, g, isolated):
+        n = g.node_count
+        params = build_params(n, 0.8, 0.3, [0, n - 1], isolated)
+        kinds = {"recover", "isolate"} if isolated else {"recover"}
+        for seed in range(20):
+            out = run_for(params)(g, params, replica_rng(seed, 0))
+            status = ["S"] * n
+            for i in params.initially_infected:
+                status[i] = "I"
+            times = [t for t, _, _ in out.event_log]
+            assert times == sorted(times)
+            for _, k, kind in out.event_log:
+                if kind == "infect":
+                    assert status[k] == "S"
+                    assert any(status[j] == "I" for j in g.neighbor_lists[k])
+                    status[k] = "I"
+                else:
+                    assert kind in kinds
+                    assert status[k] == "I"
+                    status[k] = "R"
+            final = [status.count("S"), status.count("I"), status.count("R")]
+            assert out.counts_series[-1, 1:].tolist() == final
+            assert final[1] == 0 and out.final_removed == final[2]
 
 
 class TestIsolationModel:
