@@ -20,7 +20,7 @@ infected = frozenset({4, 11, 36, 59})
 costs = CostModel(beta_box=(0.00266, 0.0133), delta_box=(0.05, 0.1),
                   budget=68.0)
 
-print("solving the three designs (the two GP solves take a while) ...")
+print("solving the three designs (two GP solves, well under a second) ...")
 designs = [
     solve_allocation(build_problem1(g, infected, costs), tol=1e-6),
     baseline_uniform(g, infected, costs),

@@ -276,6 +276,54 @@ def _vp(i: int, l: int) -> str:
     return f"v_{i}_{l}"
 
 
+def _budget_row(costs: CostModel, n: int) -> gp.Posynomial:
+    """The budget as a posynomial <= 1, the constant offsets of the cost
+    curves moved to the right-hand side."""
+    rhs = costs.absorbed_budget(n)
+    if costs.mode == "plain":
+        second, coeff, power = "delta", costs.c3, 1.0
+    else:
+        second, coeff, power = "gamma", costs.c5, -1.0
+    return gp.Posynomial(tuple(
+        term for i in range(n)
+        for term in (gp.Monomial(costs.c1 / rhs, {f"beta_{i}": -1.0}),
+                     gp.Monomial(coeff / rhs, {f"{second}_{i}": power}))))
+
+
+def _bound_and_budget(ineqs: list, infected_v, costs: CostModel, n: int,
+                      lambda_cap: Optional[float], epsilon: float):
+    """Append the bound row (sum of the infected nodes' v + eps) / t <= 1
+    and the budget row to ineqs; return the objective. Minimizing,
+    t = lambda_bar + sigma_I(0) is the objective; under a cap, t is
+    fixed at lambda_cap + sigma_I(0) and the spend is minimized, which
+    picks a canonical feasible point."""
+    bound = gp.Posynomial(tuple(gp.Monomial(1.0, {v: 1.0})
+                                for v in infected_v)
+                          + (gp.Monomial(epsilon, {}),))
+    budget = _budget_row(costs, n)
+    if lambda_cap is None:
+        ineqs += [bound / gp.variable("t"), budget]
+        return gp.variable("t")
+    if lambda_cap <= 0:
+        raise ValueError("lambda cap must be positive")
+    ineqs += [bound * (1.0 / (lambda_cap + len(infected_v))), budget]
+    return budget
+
+
+def _boxes(costs: CostModel, n: int, certificate_vars, with_t: bool) -> dict:
+    """Rate boxes, a wide box per certificate entry and, when
+    minimizing, one for t."""
+    name = "delta" if costs.mode == "plain" else "gamma"
+    second = costs.delta_box if costs.mode == "plain" else costs.gamma_box
+    box = dict.fromkeys(certificate_vars, _WIDE_BOX)
+    if with_t:
+        box["t"] = _WIDE_BOX
+    for i in range(n):
+        box[f"beta_{i}"] = costs.beta_box
+        box[f"{name}_{i}"] = second
+    return box
+
+
 def build_problem1(g: Graph, infected, costs: CostModel,
                    lambda_cap: Optional[float] = None,
                    epsilon: float = DEFAULT_EPSILON) -> AllocationProblem:
@@ -299,55 +347,20 @@ def build_problem1(g: Graph, infected, costs: CostModel,
         raise ValueError("infected set must be non-empty")
     n = g.node_count
     nbrs = g.neighbor_lists
-    sigma_i0 = len(infected)
-    budget_rhs = costs.absorbed_budget(n)
 
     ineqs = []
     # certificate row, one posynomial per column j
     for j in range(n):
         denom = gp.Monomial(1.0, {_v(j): 1.0, f"delta_{j}": 1.0})
-        terms = []
-        for i in nbrs[j]:
-            if i in infected:
-                continue  # J_ii = 0
-            terms.append(gp.Monomial(1.0, {_v(i): 1.0, f"beta_{i}": 1.0}))
-        terms.append(gp.Monomial(1.0, {f"delta_{j}": 1.0}))
-        terms.append(gp.Monomial(epsilon, {}))
+        terms = [gp.Monomial(1.0, {_v(i): 1.0, f"beta_{i}": 1.0})
+                 for i in nbrs[j] if i not in infected]  # J_ii = 0
+        terms += [gp.Monomial(1.0, {f"delta_{j}": 1.0}),
+                  gp.Monomial(epsilon, {})]
         ineqs.append(gp.Posynomial(tuple(terms)) / denom)
 
-    # accumulated-infection cap via t = lambda_bar + sigma_I(0)
-    bound_terms = [gp.Monomial(1.0, {_v(i): 1.0}) for i in sorted(infected)]
-    bound_terms.append(gp.Monomial(epsilon, {}))
-    if lambda_cap is None:
-        t_mono = gp.Monomial(1.0, {"t": 1.0})
-        ineqs.append(gp.Posynomial(tuple(bound_terms)) / t_mono)
-        objective = gp.Posynomial((t_mono,))
-    else:
-        if lambda_cap <= 0:
-            raise ValueError("lambda cap must be positive")
-        t_const = lambda_cap + sigma_i0
-        ineqs.append(gp.Posynomial(tuple(bound_terms)) * (1.0 / t_const))
-
-    # budget with constants absorbed
-    budget_terms = []
-    for i in range(n):
-        budget_terms.append(gp.Monomial(costs.c1 / budget_rhs,
-                                        {f"beta_{i}": -1.0}))
-        budget_terms.append(gp.Monomial(costs.c3 / budget_rhs,
-                                        {f"delta_{i}": 1.0}))
-    budget_posy = gp.Posynomial(tuple(budget_terms))
-    ineqs.append(budget_posy)
-    if lambda_cap is not None:
-        # feasibility question: minimizing spend picks a canonical point
-        objective = budget_posy
-
-    box = {}
-    for i in range(n):
-        box[f"beta_{i}"] = costs.beta_box
-        box[f"delta_{i}"] = costs.delta_box
-        box[_v(i)] = _WIDE_BOX
-    if lambda_cap is None:
-        box["t"] = _WIDE_BOX
+    objective = _bound_and_budget(ineqs, [_v(i) for i in sorted(infected)],
+                                  costs, n, lambda_cap, epsilon)
+    box = _boxes(costs, n, [_v(i) for i in range(n)], lambda_cap is None)
 
     problem = gp.GpProblem(objective=objective,
                            ineq_constraints=tuple(ineqs), box=box)
@@ -380,8 +393,6 @@ def build_problem2(g: Graph, infected, costs: CostModel,
     if np.any(delta < 0):
         raise ValueError("delta must be nonnegative")
     nbrs = g.neighbor_lists
-    sigma_i0 = len(infected)
-    budget_rhs = costs.absorbed_budget(n)
 
     ineqs = []
     for j in range(n):
@@ -390,12 +401,8 @@ def build_problem2(g: Graph, infected, costs: CostModel,
             # denominator: v_{j,m} * kappa_j * (p/gamma_j)^alpha_j
             denom = gp.Monomial(fit.kappa * p ** fit.alpha,
                                 {_vp(j, m): 1.0, f"gamma_{j}": -fit.alpha})
-            terms = []
-            for i in nbrs[j]:
-                if i in infected:
-                    continue
-                terms.append(gp.Monomial(1.0, {_vp(i, 1): 1.0,
-                                               f"beta_{i}": 1.0}))
+            terms = [gp.Monomial(1.0, {_vp(i, 1): 1.0, f"beta_{i}": 1.0})
+                     for i in nbrs[j] if i not in infected]
             if m < p:
                 terms.append(gp.Monomial(float(p),
                                          {_vp(j, m + 1): 1.0,
@@ -407,37 +414,11 @@ def build_problem2(g: Graph, infected, costs: CostModel,
             terms.append(gp.Monomial(epsilon, {}))
             ineqs.append(gp.Posynomial(tuple(terms)) / denom)
 
-    bound_terms = [gp.Monomial(1.0, {_vp(i, 1): 1.0}) for i in sorted(infected)]
-    bound_terms.append(gp.Monomial(epsilon, {}))
-    if lambda_cap is None:
-        t_mono = gp.Monomial(1.0, {"t": 1.0})
-        ineqs.append(gp.Posynomial(tuple(bound_terms)) / t_mono)
-        objective = gp.Posynomial((t_mono,))
-    else:
-        if lambda_cap <= 0:
-            raise ValueError("lambda cap must be positive")
-        ineqs.append(gp.Posynomial(tuple(bound_terms))
-                     * (1.0 / (lambda_cap + sigma_i0)))
-
-    budget_terms = []
-    for i in range(n):
-        budget_terms.append(gp.Monomial(costs.c1 / budget_rhs,
-                                        {f"beta_{i}": -1.0}))
-        budget_terms.append(gp.Monomial(costs.c5 / budget_rhs,
-                                        {f"gamma_{i}": -1.0}))
-    budget_posy = gp.Posynomial(tuple(budget_terms))
-    ineqs.append(budget_posy)
-    if lambda_cap is not None:
-        objective = budget_posy
-
-    box = {}
-    for i in range(n):
-        box[f"beta_{i}"] = costs.beta_box
-        box[f"gamma_{i}"] = costs.gamma_box
-        for l in range(1, p + 1):
-            box[_vp(i, l)] = _WIDE_BOX
-    if lambda_cap is None:
-        box["t"] = _WIDE_BOX
+    objective = _bound_and_budget(ineqs,
+                                  [_vp(i, 1) for i in sorted(infected)],
+                                  costs, n, lambda_cap, epsilon)
+    box = _boxes(costs, n, [_vp(i, l) for i in range(n)
+                            for l in range(1, p + 1)], lambda_cap is None)
 
     problem = gp.GpProblem(objective=objective,
                            ineq_constraints=tuple(ineqs), box=box)
@@ -458,23 +439,12 @@ def _system(g: Graph, infected, mode: str, beta, second,
                                            beta)
 
 
-def _solve_relaxing(problem: gp.GpProblem, tol: float) -> gp.GpSolution:
-    """Solve, relaxing the tolerance up to 100x when the barrier hits
-    its floating-point centering floor on degenerate instances. The
-    achieved tolerance is whatever the returned solution reports."""
-    sol = gp.solve(problem, tol=tol)
-    while sol.status == "max_iter" and tol < 9e-6:
-        tol *= 10.0
-        sol = gp.solve(problem, tol=tol)
-    return sol
-
-
 def solve_allocation(prob: AllocationProblem,
                      tol: float = 1e-7) -> Allocation:
     """Solve the assembled GP and re-verify the result: the extracted
     certificate must pass with slack epsilon/2 and the recomputed
     linear-solve bound must not exceed the reported lambda_bar."""
-    sol = _solve_relaxing(prob.gp_problem, tol)
+    sol = gp.solve(prob.gp_problem, tol=tol)
     if sol.status == "infeasible":
         raise AllocationInfeasible(
             "budget insufficient for the requested control level"
@@ -567,7 +537,6 @@ def baseline_sis_spectral(g: Graph, infected, costs: CostModel,
         raise ValueError("the SIS baseline is defined for plain mode")
     n = g.node_count
     nbrs = g.neighbor_lists
-    budget_rhs = costs.absorbed_budget(n)
     eps = DEFAULT_EPSILON
 
     ineqs = []
@@ -578,22 +547,13 @@ def baseline_sis_spectral(g: Graph, infected, costs: CostModel,
         terms.append(gp.Monomial(1.0, {"s": 1.0, _v(j): 1.0}))
         terms.append(gp.Monomial(eps, {}))
         ineqs.append(gp.Posynomial(tuple(terms)) / denom)
-    budget_terms = []
-    for i in range(n):
-        budget_terms.append(gp.Monomial(costs.c1 / budget_rhs,
-                                        {f"beta_{i}": -1.0}))
-        budget_terms.append(gp.Monomial(costs.c3 / budget_rhs,
-                                        {f"delta_{i}": 1.0}))
-    ineqs.append(gp.Posynomial(tuple(budget_terms)))
-    box = {"s": (1e-8, 1e4)}
-    for i in range(n):
-        box[f"beta_{i}"] = costs.beta_box
-        box[f"delta_{i}"] = costs.delta_box
-        box[_v(i)] = _WIDE_BOX
+    ineqs.append(_budget_row(costs, n))
+    box = dict(_boxes(costs, n, [_v(i) for i in range(n)], False),
+               s=(1e-8, 1e4))
     problem = gp.GpProblem(
         objective=gp.Posynomial((gp.Monomial(1.0, {"s": -1.0}),)),
         ineq_constraints=tuple(ineqs), box=box)
-    sol = _solve_relaxing(problem, tol)
+    sol = gp.solve(problem, tol=tol)
     if sol.status == "infeasible":
         raise AllocationInfeasible("no decay rate is attainable in the boxes")
     if sol.status != "optimal":

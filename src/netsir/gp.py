@@ -6,16 +6,21 @@ affine forms, so the program
 
     minimize f0(x)  s.t.  f_i(x) <= 1,  g_j(x) = 1,  x in boxes
 
-turns into a smooth convex problem that a damped-Newton barrier method
-solves to tight KKT residuals. The problem is compiled once into stacked
-arrays (StackedLse): one sparse term-exponent matrix, the log-coefficients
-and a term-to-constraint segment index, so each Newton step is a few
-array operations. Monomial equalities are affine in y and are eliminated
-once, up front, through a null-space parametrization of that matrix.
+turns into a smooth convex problem that a primal-dual interior-point
+method (Boyd & Vandenberghe, section 11.7) solves to a dual residual and
+a surrogate duality gap both below the tolerance. The problem is
+compiled once into stacked arrays (StackedLse): one sparse term-exponent
+matrix, the log-coefficients and a term-to-constraint segment index.
+Each StackedLse also compiles, once, the index arrays of a scatter that
+assembles its dense Newton matrix, so each Newton step is a few array
+operations and one Cholesky factorization. Monomial equalities are
+affine in y and are eliminated once, up front, through a null-space
+parametrization of that matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -167,8 +172,53 @@ class GpSolution:
     point: Dict[str, float]
     objective_value: float
     status: str  # optimal | infeasible | max_iter
-    kkt_residual: float
+    kkt_residual: float   # |r_dual|_inf; the phase-I s* when infeasible
     newton_iters: int = 0
+    gap: float = math.nan  # surrogate duality gap -f^T lam at exit
+
+
+def _upper_pairs(ptr: np.ndarray):
+    """Index pairs (a, b) with a <= b inside each group ptr[k]:ptr[k+1]."""
+    ptr = np.asarray(ptr, dtype=np.int64)
+    idx = np.arange(ptr[-1])
+    reps = np.repeat(ptr[1:], np.diff(ptr)) - idx
+    a = np.repeat(idx, reps)
+    return a, np.arange(len(a)) - np.repeat(np.cumsum(reps) - reps - idx, reps)
+
+
+class _Scatter:
+    """Fixed index arrays that assemble a StackedLse's Newton matrix.
+
+    G = S diag(w) F, S the segment indicator, keeps one entry per
+    (segment, column) of each segment's support: entry e sits at
+    (g_seg[e], g_col[e]), and F's stored entry k adds to entry
+    to_g[k]. F^T diag(c) F + G^T diag(q) G sums products of two entries
+    that share a term row of F or a segment of G. With columns sorted
+    in each row, each symmetric product is kept once, as indices
+    (left, right) into F's entries followed by G's, and adds to cell
+    cell_of of the upper-triangle cells `cells` (flat indices). The
+    buffers are reused by every assembly, so a Newton step allocates
+    nothing of the matrix's size.
+    """
+
+    def __init__(self, F: sp.csr_matrix, seg: np.ndarray, segments: int):
+        n = F.shape[1]
+        self.term = np.repeat(np.arange(F.shape[0]), np.diff(F.indptr))
+        support, self.to_g = np.unique(seg[self.term] * n + F.indices,
+                                       return_inverse=True)
+        self.g_seg, self.g_col = np.divmod(support, n)
+        ta, tb = _upper_pairs(F.indptr)
+        ga, gb = _upper_pairs(np.searchsorted(self.g_seg,
+                                              np.arange(segments + 1)))
+        cols = np.concatenate([F.indices, self.g_col])
+        left = np.concatenate([ta, ga + F.nnz])
+        right = np.concatenate([tb, gb + F.nnz])
+        self.cells, self.cell_of = np.unique(cols[left] * n + cols[right],
+                                             return_inverse=True)
+        self.left, self.right = left, right
+        self.products = np.empty(len(left))
+        self.factors = np.empty(len(left))
+        self.upper = np.zeros((n, n))
 
 
 class StackedLse:
@@ -180,10 +230,15 @@ class StackedLse:
     starts[k]:starts[k+1], and each segment is the log-sum-exp of its
     rows; ptr is starts with the term count appended. Segment 0 is the
     objective; every other segment is a constraint meaning <= 0.
+
+    A point's segment gradients are the rows of G = S diag(w) F, w the
+    term weights normalized per segment. `gradients` returns G's stored
+    entries, which `gt`, `g_dot` and `hessian` consume.
     """
 
     def __init__(self, F, b: np.ndarray, starts: np.ndarray):
         self.F = sp.csr_matrix(F)
+        self.F.sum_duplicates()  # sorted, unique columns: see _Scatter
         self.b = np.asarray(b, dtype=float)
         self.starts = np.asarray(starts, dtype=np.intp)
         self.ptr = np.append(self.starts, len(self.b))
@@ -194,7 +249,11 @@ class StackedLse:
     def dim(self) -> int:
         return self.F.shape[1]
 
-    def _lse(self, y: np.ndarray):
+    @functools.cached_property
+    def _scatter(self) -> _Scatter:
+        return _Scatter(self.F, self.seg, len(self.starts))
+
+    def lse(self, y: np.ndarray):
         """Segment values and the term weights, normalized per segment."""
         z = self.F @ y + self.b
         zmax = np.maximum.reduceat(z, self.starts)
@@ -203,30 +262,60 @@ class StackedLse:
         return zmax + np.log(total), e / total[self.seg]
 
     def values(self, y: np.ndarray) -> np.ndarray:
-        return self._lse(y)[0]
+        return self.lse(y)[0]
 
-    def value_grads(self, y: np.ndarray):
-        """Segment values, term weights w and the segment gradients as
-        sparse rows G = S diag(w) F, S the segment indicator."""
-        vals, w = self._lse(y)
-        s_w = sp.csr_matrix((w, np.arange(len(w)), self.ptr),
-                            shape=(len(self.starts), len(w)))
-        return vals, w, s_w @ self.F
+    def gradients(self, w: np.ndarray) -> np.ndarray:
+        k = self._scatter
+        return np.bincount(k.to_g, weights=w[k.term] * self.F.data,
+                           minlength=len(k.g_col))
+
+    def gt(self, g: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """G^T s from the stored entries g of G."""
+        k = self._scatter
+        return np.bincount(k.g_col, weights=s[k.g_seg] * g,
+                           minlength=self.dim)
+
+    def g_dot(self, g: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """G d: each segment's directional derivative along d."""
+        k = self._scatter
+        return np.bincount(k.g_seg, weights=g * d[k.g_col],
+                           minlength=len(self.starts))
+
+    def upper(self, w: np.ndarray, g: np.ndarray, s: np.ndarray,
+              q: np.ndarray) -> np.ndarray:
+        """Upper triangle of F^T diag(w s_seg) F + G^T diag(q) G, zero
+        below, in a buffer that the next call overwrites: with s the
+        segment multipliers, sum_k s_k Hess f_k plus a rank-one term
+        q_k g_k g_k^T per segment."""
+        k = self._scatter
+        left = np.concatenate([(w * s[self.seg])[k.term] * self.F.data,
+                               q[k.g_seg] * g])
+        right = np.concatenate([self.F.data, g])
+        np.take(left, k.left, out=k.products)
+        k.products *= np.take(right, k.right, out=k.factors)
+        k.upper.fill(0.0)
+        np.put(k.upper, k.cells, np.bincount(k.cell_of, weights=k.products,
+                                             minlength=len(k.cells)))
+        return k.upper
+
+    def hessian(self, w: np.ndarray, g: np.ndarray, s: np.ndarray,
+                q: np.ndarray) -> np.ndarray:
+        """The full matrix of `upper`, as a new array."""
+        u = self.upper(w, g, s, q)
+        h = u + u.T
+        h.flat[::self.dim + 1] *= 0.5
+        return h
 
     def barrier_newton(self, t: float, y: np.ndarray):
         """Segment values, gradient and dense Hessian of the barrier
-
-            H = F^T diag(w s_seg) F + G^T diag(q) G,
-
-        with per-segment weights s = (t, 1/-f_k) and outer weights
-        q = (-t, 1/f_k^2 - 1/-f_k)."""
-        vals, w, g = self.value_grads(y)
+        t*f0 - sum log(-f_k): segment multipliers s = (t, 1/-f_k) and
+        outer weights q = (-t, 1/f_k^2 - 1/-f_k)."""
+        vals, w = self.lse(y)
+        g = self.gradients(w)
         s = np.concatenate([[t], -1.0 / vals[1:]])
         q = -s
         q[1:] += s[1:] ** 2
-        h = self.F.T @ sp.diags(w * s[self.seg]) @ self.F \
-            + g.T @ sp.diags(q) @ g
-        return vals, g.T @ s, h.toarray()
+        return vals, self.gt(g, s), self.hessian(w, g, s, q)
 
     def reparametrized(self, y0: np.ndarray, basis) -> "StackedLse":
         """The same segments as functions of z, where y = y0 + basis z."""
@@ -258,15 +347,7 @@ class _Segment:
     """View of one segment of a compiled problem."""
 
     def __init__(self, lcp: "LogConvexProblem", k: int):
-        self._lcp = lcp
-        self._k = k
-
-    @property
-    def kind(self) -> str:
-        return self._lcp.kinds[self._k]
-
-    def value(self, y: np.ndarray) -> float:
-        return float(self._lcp.system.values(y)[self._k])
+        self.value = lambda y: float(lcp.system.values(y)[k])
 
 
 class LogConvexProblem:
@@ -334,12 +415,10 @@ class LogConvexProblem:
     def constraints(self) -> List[_Segment]:
         return [_Segment(self, k) for k in range(1, len(self.kinds))]
 
-    def constraint_values(self, y: np.ndarray) -> np.ndarray:
-        return self.system.values(y)[1:]
-
     def _segment_value_grad(self, k: int, y: np.ndarray):
-        vals, _, g = self.system.value_grads(y)
-        return float(vals[k]), g[k].toarray().ravel()
+        vals, w = self.system.lse(y)
+        return float(vals[k]), self.system.gt(self.system.gradients(w),
+                                              np.arange(len(vals)) == k)
 
     def constraint_value_grad(self, k: int, y: np.ndarray):
         return self._segment_value_grad(k + 1, y)
@@ -390,190 +469,150 @@ def to_log_convex(problem: GpProblem) -> LogConvexProblem:
 
 
 # ---------------------------------------------------------------------------
-# barrier interior-point solver
+# primal-dual interior-point solver (Boyd & Vandenberghe, section 11.7)
+
+MU = 2.0            # each step aims at t = MU * m / eta
+PHASE1_TOL = 1e-7   # a phase-I optimum above this certifies infeasibility
+_ALPHA, _BETA = 0.01, 0.5   # residual decrease and backtracking factor
 
 
-def _newton_step(system: StackedLse, t_bar: float, y: np.ndarray):
-    """Segment values, barrier gradient g and the Newton direction d."""
-    vals, g, h = system.barrier_newton(t_bar, y)
-    n = len(y)
-    # solve h d = -g, Jacobi-equilibrated, with a ridge fallback
-    scale = np.sqrt(np.maximum(np.diag(h), 1e-300))
-    hs = h / scale[:, None] / scale[None, :]
-    gs = g / scale
-    d = None
-    ridge = 0.0
-    for _ in range(4):
+def _newton_direction(system: StackedLse, w, g, s, q,
+                      rhs: np.ndarray) -> np.ndarray:
+    """Solve H d = rhs, H = system.upper(w, g, s, q), by a Cholesky
+    factorization in place on the Jacobi-equilibrated upper triangle,
+    adding a ridge if it fails."""
+    for ridge in (0.0, 1e-14, 1e-12, 1e-10):
+        u = system.upper(w, g, s, q)
+        inv = 1.0 / np.sqrt(np.maximum(u.diagonal(), 1e-300))
+        u *= inv[:, None]
+        u *= inv
+        u.flat[::len(u) + 1] += ridge
         try:
-            cho = scipy.linalg.cho_factor(hs + ridge * np.eye(n), lower=True)
-            d = scipy.linalg.cho_solve(cho, -gs) / scale
-            break
+            cho = scipy.linalg.cho_factor(u.T, lower=True, overwrite_a=True,
+                                          check_finite=False)
+            return scipy.linalg.cho_solve(cho, rhs * inv,
+                                          check_finite=False) * inv
         except np.linalg.LinAlgError:
-            ridge = max(ridge * 100, 1e-14)
-    if d is None:
-        d = np.linalg.lstsq(h, -g, rcond=None)[0]
-    return vals, g, d
+            pass
+    return np.linalg.lstsq(system.hessian(w, g, s, q), rhs, rcond=None)[0]
 
 
-def _newton_barrier(system: StackedLse, t_bar: float, y: np.ndarray,
-                    newton_tol: float, max_steps: int):
-    """Damped Newton on t_bar*f0(y) - sum log(-f_k(y)). Returns
-    (y, steps, converged). y must be strictly feasible. Breaks early
-    when the decrement hits its floating-point floor, which large
-    barrier parameters reach before the nominal tolerance."""
-    steps = 0
-    best_dec = math.inf
-    stalled = 0
-    while steps < max_steps:
-        vals, g, d = _newton_step(system, t_bar, y)
-        decrement2 = float(-g @ d)
-        if decrement2 / 2.0 <= newton_tol:
-            return y, steps, True
-        if decrement2 < 1e-6 and decrement2 >= 0.99 * best_dec:
-            stalled += 1
-            if stalled >= 5:
-                return y, steps, True  # numeric floor, as centered as floats allow
+def _primal_dual(system: StackedLse, z: np.ndarray, tol: float,
+                 max_steps: int, stop=None):
+    """Minimize f0 s.t. f_k <= 0 from a strictly feasible z.
+
+    Each step solves the reduced Newton system of the modified KKT
+    conditions at t = MU*m/eta, eta = -f^T lam the surrogate gap, then
+    backtracks from 0.99 of the largest step keeping lam > 0 until
+    every f_k < 0 and the residual norm |(r_dual, r_cent)| has fallen.
+    Returns (z, r_dual, eta, steps, status): status is 'optimal' once
+    |r_dual|_inf <= tol and eta <= tol, 'stopped' once stop(z) holds,
+    else 'max_iter'."""
+    vals, w = system.lse(z)
+    lam = -1.0 / vals[1:]
+    m = len(lam)
+    g = system.gradients(w)
+    r_dual = system.gt(g, np.append(1.0, lam))
+    for steps in range(max_steps + 1):
+        f = vals[1:]
+        eta = float(-f @ lam)
+        if stop is not None and stop(z):
+            return z, r_dual, eta, steps, "stopped"
+        if np.abs(r_dual).max() <= tol and eta <= tol:
+            return z, r_dual, eta, steps, "optimal"
+        if steps == max_steps:
+            break
+        t = MU * m / eta
+        s = np.append(1.0, lam)
+        q = -s
+        q[1:] -= lam / f
+        dz = _newton_direction(system, w, g, s, q,
+                               -system.gt(g, np.append(1.0, -1.0 / (t * f))))
+        df = system.g_dot(g, dz)[1:]
+        dlam = -lam / f * df - lam - 1.0 / (t * f)
+        norm0 = math.hypot(np.linalg.norm(r_dual),
+                           np.linalg.norm(lam * f + 1.0 / t))
+        # f_k is convex, so f_k + step*df_k < 0 is needed for f_k < 0
+        shrink, grow = dlam < 0, df > 0
+        step = 0.99 * min(np.min(-lam[shrink] / dlam[shrink], initial=1.0),
+                          np.min(-f[grow] / df[grow], initial=1.0))
+        while step > 1e-12:
+            z_new = z + step * dz
+            vals_new, w_new = system.lse(z_new)
+            if np.all(vals_new[1:] < 0):
+                lam_new = lam + step * dlam
+                g_new = system.gradients(w_new)
+                r_new = system.gt(g_new, np.append(1.0, lam_new))
+                if math.hypot(np.linalg.norm(r_new),
+                              np.linalg.norm(lam_new * vals_new[1:] + 1.0 / t)
+                              ) <= (1.0 - _ALPHA * step) * norm0:
+                    break
+            step *= _BETA
         else:
-            stalled = 0
-        best_dec = min(best_dec, decrement2)
-        # backtracking: stay strictly feasible, then Armijo
-        alpha = 1.0
-        phi0 = barrier_value(t_bar, vals)
-        for _ in range(80):
-            y_new = y + alpha * d
-            phi1 = barrier_value(t_bar, system.values(y_new))
-            if phi1 <= phi0 + 0.25 * alpha * float(g @ d):
-                break
-            alpha *= 0.5
-        else:
-            return y, steps, False
-        y = y_new
-        steps += 1
-    return y, steps, False
+            break   # no step reduces the residual
+        z, vals, w, g, lam, r_dual = z_new, vals_new, w_new, g_new, lam_new, r_new
+    return z, r_dual, eta, steps, "max_iter"
 
 
 def solve(problem: GpProblem, tol: float = 1e-7,
-          max_newton: int = 500, mu: float = 8.0,
-          phase1_tol: float = None) -> GpSolution:
-    """Solve a geometric program by a log-space barrier method.
+          max_newton: int = 500) -> GpSolution:
+    """Solve a geometric program by a log-space primal-dual method.
 
-    Phase I minimizes the maximum constraint violation s; s* > tol
-    certifies infeasibility, a strictly negative s yields the interior
-    start for phase II. status is 'optimal' once the duality gap and
-    stationarity residual are below tol, 'infeasible' with a phase-I
-    certificate, or 'max_iter' after the Newton-step cap.
+    Phase I minimizes the largest constraint violation s over (y, s)
+    and stops once s < 0; a converged s* above PHASE1_TOL certifies
+    infeasibility and is reported as kkt_residual. Phase II runs the
+    same primal-dual loop on the problem itself. status is 'optimal'
+    once the dual residual |grad f0 + sum lam_k grad f_k|_inf
+    (kkt_residual) and the surrogate duality gap -f^T lam (gap) are
+    both at most tol, 'infeasible' with a phase-I certificate, or
+    'max_iter' when the max_newton steps of both phases run out or a
+    line search cannot reduce the residual. The iterate stays strictly
+    feasible throughout.
     """
-    if phase1_tol is None:
-        phase1_tol = tol
     lcp = to_log_convex(problem)
     reduction = lcp.reduced()
     if reduction is None:
         return GpSolution(point={}, objective_value=math.nan,
                           status="infeasible", kkt_residual=math.inf)
     system, y0, basis = reduction
-    nz = system.dim
 
     def to_point(zz):
         y = y0 + basis @ zz
         return {v: math.exp(y[i]) for i, v in enumerate(lcp.variables)}
 
     z = basis.T @ (lcp.center_point() - y0)
-    total_steps = 0
-
     vals = system.values(z)[1:]
-    m = len(vals)
-    if nz == 0:
+    if system.dim == 0:
         # fully pinned problem: feasibility is a direct check
         if np.all(vals < 0):
             pt = to_point(z)
             return GpSolution(point=pt,
                               objective_value=evaluate(problem.objective, pt),
-                              status="optimal", kkt_residual=0.0)
+                              status="optimal", kkt_residual=0.0, gap=0.0)
         return GpSolution(point={}, objective_value=math.nan,
                           status="infeasible",
                           kkt_residual=float(vals.max()))
 
+    steps1 = 0
     if np.any(vals >= -1e-10):
-        # ----- phase I on (z, s), started with margin one
-        p1 = system.phase1()
-        s0 = float(vals.max()) + 1.0
-        zs = np.concatenate([z, [s0]])
-        t_bar = 1.0
-        s_val = s0
-        while True:
-            zs, steps, converged = _newton_barrier(p1, t_bar, zs, 1e-12,
-                                                   max_newton)
-            total_steps += steps
-            s_val = zs[-1]
-            if s_val < -1e-3:
-                break  # comfortably interior
-            if m / t_bar < 0.1 * phase1_tol:
-                break
-            if total_steps >= max_newton:
-                break
-            if not converged and steps == 0:
-                total_steps = max_newton  # line search stalled
-                break
-            t_bar *= mu
-        if s_val >= 0:
-            if s_val > phase1_tol:
-                return GpSolution(point={}, objective_value=math.nan,
-                                  status="infeasible",
-                                  kkt_residual=float(s_val),
-                                  newton_iters=total_steps)
+        # phase I on (z, s), started with margin one
+        zs, _, eta, steps1, status = _primal_dual(
+            system.phase1(), np.append(z, vals.max() + 1.0), tol,
+            max_newton, stop=lambda zs: zs[-1] < 0)
+        if status != "stopped":
+            infeasible = status == "optimal" and zs[-1] > PHASE1_TOL
             return GpSolution(point={}, objective_value=math.nan,
-                              status="max_iter", kkt_residual=float(s_val),
-                              newton_iters=total_steps)
+                              status="infeasible" if infeasible
+                              else "max_iter",
+                              kkt_residual=float(zs[-1]), gap=eta,
+                              newton_iters=steps1)
         z = zs[:-1]
 
-    # ----- phase II: follow the central path, advancing the barrier
-    # parameter only from centered points so late stages stay sane
-    t_bar = 1.0
-    retried = False
-    while True:
-        z, steps, converged = _newton_barrier(
-            system, t_bar, z, 1e-12, min(150, max_newton - total_steps))
-        total_steps += steps
-        if not converged and not retried and total_steps < max_newton:
-            retried = True
-            continue
-        if m / t_bar <= tol:
-            break
-        if total_steps >= max_newton or not converged:
-            pt = to_point(z)
-            return GpSolution(point=pt,
-                              objective_value=evaluate(problem.objective, pt),
-                              status="max_iter", kkt_residual=math.inf,
-                              newton_iters=total_steps)
-        retried = False
-        t_bar *= mu
-
-    # polish stationarity at the final barrier parameter: the gap stop
-    # leaves the Newton decrement small but not the raw gradient. The
-    # KKT residual is the barrier gradient over t_bar. The barrier value,
-    # about t_bar*f0, is too coarse in floating point here to rank
-    # nearby points, so Newton steps backtrack on the residual itself.
-    vals, g, d = _newton_step(system, t_bar, z)
-    for _ in range(30):
-        if np.linalg.norm(g, np.inf) <= 0.1 * tol * t_bar:
-            break
-        alpha = 1.0
-        for _ in range(60):
-            z_new = z + alpha * d
-            if np.all(system.values(z_new)[1:] < 0):
-                step = _newton_step(system, t_bar, z_new)
-                if np.linalg.norm(step[1], np.inf) < np.linalg.norm(g, np.inf):
-                    break
-            alpha *= 0.5
-        else:
-            break
-        z, (vals, g, d) = z_new, step
-        total_steps += 1
-    kkt = float(np.linalg.norm(g, np.inf) / t_bar)
-    feas = float(vals[1:].max())
+    z, r_dual, eta, steps2, status = _primal_dual(system, z, tol,
+                                                  max_newton - steps1)
     pt = to_point(z)
-    status = "optimal" if (kkt <= tol and feas <= tol) else "max_iter"
     return GpSolution(point=pt,
                       objective_value=evaluate(problem.objective, pt),
-                      status=status, kkt_residual=kkt,
-                      newton_iters=total_steps)
+                      status=status,
+                      kkt_residual=float(np.abs(r_dual).max()), gap=eta,
+                      newton_iters=steps1 + steps2)

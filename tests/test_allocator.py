@@ -155,6 +155,39 @@ class TestProblem1:
                        tol=1e-6)
         assert sol.status == "optimal"
         assert abs(sol.point["t"] - len(infected) - 1.950556) <= 1e-4
+        assert sol.newton_iters <= 150
+
+    def test_one_solve_per_allocation_at_the_requested_tol(self,
+                                                           monkeypatch):
+        """No solve is retried at a looser tolerance: the budget sweeps of
+        test_budget_monotonicity_small and acceptance 8 each take one
+        'optimal' gp.solve call at tol 1e-7 per allocation."""
+        calls = []
+        solve = gp.solve
+
+        def counted(problem, tol):
+            sol = solve(problem, tol=tol)
+            calls.append((tol, sol.status))
+            return sol
+        monkeypatch.setattr(gp, "solve", counted)
+        small = load_edge_list("0 1\n1 2\n2 3\n3 0\n0 2")
+        for budget in (1.0, 2.0, 4.0):
+            costs = CostModel(beta_box=(0.05, 0.5), delta_box=(0.2, 1.0),
+                              budget=budget)
+            solve_allocation(build_problem1(small, {0}, costs), tol=1e-7)
+        rng = np.random.default_rng(77)
+        edges = set()
+        while len(edges) < 45:
+            i, j = (int(x) for x in rng.integers(0, 20, 2))
+            if i != j:
+                edges.add((min(i, j), max(i, j)))
+        g = Graph(node_count=20, edges=frozenset(edges))
+        for budget in (6.0, 10.0, 16.0, 24.0, 36.0):
+            costs = CostModel(beta_box=(0.01, 0.1), delta_box=(0.1, 0.6),
+                              budget=budget)
+            solve_allocation(build_problem1(g, frozenset({0, 7}), costs),
+                             tol=1e-7)
+        assert calls == [(1e-7, "optimal")] * 8
 
 
 class TestProblem2:

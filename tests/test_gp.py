@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from netsir import gp
+from netsir import CostModel, build_problem2, fit_monomial_bound, gp
 from netsir.gp import GpProblem, Monomial, Posynomial, variable
 
 
@@ -257,6 +258,94 @@ class TestSolve:
             if gp.evaluate(prob.ineq_constraints[0], {"x": x, "y": y}) <= 1.0:
                 assert sol.objective_value <= x + 2 * y + 1e-6
                 found += 1
+
+
+def test_scatter_matches_sparse_reference_on_social68(rng):
+    """On the social68 Erlang(2) allocation GP, the compiled scatter's
+    G^T s and Newton matrix equal a scipy.sparse assembly, for the
+    phase-I and the reduced phase-II systems."""
+    from importlib import resources
+    from netsir import load_edge_list
+    g = load_edge_list((resources.files("netsir") / "data"
+                        / "social68.txt").read_text())
+    infected = frozenset(int(i) for i in np.random.default_rng(2024).choice(
+        g.node_count, size=4, replace=False))
+    costs = CostModel(beta_box=(0.00266, 0.0133), gamma_box=(2.0, 20.0),
+                      budget=68.0)
+    fits = [fit_monomial_bound(0.05, (2 / 20.0, 2 / 2.0))] * g.node_count
+    lcp = gp.to_log_convex(build_problem2(g, infected, costs, fits, p=2,
+                                          delta=0.05).gp_problem)
+    reduced, y0, basis = lcp.reduced()
+    z0 = basis.T @ (lcp.center_point() - y0)
+    for system, center in ((reduced, z0),
+                           (reduced.phase1(), np.append(z0, 1.0))):
+        segments = len(system.starts)
+        for _ in range(5):
+            y = center + rng.uniform(-1.0, 1.0, size=system.dim)
+            s = rng.uniform(0.1, 10.0, size=segments)
+            q = rng.uniform(-10.0, 10.0, size=segments)
+            _, w = system.lse(y)
+            F = system.F
+            G = sp.csr_matrix((w, np.arange(len(w)), system.ptr),
+                              shape=(segments, len(w))) @ F
+            ref = (F.T @ sp.diags(w * s[system.seg]) @ F
+                   + G.T @ sp.diags(q) @ G).toarray()
+            gd = system.gradients(w)
+            hess = system.hessian(w, gd, s, q)
+            grad = system.gt(gd, s)
+            assert np.abs(hess - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.abs(grad - G.T @ s).max() <= \
+                1e-12 * np.abs(G.T @ s).max()
+
+
+def _solve_cases():
+    """The problems that TestSolve solves to 'optimal', with their tol."""
+    box = simple_box("x", "y")
+    xy_floor = Monomial(1.0, {"x": -1.0, "y": -1.0})
+    return [
+        (GpProblem(objective=variable("x"),
+                   ineq_constraints=(Monomial(1.0, {"x": -1.0}),),
+                   box={"x": (0.1, 10.0)}), 1e-7),
+        (GpProblem(objective=variable("x") + variable("y"),
+                   ineq_constraints=(xy_floor,), box=box), 1e-8),
+        (GpProblem(objective=variable("x") + variable("y"),
+                   ineq_constraints=(xy_floor,),
+                   eq_constraints=(Monomial(4.0, {"x": 1.0, "y": -1.0}),),
+                   box=box), 1e-7),
+        (GpProblem(objective=variable("x") + variable("y"),
+                   box={"x": (2.0, 2.0), "y": (0.5, 8.0)}), 1e-7),
+        (GpProblem(objective=variable("x") + 2.0 * variable("y"),
+                   ineq_constraints=(
+                       Monomial(1.0, {"x": -1.0, "y": -2.0}),
+                       Monomial(0.5, {"x": 1.0, "y": -1.0})
+                       + Monomial(0.1, {})),
+                   box=simple_box("x", "y", lo=0.05, hi=20.0)), 1e-7),
+        (GpProblem(objective=variable("x") + 2.0 * variable("y"),
+                   ineq_constraints=(Monomial(1.0, {"x": -1.0, "y": -2.0}),),
+                   box=simple_box("x", "y", lo=0.05, hi=20.0)), 1e-7),
+    ]
+
+
+def test_optimal_results_meet_their_tolerance():
+    """'optimal' means the dual residual and the surrogate gap are both
+    within tol, at a point that satisfies every constraint."""
+    for prob, tol in _solve_cases():
+        sol = gp.solve(prob, tol=tol)
+        assert sol.status == "optimal"
+        assert sol.kkt_residual <= tol and sol.gap <= tol
+        for c in prob.ineq_constraints:
+            assert gp.evaluate(c, sol.point) <= 1.0 + 1e-12
+        for m in prob.eq_constraints:
+            assert gp.evaluate(m, sol.point) == pytest.approx(1.0, rel=1e-9)
+        for name, (lo, hi) in prob.box.items():
+            assert lo * (1 - 1e-12) <= sol.point[name] <= hi * (1 + 1e-12)
+
+
+def test_step_cap_reports_max_iter():
+    prob, tol = _solve_cases()[4]
+    sol = gp.solve(prob, tol=tol, max_newton=3)
+    assert sol.status == "max_iter" and sol.newton_iters == 3
+    assert sol.kkt_residual > tol or sol.gap > tol
 
 
 @settings(max_examples=30, deadline=None)
