@@ -180,10 +180,10 @@ class GpSolution:
 def _upper_pairs(ptr: np.ndarray):
     """Index pairs (a, b) with a <= b inside each group ptr[k]:ptr[k+1]."""
     ptr = np.asarray(ptr, dtype=np.int64)
-    idx = np.arange(ptr[-1])
-    reps = np.repeat(ptr[1:], np.diff(ptr)) - idx
-    a = np.repeat(idx, reps)
-    return a, np.arange(len(a)) - np.repeat(np.cumsum(reps) - reps - idx, reps)
+    i = np.arange(ptr[-1])
+    reps = np.repeat(ptr[1:], np.diff(ptr)) - i   # pairs that start at i
+    a = np.repeat(i, reps)
+    return a, np.arange(len(a)) - np.repeat(np.cumsum(reps) - reps - i, reps)
 
 
 class _Scatter:
@@ -472,15 +472,14 @@ def to_log_convex(problem: GpProblem) -> LogConvexProblem:
 # primal-dual interior-point solver (Boyd & Vandenberghe, section 11.7)
 
 MU = 2.0            # each step aims at t = MU * m / eta
-PHASE1_TOL = 1e-7   # a phase-I optimum above this certifies infeasibility
+PHASE1_TOL = 1e-7   # phase-I lower bounds above this prove infeasibility
 _ALPHA, _BETA = 0.01, 0.5   # residual decrease and backtracking factor
 
 
 def _newton_direction(system: StackedLse, w, g, s, q,
                       rhs: np.ndarray) -> np.ndarray:
-    """Solve H d = rhs, H = system.upper(w, g, s, q), by a Cholesky
-    factorization in place on the Jacobi-equilibrated upper triangle,
-    adding a ridge if it fails."""
+    """Solve H d = rhs, H = system.upper(w, g, s, q), by an in-place
+    Cholesky of its Jacobi-equilibrated triangle; a ridge on failure."""
     for ridge in (0.0, 1e-14, 1e-12, 1e-10):
         u = system.upper(w, g, s, q)
         inv = 1.0 / np.sqrt(np.maximum(u.diagonal(), 1e-300))
@@ -502,9 +501,9 @@ def _primal_dual(system: StackedLse, z: np.ndarray, tol: float,
     """Minimize f0 s.t. f_k <= 0 from a strictly feasible z.
 
     Each step solves the reduced Newton system of the modified KKT
-    conditions at t = MU*m/eta, eta = -f^T lam the surrogate gap, then
-    backtracks from 0.99 of the largest step keeping lam > 0 until
-    every f_k < 0 and the residual norm |(r_dual, r_cent)| has fallen.
+    conditions at t = MU*m/eta, eta = -f^T lam the surrogate gap. From
+    0.99 of the largest step keeping lam > 0 and each linearized f_k < 0
+    it backtracks until every f_k < 0 and |(r_dual, r_cent)| has fallen.
     Returns (z, r_dual, eta, steps, status): status is 'optimal' once
     |r_dual|_inf <= tol and eta <= tol, 'stopped' once stop(z) holds,
     else 'max_iter'."""
@@ -550,7 +549,8 @@ def _primal_dual(system: StackedLse, z: np.ndarray, tol: float,
             step *= _BETA
         else:
             break   # no step reduces the residual
-        z, vals, w, g, lam, r_dual = z_new, vals_new, w_new, g_new, lam_new, r_new
+        z, vals, w, g, lam, r_dual = (z_new, vals_new, w_new, g_new,
+                                      lam_new, r_new)
     return z, r_dual, eta, steps, "max_iter"
 
 
@@ -559,10 +559,10 @@ def solve(problem: GpProblem, tol: float = 1e-7,
     """Solve a geometric program by a log-space primal-dual method.
 
     Phase I minimizes the largest constraint violation s over (y, s)
-    and stops once s < 0; a converged s* above PHASE1_TOL certifies
-    infeasibility and is reported as kkt_residual. Phase II runs the
-    same primal-dual loop on the problem itself. status is 'optimal'
-    once the dual residual |grad f0 + sum lam_k grad f_k|_inf
+    and stops once s < 0; a converged s* whose lower bound s* - gap
+    exceeds PHASE1_TOL proves infeasibility, with s* as kkt_residual.
+    Phase II runs the same loop on the problem itself. status is
+    'optimal' once the dual residual |grad f0 + sum lam_k grad f_k|_inf
     (kkt_residual) and the surrogate duality gap -f^T lam (gap) are
     both at most tol, 'infeasible' with a phase-I certificate, or
     'max_iter' when the max_newton steps of both phases run out or a
@@ -600,7 +600,7 @@ def solve(problem: GpProblem, tol: float = 1e-7,
             system.phase1(), np.append(z, vals.max() + 1.0), tol,
             max_newton, stop=lambda zs: zs[-1] < 0)
         if status != "stopped":
-            infeasible = status == "optimal" and zs[-1] > PHASE1_TOL
+            infeasible = status == "optimal" and zs[-1] - eta > PHASE1_TOL
             return GpSolution(point={}, objective_value=math.nan,
                               status="infeasible" if infeasible
                               else "max_iter",

@@ -1,12 +1,14 @@
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from netsir import CostModel, build_problem2, fit_monomial_bound, gp
+from netsir import (CostModel, build_problem2, fit_monomial_bound, gp,
+                    load_edge_list)
 from netsir.gp import GpProblem, Monomial, Posynomial, variable
 
 
@@ -264,8 +266,6 @@ def test_scatter_matches_sparse_reference_on_social68(rng):
     """On the social68 Erlang(2) allocation GP, the compiled scatter's
     G^T s and Newton matrix equal a scipy.sparse assembly, for the
     phase-I and the reduced phase-II systems."""
-    from importlib import resources
-    from netsir import load_edge_list
     g = load_edge_list((resources.files("netsir") / "data"
                         / "social68.txt").read_text())
     infected = frozenset(int(i) for i in np.random.default_rng(2024).choice(
