@@ -31,7 +31,7 @@ print(f"\n{'strategy':>14} {'certified':>10} {'Monte Carlo':>16}")
 for alloc in designs:
     params = EpidemicParams(beta=alloc.beta, delta=alloc.delta,
                             initially_infected=infected)
-    est = estimate_lambda(g, params, replicas=10_000, seed=17, workers=2)
+    est = estimate_lambda(g, params, replicas=10_000, seed=17)
     cert = f"{alloc.lambda_bar:9.3f}" if alloc.is_certified else "      ---"
     print(f"{alloc.strategy:>14} {cert:>10}   {est.mean:7.3f} +/- {est.std_error:.3f}")
 

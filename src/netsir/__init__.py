@@ -1,4 +1,4 @@
-"""Networked SIR epidemics: exact event-driven simulation, certified
+"""Networked SIR epidemics: exact simulation, certified
 linear bounds on accumulated infections, and geometric-program resource
 allocation under a budget."""
 
@@ -8,7 +8,7 @@ from .graph import (Graph, EdgeListParseError, GraphValidationError,
 from .phase_type import (PhaseType, ErlangSpec, erlang, min_with_exponential,
                          cdf, exit_rates, sample, mean)
 from .simulator import (EpidemicParams, SimOutcome, LambdaEstimate,
-                        EventCapExceeded, replica_rng, simulate_sir,
+                        replica_rng, row_length, simulate_sir,
                         simulate_sir_isolation, replica_infections,
                         estimate_lambda)
 from .exact_oracle import (StateSpaceTooLarge, state_count, exact_lambda,

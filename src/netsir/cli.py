@@ -7,10 +7,9 @@ config, including all Monte Carlo output.
 
 Exit codes: 0 success, 2 infeasible model, 3 validation failure (also
 an optimized allocation whose solve did not converge or whose
-certificate failed re-verification, and a Monte Carlo replica past the
-simulator's event cap), 4 config or I/O error (also a misordered or
-non-positive rate box and an initially infected node outside the
-graph).
+certificate failed re-verification), 4 config or I/O error (also a
+misordered or non-positive rate box and an initially infected node
+outside the graph).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,7 +55,6 @@ class ExperimentConfig:
     lambda_cap: Optional[float] = None
     replicas: int = 10_000
     seed: int = 0
-    workers: Optional[int] = None
     epsilon: float = 1e-6
     solver_tol: float = 1e-6
     out_dir: str = "results"
@@ -66,10 +63,8 @@ class ExperimentConfig:
         if self.mode not in ("plain", "isolation"):
             raise ConfigError(f"mode must be plain or isolation, got {self.mode!r}")
         for name, least in (("replicas", 1), ("seed", 0),
-                            ("erlang_shape", 1), ("workers", 1)):
+                            ("erlang_shape", 1)):
             value = getattr(self, name)
-            if value is None and name == "workers":
-                continue
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < least:
@@ -156,12 +151,6 @@ def _rates(cfg: ExperimentConfig, g: Graph) -> EpidemicParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _workers(cfg: ExperimentConfig) -> int:
-    if cfg.workers is not None:
-        return max(1, int(cfg.workers))
-    return max(1, os.cpu_count() or 1)
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
@@ -244,8 +233,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     outcome = run(g, params, simulator.replica_rng(cfg.seed, 0))
     _write_csv(out / "counts.csv", ["t", "sigma_S", "sigma_I", "sigma_R"],
                [tuple(row) for row in outcome.counts_series])
-    est = simulator.estimate_lambda(g, params, cfg.replicas, cfg.seed,
-                                    workers=_workers(cfg))
+    est = simulator.estimate_lambda(g, params, cfg.replicas, cfg.seed)
     _write_json(out / "lambda.json",
                 {"mean": est.mean, "std_error": est.std_error,
                  "replicas": est.replicas, "seed": est.seed})
@@ -296,8 +284,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     g = _load_graph(cfg)
     params = _rates(cfg, g)
     exact = exact_oracle.exact_lambda(g, params)
-    est = simulator.estimate_lambda(g, params, cfg.replicas, cfg.seed,
-                                    workers=_workers(cfg))
+    est = simulator.estimate_lambda(g, params, cfg.replicas, cfg.seed)
     sys_ = (bound.build_isolation_system(g, params)
             if params.isolation is not None
             else bound.build_sir_system(g, params))
@@ -339,12 +326,10 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
                                 (g.node_count,))
         allocations.append(allocator.baseline_uniform(
             g, infected, costs, delta_fixed=delta, p=cfg.erlang_shape))
-    workers = _workers(cfg)
     results = []
     for alloc in allocations:
         params = _params_for_allocation(cfg, g, infected, alloc)
-        est = simulator.estimate_lambda(g, params, cfg.replicas, cfg.seed,
-                                        workers=workers)
+        est = simulator.estimate_lambda(g, params, cfg.replicas, cfg.seed)
         results.append((alloc.strategy, est.mean, est.std_error))
     lam_opt = results[0][1]
     rows = []
@@ -405,7 +390,7 @@ def main(argv=None) -> int:
     except (AllocationInfeasible, BudgetModelError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (CertificateError, simulator.EventCapExceeded) as exc:
+    except CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except exact_oracle.StateSpaceTooLarge as exc:

@@ -8,10 +8,11 @@ removal time has generator Pi - delta*I with the same phi.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 _ATOL = 1e-9
 
@@ -110,15 +111,40 @@ def exit_rates(d: PhaseType) -> np.ndarray:
 
 
 def cdf(d: PhaseType, t):
-    """P(T <= t) = 1 - phi exp(t*Pi) 1. Accepts a scalar or an array."""
+    """P(T <= t), by uniformization. Accepts a scalar or an array.
+
+    With q = max |Pi_ll| and P = I + Pi/q, T <= t iff the chain has
+    left its phases within N steps, N ~ Poisson(qt), so
+    F(t) = sum_k Pois(k; qt) b_k with b_k = 1 - phi P^k 1. Each b_k is
+    a sum of nonnegative exit terms and each summand is nonnegative,
+    so a small F keeps its relative accuracy. The sum stops once k
+    exceeds the largest qt and bounds the Poisson mass left at every t
+    below 1e-16.
+    """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0):
         raise ValueError("t must be nonnegative")
-    ones = np.ones(d.p)
-    vals = np.empty_like(t_arr)
-    for k, tk in enumerate(t_arr):
-        surv = float(d.phi @ scipy.linalg.expm(tk * d.Pi) @ ones)
-        vals[k] = min(1.0, max(0.0, 1.0 - surv))
+    q = float(np.max(-np.diag(d.Pi)))
+    step = np.eye(d.p) + d.Pi / q
+    exits = exit_rates(d) / q
+    lam = q * t_arr
+    log_lam = np.log(lam, out=np.full_like(lam, -np.inf), where=lam > 0)
+    top = float(lam.max(initial=0.0))
+    x = d.phi.copy()      # phi P^k
+    b = 0.0               # b_k
+    vals = np.zeros_like(t_arr)
+    for k in itertools.count():
+        log_k = math.lgamma(k + 1)
+        # past the largest qt, Pois(k; top) / (1 - top/(k+1)) bounds the
+        # Poisson mass from k on at every t
+        if k > top and (top == 0.0 or math.exp(k * math.log(top) - top - log_k)
+                        < 1e-16 * (1 - top / (k + 1))):
+            break
+        if b:
+            vals += b * np.exp((k * log_lam if k else 0.0) - lam - log_k)
+        b += float(x @ exits)
+        x = x @ step
+    vals = np.clip(vals, 0.0, 1.0)
     return vals if np.ndim(t) else float(vals[0])
 
 
@@ -127,33 +153,73 @@ def mean(d: PhaseType) -> float:
     return float(-d.phi @ np.linalg.solve(d.Pi, np.ones(d.p)))
 
 
-def sample(d: PhaseType, rng: np.random.Generator) -> float:
-    """Simulate the absorbing chain until absorption; returns the total
-    time. Requires an exclusive per-caller rng stream."""
-    w = exit_rates(d)
-    # phase from phi (phi is u1 for every constructed law, so usually 0)
-    u = rng.random()
-    acc = 0.0
-    phase = d.p - 1
-    for l in range(d.p):
-        acc += d.phi[l]
-        if u < acc:
-            phase = l
-            break
-    t = 0.0
-    while True:
-        hold = -d.Pi[phase, phase]
-        t += rng.exponential(1.0 / hold)
-        u = rng.random() * hold
-        acc = 0.0
-        nxt = -1
-        for m in range(d.p):
-            if m == phase:
-                continue
-            acc += d.Pi[phase, m]
-            if u < acc:
-                nxt = m
-                break
-        if nxt < 0:
-            return t  # absorbed (rate w[phase] fills the remainder)
-        phase = nxt
+def walk_table(pis: np.ndarray, exits: np.ndarray):
+    """Move tables for `absorbing_walk`, one law per leading index.
+
+    `pis` (L, p, p) are transient generators and `exits` (L, p, x) the
+    absorption rates of each phase split into x kinds, each row summing
+    to -diag(Pi). Returns the hold rates (L, p) and the cumulative move
+    rates (L, p, p + x): jumps to each phase, then the exits. From the
+    last column with a positive rate on, the cumulative rate is +inf,
+    so that column takes whatever rounding leaves over.
+    """
+    pis = np.asarray(pis, dtype=float)
+    p = pis.shape[-1]
+    hold = -np.diagonal(pis, axis1=1, axis2=2).copy()
+    rates = np.concatenate([pis * (1.0 - np.eye(p)), exits], axis=2)
+    cum = np.cumsum(rates, axis=2)
+    last = rates.shape[2] - 1 - np.argmax(rates[..., ::-1] > 0.0, axis=2)
+    cum[np.arange(rates.shape[2]) >= last[..., None]] = np.inf
+    return hold, cum
+
+
+def absorbing_walk(hold, cum, law, phase, budget, more):
+    """Lockstep absorbing walks, one per entry of `law` and `phase`.
+
+    Walk k follows law `law[k]` of a `walk_table` from phase `phase[k]`.
+    Each step takes two uniforms: the first draws the hold time, the
+    second the move. Step s of walk k reads budget[k, 2s:2s+2]; once
+    every column is spent, `more()` returns the next budget, an array
+    of any even width with one row per walk. Returns the absorption
+    times, the exit phases and the exit kinds (the index among the
+    table's exit columns).
+    """
+    p = cum.shape[1]
+    t = np.zeros(len(law))
+    phase = np.array(phase, dtype=np.intp)
+    kind = np.zeros(len(law), dtype=np.intp)
+    live = np.arange(len(law))
+    col = 0
+    while live.size:
+        if col == budget.shape[1]:
+            budget, col = more(), 0
+        u = budget[live, col:col + 2]
+        col += 2
+        lw, ph = law[live], phase[live]
+        h = hold[lw, ph]
+        t[live] -= np.log1p(-u[:, 0]) / h
+        pick = np.sum(cum[lw, ph] <= (u[:, 1] * h)[:, None], axis=1)
+        out = pick >= p
+        kind[live[out]] = pick[out] - p
+        phase[live[~out]] = pick[~out]
+        live = live[~out]
+    return t, phase, kind
+
+
+def sample(d: PhaseType, rng: np.random.Generator, size=None):
+    """Absorption times of the chain, simulated to absorption.
+
+    With `size` omitted, one time as a float. With `size`, that many
+    lockstep walks: their times and exit phases. Each walk draws its
+    start phase from phi, then every step draws two uniforms for each
+    walk from `rng`, which the caller must not share.
+    """
+    if size is None:
+        return float(sample(d, rng, 1)[0][0])
+    start = np.minimum(np.searchsorted(np.cumsum(d.phi), rng.random(size),
+                                       side="right"), d.p - 1)
+    hold, cum = walk_table(d.Pi[None], exit_rates(d)[None, :, None])
+    t, phase, _ = absorbing_walk(hold, cum, np.zeros(size, dtype=np.intp),
+                                 start, np.empty((size, 0)),
+                                 lambda: rng.random((size, 2)))
+    return t, phase

@@ -1,36 +1,51 @@
-"""Event-driven exact simulation of the networked SIR process.
+"""Exact simulation of the networked SIR process by percolation.
 
-One Gillespie kernel (direct method, per-node rate bookkeeping) runs
-both models: a susceptible node i flips to infected at rate beta_i
-times its current number of infected neighbors, and an infected node
-leaves through the phases of its removal-time law with the natural
-recovery rate delta_i folded in. Plain SIR is the one-phase law Pi = 0,
-whose only exit is recovery at rate delta_i. Statistically this
-realizes the Poisson-counter dynamics exactly.
+A susceptible node j is infected at rate beta_j times its number of
+infected neighbours, and an infected node i leaves through the phases
+of its removal-time law with the natural recovery rate delta_i folded
+in, Pi_i - delta_i I. Plain SIR is the one-phase law Pi = 0, whose only
+exit is recovery at rate delta_i.
 
-Replica r of a Monte Carlo run consumes the counter-based stream
-(seed, r), so serial and parallel execution produce bit-identical
-results.
+No output needs the events drawn one at a time (Kenah & Robins, Phys.
+Rev. E 76, 036113, 2007). Node i holds an infectious period T_i, the
+absorption time of its folded law, and each directed edge i -> j a
+delay E_ij ~ Exp(beta_j); the edge is open iff E_ij < T_i. Node j is
+infected at the first-passage time t_j = min over open edges i -> j of
+t_i + E_ij and removed at t_j + T_j. This realizes the Markov process
+exactly, so the final removed set is the set reachable from the
+initially infected through open edges: one breadth-first search over a
+chunk of replicas gives their final sizes, and one Dijkstra run gives a
+record run's event times.
+
+Replica r reads one row of K = `row_length(g, params)` uniforms: a
+budget for each node's phase walk (two uniforms a step, p steps, which
+a law without cycles never outruns; one uniform, the period, in plain
+SIR), one uniform per directed edge, and padding up to a multiple of 4.
+The row is Philox(key=seed) advanced by r*K/4 blocks. A walk that
+outruns its budget, as on a law with cycles, reads a further budget
+from level l = 1, 2, ...: a row of the node budgets alone, padded to a
+multiple of 4 uniforms, in the same layout on Philox(key=seed) jumped
+by 2^128 l. So replica r depends on (seed, r) alone, whatever the
+chunking, and each chunk draws a level in one call.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import itertools
 from dataclasses import dataclass
-from math import log
+from functools import partial
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .graph import Graph
-from .phase_type import require_phase_one
+from .phase_type import (absorbing_walk, exit_rates, require_phase_one,
+                         walk_table)
 
-EVENT_CAP = 100_000_000
-_BATCH = 128  # uniforms drawn per rng call inside the kernel
-
-
-class EventCapExceeded(RuntimeError):
-    pass
+_CHUNK = 1 << 18   # uniforms drawn per chunk of replicas (2 MB)
+_KINDS = ("infect", "recover", "isolate")
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,183 +130,173 @@ class LambdaEstimate:
     seed: int
 
 
-def replica_rng(seed: int, replica: int) -> np.random.Generator:
-    """Counter-based stream (seed, replica): Philox keyed by seed with
-    the counter jumped to block `replica`."""
+def _stream(seed: int, r0: int, k: int, level: int = 0):
+    """Philox(key=seed) jumped by 2^128 level, advanced past r0 rows of
+    k uniforms."""
     bg = np.random.Philox(key=seed)
-    return np.random.Generator(bg.jumped(replica))
-
-
-def _poke_stream(bg: np.random.Philox, replica: int) -> np.random.Generator:
-    # cheap in-place equivalent of Philox(key=seed).jumped(replica)
-    st = bg.state
-    st["state"]["counter"] = np.array([0, 0, replica, 0], dtype=np.uint64)
-    st["buffer_pos"] = 4
-    st["buffer"] = np.zeros(4, dtype=np.uint64)
-    st["has_uint32"] = 0
-    st["uinteger"] = 0
-    bg.state = st
+    if level:
+        bg = bg.jumped(level)
+    bg.advance(r0 * (k // 4))
     return np.random.Generator(bg)
 
 
-def _run(neigh, beta, tables, infected0, rng, record):
-    """Gillespie direct method for the networked SIR process.
+def replica_rng(seed: int, replica: int = 0,
+                k: Optional[int] = None) -> np.random.Generator:
+    """Stream (seed, replica) for rows of `k` uniforms: Philox keyed by
+    seed, advanced by replica*k/4 blocks. Replica 0 needs no k.
 
-    A susceptible node's rate is beta_i times its infected neighbours;
-    an infected node's rate is the hold rate of its current removal
-    phase. `tables` come from `_law_tables`. Returns (ever_infected,
-    event_log, counts_rows); the random stream consumed is independent
-    of `record`.
+    With k = row_length(g, params), its first k uniforms are the row of
+    Monte Carlo replica `replica`, so a record run on it reproduces
+    that replica, unless a walk outruns its budget: the record run then
+    reads on in this stream, the replica in its budget levels.
     """
-    start, hold, jumps, recover_w, third = tables
-    n = len(neigh)
-    status = [0] * n      # 0 S, 1 I, 2 R
-    slot = start.copy()   # node i's current slot; infections enter phase 1
-    rate = [0.0] * n
-    total = 0.0
-    n_inf = 0
-    for i in infected0:
-        status[i] = 1
-        rate[i] = hold[slot[i]]
-        total += rate[i]
-        n_inf += 1
-    for i in infected0:
-        for j in neigh[i]:
-            if status[j] == 0:
-                rate[j] += beta[j]
-                total += beta[j]
-    n_rem = 0
-    log_rows = [] if record else None
-    counts = [(0.0, n - n_inf, n_inf, 0)] if record else None
-    t = 0.0
-    events = 0
-    buf = rng.random(_BATCH).tolist()
-    bi = 0
-    while n_inf > 0:
-        if bi >= _BATCH - 1:
-            buf = rng.random(_BATCH).tolist()
-            bi = 0
-        if record:   # only the log needs the event times
-            t += -log(1.0 - buf[bi]) / total
-        x = buf[bi + 1] * total
-        bi += 2
-        acc = 0.0
-        k = -1
-        for i in range(n):
-            r = rate[i]
-            if r > 0.0:
-                acc += r
-                if x < acc:
-                    k = i
-                    break
-        if k < 0:
-            k = max(range(n), key=lambda i: rate[i])
-        if status[k] == 0:
-            status[k] = 1
-            h = hold[slot[k]]
-            total += h - rate[k]
-            rate[k] = h
-            n_inf += 1
-            for j in neigh[k]:
-                if status[j] == 0:
-                    rate[j] += beta[j]
-                    total += beta[j]
-            if record:
-                log_rows.append((t, k, "infect"))
-        else:
-            s = slot[k]
-            kind = "recover"
-            if third[s]:
-                # a third uniform picks a phase jump or the kind of exit
-                if bi >= _BATCH:
-                    buf = rng.random(_BATCH).tolist()
-                    bi = 0
-                y = buf[bi] * rate[k]
-                bi += 1
-                acc = 0.0
-                for m, r in jumps[s]:
-                    acc += r
-                    if y < acc:   # a phase jump inside node k; not logged
-                        slot[k] = m
-                        total += hold[m] - rate[k]
-                        rate[k] = hold[m]
-                        kind = None
-                        break
-                else:
-                    if y >= acc + recover_w[s]:
-                        kind = "isolate"
-            if kind:
-                status[k] = 2
-                total -= rate[k]
-                rate[k] = 0.0
-                n_inf -= 1
-                n_rem += 1
-                for j in neigh[k]:
-                    if status[j] == 0:
-                        rate[j] -= beta[j]
-                        total -= beta[j]
-                if record:
-                    log_rows.append((t, k, kind))
-        if record:
-            counts.append((t, n - n_inf - n_rem, n_inf, n_rem))
-        events += 1
-        if events >= EVENT_CAP:
-            raise EventCapExceeded(f"exceeded {EVENT_CAP} events in one replica")
-    # every node ever infected is removed by the end, so n_rem counts them
-    return n_rem, log_rows, counts
+    if replica and (k is None or k % 4):
+        raise ValueError("replica > 0 needs a row length k, a multiple of 4")
+    return _stream(seed, replica, k or 0)
 
 
-def _law_tables(params: EpidemicParams):
-    """Per-(node, phase) tables of the removal law with delta folded in.
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """What a row of uniforms means for one (graph, params) pair."""
 
-    Slot i*p + l is node i in phase l of the folded generator
-    Pi_i - delta_i*I. The tables are each node's phase-1 slot and, per
-    slot, its hold rate, its phase jumps as (slot, rate), the
-    natural-recovery part of its exit rate w', and whether an event
-    there needs a third uniform. A node with no isolation law has the
-    one-phase law Pi = 0: no jumps, w' = delta_i, natural fraction
-    delta_i/delta_i = 1.0, so every exit is a recovery drawn from two
-    uniforms.
-    """
-    p = params.phase_count
-    hold, jumps, recover_w, third = [], [], [], []
-    for i, d in enumerate(params.delta.tolist()):
-        pi = np.zeros((1, 1)) if params.isolation is None \
-            else params.isolation[i].Pi
-        pip = pi - d * np.eye(p)
-        w_prime = -pip.sum(axis=1)
-        for l in range(p):
-            row = [(i * p + m, float(pip[l, m]))
-                   for m in range(p) if m != l and pip[l, m] > 0.0]
-            w = float(w_prime[l])
-            natural = d / w if w > 0 else 0.0
-            hold.append(sum(r for _, r in row) + w)
-            jumps.append(row)
-            recover_w.append(w * natural)
-            third.append(bool(row) or natural != 1.0)
-    return list(range(0, len(hold), p)), hold, jumps, recover_w, third
+    src: np.ndarray         # directed edges src -> dst, sorted by (src, dst)
+    dst: np.ndarray
+    beta_dst: np.ndarray
+    delta: np.ndarray
+    walk: Optional[tuple]   # walk_table of the folded laws; None in plain SIR
+    budget: int             # uniforms per node
+    k: int                  # row length
+    infected0: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.delta)
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return replica_rng(int(rng), 0)
+def _layout(g: Graph, params: EpidemicParams) -> _Layout:
+    params.validate_for(g)
+    n = g.node_count
+    neigh = g.neighbor_lists
+    src = np.repeat(np.arange(n), [len(js) for js in neigh])
+    dst = np.array([j for js in neigh for j in js], dtype=np.intp)
+    if params.isolation is None:
+        walk, budget = None, 1
+    else:
+        p = params.phase_count
+        folded = np.stack([d.Pi - dl * np.eye(p) for d, dl
+                           in zip(params.isolation, params.delta.tolist())])
+        # exits split into recovery (delta_i) and isolation (w_i)
+        exits = np.stack([np.repeat(params.delta[:, None], p, axis=1),
+                          np.stack([exit_rates(d) for d in params.isolation])],
+                         axis=2)
+        walk, budget = walk_table(folded, exits), 2 * p
+    return _Layout(src=src, dst=dst, beta_dst=params.beta[dst],
+                   delta=params.delta, walk=walk, budget=budget,
+                   k=-(-(n * budget + len(src)) // 4) * 4,
+                   infected0=np.array(sorted(params.initially_infected)))
+
+
+def row_length(g: Graph, params: EpidemicParams) -> int:
+    """K, the number of uniforms in one replica's row."""
+    return _layout(g, params).k
+
+
+def _budget(lay: _Layout, u: np.ndarray) -> np.ndarray:
+    """The walk budgets at the head of rows u, one row per walk."""
+    return u[:, :lay.n * lay.budget].reshape(-1, lay.budget)
+
+
+def _levels(lay: _Layout, seed: int, r0: int, r1: int):
+    """`more` for the walks of replicas r0..r1-1: their budgets of
+    level 1, 2, ..."""
+    width = -(-lay.n * lay.budget // 4) * 4
+    level = itertools.count(1)
+    return lambda: _budget(lay, _stream(seed, r0, width, next(level)).random(
+        (r1 - r0, width)))
+
+
+def _draw(lay: _Layout, u: np.ndarray, more):
+    """Periods T (R, n), exit kinds (0 recover, 1 isolate) and edge
+    delays E (R, edges) from rows u (R, K)."""
+    r, n, nb = len(u), lay.n, lay.n * lay.budget
+    if lay.walk is None:
+        periods = -np.log1p(-u[:, :n]) / lay.delta
+        kind = np.zeros((r, n), dtype=np.intp)
+    else:
+        t, _, kind = absorbing_walk(*lay.walk, np.tile(np.arange(n), r),
+                                    np.zeros(r * n, np.intp),
+                                    _budget(lay, u), more)
+        periods, kind = t.reshape(r, n), kind.reshape(r, n)
+    delays = -np.log1p(-u[:, nb:nb + len(lay.src)]) / lay.beta_dst
+    return periods, kind, delays
+
+
+def _open_graph(size: int, rows, cols, data) -> sp.csr_matrix:
+    """size x size CSR matrix of the edges rows -> cols, rows sorted.
+    csgraph keeps an explicit zero as an edge of weight 0."""
+    indptr = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    return sp.csr_matrix((data, cols, indptr), shape=(size, size))
+
+
+def _final_sizes(lay: _Layout, periods, delays) -> np.ndarray:
+    """Nodes ever infected in each replica: breadth-first search of the
+    chunk's open edges from a super-source wired to every replica's
+    initially infected nodes."""
+    r, n = periods.shape
+    rep, edge = np.nonzero(delays < periods[:, lay.src])
+    source = r * n
+    seeds = (np.arange(r)[:, None] * n + lay.infected0).ravel()
+    rows = np.concatenate([rep * n + lay.src[edge],
+                           np.full(len(seeds), source)])
+    cols = np.concatenate([rep * n + lay.dst[edge], seeds])
+    order = csgraph.breadth_first_order(
+        _open_graph(source + 1, rows, cols, np.ones(len(cols))), source,
+        directed=True, return_predecessors=False)
+    return np.bincount(order[1:] // n, minlength=r)
 
 
 def _simulate(g: Graph, params: EpidemicParams, rng) -> SimOutcome:
-    params.validate_for(g)
-    ever, log_rows, counts = _run(
-        g.neighbor_lists, params.beta.tolist(), _law_tables(params),
-        sorted(params.initially_infected), _as_rng(rng), record=True)
-    return SimOutcome(final_removed=ever,
-                      infections_after_t0=ever - len(params.initially_infected),
-                      event_log=tuple(log_rows),
-                      counts_series=np.array(counts, dtype=float))
+    lay = _layout(g, params)
+    n, k0 = lay.n, len(lay.infected0)
+    if isinstance(rng, np.random.Generator):
+        u, more = rng.random((1, lay.k)), partial(rng.random, (n, lay.budget))
+    else:
+        u = _stream(int(rng), 0, lay.k).random((1, lay.k))
+        more = _levels(lay, int(rng), 0, 1)
+    (periods,), (kind,), (delays,) = _draw(lay, u, more)
+    live = delays < periods[lay.src]
+    infected = csgraph.dijkstra(
+        _open_graph(n, lay.src[live], lay.dst[live], delays[live]),
+        directed=True, indices=lay.infected0, min_only=True)
+    reached = np.flatnonzero(np.isfinite(infected))
+    first = np.zeros(n, dtype=bool)
+    first[lay.infected0] = True
+    new = reached[~first[reached]]
+    # infections before removals, so a stable sort keeps every tie causal
+    times = np.concatenate([infected[new],
+                            infected[reached] + periods[reached]])
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    kinds = np.concatenate([np.zeros(len(new), np.intp),
+                            1 + kind[reached]])[order]
+    infections = np.cumsum(kinds == 0)
+    removals = np.cumsum(kinds > 0)
+    counts = np.column_stack([times, n - k0 - infections,
+                              k0 + infections - removals, removals])
+    return SimOutcome(
+        final_removed=len(reached),
+        infections_after_t0=len(new),
+        event_log=tuple(zip(times.tolist(),
+                            np.concatenate([new, reached])[order].tolist(),
+                            [_KINDS[c] for c in kinds.tolist()])),
+        counts_series=np.vstack([[0.0, n - k0, k0, 0], counts]))
 
 
 def simulate_sir(g: Graph, params: EpidemicParams, rng) -> SimOutcome:
     """One exact realization of the plain SIR process; runs until no
-    node is infected. `rng` is a Generator or an integer seed."""
+    node is infected. `rng` is a Generator, or an integer seed for
+    replica 0 of that seed's Monte Carlo run."""
     if params.isolation is not None:
         raise ValueError("params carry isolation laws; use simulate_sir_isolation")
     return _simulate(g, params, rng)
@@ -306,51 +311,30 @@ def simulate_sir_isolation(g: Graph, params: EpidemicParams, rng) -> SimOutcome:
     return _simulate(g, params, rng)
 
 
-def _replica_block(args):
-    (neigh, beta, tables, infected0, seed, r0, r1) = args
-    bg = np.random.Philox(key=seed)
-    out = np.empty(r1 - r0, dtype=np.int64)
-    k0 = len(infected0)
-    for r in range(r0, r1):
-        ever, _, _ = _run(neigh, beta, tables, infected0, _poke_stream(bg, r),
-                          record=False)
-        out[r - r0] = ever - k0
-    return r0, out
-
-
 def replica_infections(g: Graph, params: EpidemicParams, replicas: int,
-                       seed: int, workers: int = 1) -> np.ndarray:
+                       seed: int) -> np.ndarray:
     """Infections-after-t0 for each of `replicas` independent runs.
 
-    Replica r always uses stream (seed, r), so the result is identical
-    for any worker count.
+    Replica r reads only stream (seed, r), so the result does not
+    depend on how the replicas are chunked.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    params.validate_for(g)
-    neigh = g.neighbor_lists
-    beta = params.beta.tolist()
-    tables = _law_tables(params)
-    infected0 = sorted(params.initially_infected)
+    lay = _layout(g, params)
+    rows = max(1, _CHUNK // lay.k)
     out = np.empty(replicas, dtype=np.int64)
-    if workers <= 1 or replicas < 256:
-        _, block = _replica_block(
-            (neigh, beta, tables, infected0, seed, 0, replicas))
-        return block
-    nchunks = workers * 4
-    bounds = np.linspace(0, replicas, nchunks + 1, dtype=int)
-    tasks = [(neigh, beta, tables, infected0, seed, int(a), int(b))
-             for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for r0, block in pool.map(_replica_block, tasks):
-            out[r0:r0 + len(block)] = block
-    return out
+    for r0 in range(0, replicas, rows):
+        r1 = min(replicas, r0 + rows)
+        u = _stream(seed, r0, lay.k).random((r1 - r0, lay.k))
+        periods, _, delays = _draw(lay, u, _levels(lay, seed, r0, r1))
+        out[r0:r1] = _final_sizes(lay, periods, delays)
+    return out - len(lay.infected0)
 
 
 def estimate_lambda(g: Graph, params: EpidemicParams, replicas: int,
-                    seed: int, workers: int = 1) -> LambdaEstimate:
+                    seed: int) -> LambdaEstimate:
     """Monte Carlo mean and standard error of infections after t=0."""
-    vals = replica_infections(g, params, replicas, seed, workers)
+    vals = replica_infections(g, params, replicas, seed)
     mean = float(vals.mean())
     if replicas > 1:
         se = float(vals.std(ddof=1) / np.sqrt(replicas))

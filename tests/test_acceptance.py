@@ -22,8 +22,6 @@ from netsir.simulator import replica_rng
 from netsir.cli import main
 from conftest import ks_statistic, random_graph
 
-WORKERS = 2
-
 
 def _plain_instances(count=50, seed=11):
     """Seeded instances (n in 2..4, rates in [0.05, 1]) whose comparison
@@ -102,23 +100,20 @@ def test_criterion_3_simulator_exactness():
     """Monte Carlo agrees with the exact chain at 4 standard errors."""
     two_node = load_edge_list("0 1")
     race = EpidemicParams.build(2, 0.2, 0.5, [0])
-    est = estimate_lambda(two_node, race, replicas=200_000, seed=7,
-                          workers=WORKERS)
+    est = estimate_lambda(two_node, race, replicas=200_000, seed=7)
     assert abs(est.mean - 0.2857142857) <= 4 * est.std_error
 
     checked = 0
     for g, params, _ in _plain_instances():
         exact = exact_lambda(g, params)
-        est = estimate_lambda(g, params, replicas=200_000, seed=101,
-                              workers=WORKERS)
+        est = estimate_lambda(g, params, replicas=200_000, seed=101)
         tol = 4 * max(est.std_error, 1e-12)
         assert abs(est.mean - exact) <= tol, \
             f"MC {est.mean} vs exact {exact} (4se={tol})"
         checked += 1
     for g, params, _, _, _ in _isolation_instances():
         exact = exact_lambda(g, params)
-        est = estimate_lambda(g, params, replicas=200_000, seed=303,
-                              workers=WORKERS)
+        est = estimate_lambda(g, params, replicas=200_000, seed=303)
         tol = 4 * max(est.std_error, 1e-12)
         assert abs(est.mean - exact) <= tol, \
             f"isolation MC {est.mean} vs exact {exact} (4se={tol})"
@@ -136,7 +131,7 @@ def test_criterion_4_lemma2_law_check(p):
     from netsir import min_with_exponential
     law = min_with_exponential(y, delta)
     gen = replica_rng(500 + p, 0)
-    ys = np.array([sample(y, gen) for _ in range(n)])
+    ys, _ = sample(y, gen, size=n)
     xs = gen.exponential(1.0 / delta, size=n)
     zs = np.sort(np.minimum(ys, xs))
     ks = ks_statistic(zs, cdf(law, zs))
@@ -237,7 +232,6 @@ def test_criterion_7_end_to_end_68_nodes(tmp_path):
         "budget": 68.0,
         "replicas": 10_000,
         "seed": 99,
-        "workers": WORKERS,
         "solver_tol": 1e-6,
         "out_dir": str(tmp_path / "out"),
     }))

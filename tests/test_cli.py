@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from netsir import gp, simulator
+from netsir import gp
 from netsir.cli import ConfigError, ExperimentConfig, main
 
 
@@ -18,7 +18,7 @@ def two_node_graph(tmp_path):
 def sim_config(tmp_path, two_node_graph):
     doc = {"graph": str(two_node_graph), "initially_infected": [0],
            "beta": 0.2, "delta": 0.5, "replicas": 30_000, "seed": 11,
-           "workers": 1, "out_dir": str(tmp_path / "out")}
+           "out_dir": str(tmp_path / "out")}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     return path
@@ -28,7 +28,7 @@ def sim_config(tmp_path, two_node_graph):
 def opt_config(tmp_path, two_node_graph):
     doc = {"graph": str(two_node_graph), "initially_infected": [0],
            "beta_box": [0.05, 0.5], "delta_box": [0.2, 1.0], "budget": 2.0,
-           "replicas": 5_000, "seed": 3, "workers": 1,
+           "replicas": 5_000, "seed": 3,
            "out_dir": str(tmp_path / "out")}
     path = tmp_path / "cfg_opt.json"
     path.write_text(json.dumps(doc))
@@ -107,15 +107,6 @@ class TestSimulate:
         other = (tmp_path / "out2" / "counts.csv").read_text()
         assert base != other
 
-    def test_event_cap_is_exit_3(self, sim_config, monkeypatch, capsys):
-        def capped(*args, **kwargs):
-            raise simulator.EventCapExceeded(
-                f"exceeded {simulator.EVENT_CAP} events in one replica")
-        monkeypatch.setattr(simulator, "estimate_lambda", capped)
-        assert main(["simulate", "--config", str(sim_config)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: exceeded") and err.count("\n") == 1
-
     def test_missing_config_is_exit_4(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 4
 
@@ -149,7 +140,7 @@ class TestValidate:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "graph": str(graph), "initially_infected": [0], "beta": 0.2,
-            "delta": 0.5, "replicas": 500, "seed": 0, "workers": 1,
+            "delta": 0.5, "replicas": 500, "seed": 0,
             "out_dir": str(tmp_path / "out")}))
         assert main(["validate", "--config", str(cfg)]) == 0
         doc = json.loads((tmp_path / "out" / "validation.json").read_text())
@@ -214,7 +205,7 @@ class TestCompare:
         cfg.write_text(json.dumps({
             "graph": str(graph), "initially_infected": [0],
             "beta_box": [0.05, 0.5], "delta_box": [0.2, 1.0], "budget": 3.0,
-            "replicas": 400, "seed": 1, "workers": 1,
+            "replicas": 400, "seed": 1,
             "out_dir": str(tmp_path / "out")}))
         assert main(["compare", "--config", str(cfg)]) == 0
         lines = (tmp_path / "out" / "comparison.csv").read_text().splitlines()
@@ -227,7 +218,7 @@ class TestCompare:
             "graph": str(two_node_graph), "initially_infected": [0],
             "mode": "isolation", "delta": 0.1, "erlang_shape": 2,
             "beta_box": [0.05, 0.5], "gamma_box": [0.5, 4.0], "budget": 2.0,
-            "replicas": 2_000, "seed": 1, "workers": 1,
+            "replicas": 2_000, "seed": 1,
             "out_dir": str(tmp_path / "out")}))
         assert main(["compare", "--config", str(cfg)]) == 0
         lines = (tmp_path / "out" / "comparison.csv").read_text().splitlines()

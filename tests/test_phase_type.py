@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from netsir import (ErlangSpec, PhaseType, cdf, erlang, exit_rates, mean,
                     min_with_exponential, sample)
+from netsir.phase_type import absorbing_walk, walk_table
 from netsir.simulator import replica_rng
 from conftest import ks_statistic
+
+# jumps 1 -> 2 and back: a law whose walks have no step bound
+BACKWARD = PhaseType(Pi=np.array([[-2.0, 1.0], [1.5, -3.0]]))
 
 
 class TestConstruction:
@@ -86,13 +91,27 @@ class TestCdf:
         with pytest.raises(ValueError):
             cdf(erlang(ErlangSpec(1, 1.0)), -0.5)
 
+    @pytest.mark.parametrize("law", [erlang(ErlangSpec(1, 1.3)),
+                                     erlang(ErlangSpec(2, 1.3)),
+                                     erlang(ErlangSpec(4, 1.3)), BACKWARD],
+                             ids=["erlang1", "erlang2", "erlang4",
+                                  "backward"])
+    @pytest.mark.parametrize("delta", [0.0, 0.6])
+    def test_uniformization_matches_expm(self, law, delta):
+        # one expm a point is the reference; the grid spans the bulk,
+        # where 1 - phi exp(t Pi) 1 is itself accurate to ~1e-16
+        d = min_with_exponential(law, delta) if delta else law
+        ts = np.linspace(0.25, 4.0, 16) * mean(d)
+        ref = [1.0 - d.phi @ scipy.linalg.expm(t * d.Pi) @ np.ones(d.p)
+               for t in ts]
+        np.testing.assert_allclose(cdf(d, ts), ref, rtol=1e-12, atol=0)
+
 
 class TestSampling:
     N = 100_000
 
     def _samples(self, d, seed=5):
-        gen = replica_rng(seed, 0)
-        return np.array([sample(d, gen) for _ in range(self.N)])
+        return sample(d, replica_rng(seed, 0), size=self.N)[0]
 
     def test_exponential_sample_mean(self):
         gamma = 2.0
@@ -131,8 +150,8 @@ class TestMinLawCheck:
         n = 100_000
         delta = 0.7
         y = erlang(ErlangSpec(p, 1.3))
-        gen = replica_rng(31, p)
-        ys = np.array([sample(y, gen) for _ in range(n)])
+        gen = np.random.Generator(np.random.Philox(key=31).jumped(p))
+        ys, _ = sample(y, gen, size=n)
         xs = gen.exponential(1.0 / delta, size=n)
         zs = np.minimum(ys, xs)
         law = min_with_exponential(y, delta)
@@ -145,3 +164,45 @@ def test_exit_rates_identity_exact():
     for spec in (ErlangSpec(1, 1.0), ErlangSpec(3, 0.25)):
         d = min_with_exponential(erlang(spec), 0.17)
         assert np.all(exit_rates(d) + d.Pi.sum(axis=1) == 0.0)
+
+
+class TestWalks:
+    def test_scalar_form_is_one_walk(self):
+        d = erlang(ErlangSpec(3, 1.0))
+        x = sample(d, replica_rng(4, 0))
+        ts, _ = sample(d, replica_rng(4, 0), size=1)
+        assert isinstance(x, float) and x == ts[0]
+
+    def test_erlang_exits_from_its_last_phase(self):
+        _, phases = sample(erlang(ErlangSpec(3, 1.0)), replica_rng(6, 0),
+                           size=1000)
+        assert np.all(phases == 2)
+
+    def test_backward_exit_phases(self):
+        # phase 1 exits or moves on w.p. 1/2 each, and so does phase 2,
+        # moving back to phase 1; x = P(exit from phase 1) solves
+        # x = 1/2 + x/4, so x = 2/3
+        _, phases = sample(BACKWARD, replica_rng(8, 0), size=100_000)
+        share = np.mean(phases == 0)
+        assert abs(share - 2 / 3) < 4 * np.sqrt(2 / 9 / 100_000)
+
+    def test_budget_then_more_reads_one_sequence(self):
+        # a walk reads its budget, then each `more()` block in turn:
+        # splitting one sequence of pairs anywhere gives the same walks
+        hold, cum = walk_table(BACKWARD.Pi[None],
+                               exit_rates(BACKWARD)[None, :, None])
+        pairs = replica_rng(10, 0).random((50, 80))
+        zeros = np.zeros(50, dtype=np.intp)   # law 0, from phase 1
+
+        def walks(width):
+            starts = iter(range(width, 80, width))
+
+            def more():
+                c = next(starts)
+                return pairs[:, c:c + width]
+            return absorbing_walk(hold, cum, zeros, zeros, pairs[:, :width],
+                                  more)
+        full = walks(80)
+        for width in (2, 4, 10):
+            for a, b in zip(full, walks(width)):
+                assert np.array_equal(a, b)

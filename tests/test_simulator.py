@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
-from netsir import (EpidemicParams, ErlangSpec, Graph, erlang, estimate_lambda,
-                    exact_lambda, load_edge_list, replica_infections,
-                    simulate_sir, simulate_sir_isolation)
+from netsir import (EpidemicParams, ErlangSpec, Graph, PhaseType, erlang,
+                    estimate_lambda, exact_lambda, exact_removed_series,
+                    load_edge_list, replica_infections, row_length,
+                    simulate_sir, simulate_sir_isolation, simulator)
 from netsir.simulator import replica_rng
 
 TWO_NODE = load_edge_list("0 1")
 RACE_P = EpidemicParams.build(2, 0.2, 0.5, [0])  # P(transmit) = 0.2/0.7
+# phase 2 returns to phase 1 at 0.95 of its rate: walks of many steps
+RETURNING = PhaseType(Pi=np.array([[-2.0, 2.0], [1.9, -2.0]]))
 
 
 def star_graph(k):
@@ -108,11 +112,24 @@ class TestEstimateLambda:
         assert np.array_equal(a, b)
 
     @MODES
-    def test_parallel_matches_serial(self, isolated):
+    def test_chunking_keeps_rows(self, isolated, monkeypatch):
         params = build_params(2, 0.2, 0.5, [0], isolated)
-        a = replica_infections(TWO_NODE, params, 2000, seed=5, workers=1)
-        b = replica_infections(TWO_NODE, params, 2000, seed=5, workers=2)
+        a = replica_infections(TWO_NODE, params, 2000, seed=5)
+        monkeypatch.setattr(simulator, "_CHUNK", 1)   # one replica a chunk
+        b = replica_infections(TWO_NODE, params, 2000, seed=5)
         assert np.array_equal(a, b)
+
+    def test_chunking_keeps_budget_levels(self, monkeypatch):
+        # walks on a law with cycles outrun their budget and read levels
+        params = EpidemicParams.build(4, 0.6, 0.1, [0],
+                                      isolation=(RETURNING,) * 4)
+        g = star_graph(3)
+        a = replica_infections(g, params, 200, seed=6)
+        monkeypatch.setattr(simulator, "_CHUNK", 1)
+        b = replica_infections(g, params, 200, seed=6)
+        assert np.array_equal(a, b)
+        assert simulate_sir_isolation(g, params, 6).infections_after_t0 \
+            == a[0]
 
     def test_replica_streams_differ(self):
         xs = replica_infections(TWO_NODE, RACE_P, 4000, seed=0)
@@ -129,7 +146,8 @@ class TestStreams:
         xs = replica_infections(g, params, 40, seed=13)
         assert len(set(xs.tolist())) > 5
         for r in (0, 1, 7, 23, 39):
-            out = run_for(params)(g, params, replica_rng(13, r))
+            out = run_for(params)(g, params,
+                                  replica_rng(13, r, row_length(g, params)))
             assert out.infections_after_t0 == xs[r]
 
     @MODES
@@ -160,6 +178,66 @@ class TestStreams:
             assert final[1] == 0 and out.final_removed == final[2]
 
 
+class TestRecordRuns:
+    """Record runs against the transient solve of the exact chain: the
+    event times, not only the final sizes."""
+
+    RUNS = 4000
+    TIMES = [0.5, 1.0, 2.0, 4.0, 8.0]
+
+    @MODES
+    def test_removed_series_matches_exact(self, isolated):
+        g = path_graph(3)
+        params = build_params(3, 0.8, 0.5, [0], isolated)
+        k = row_length(g, params)
+        removed = np.empty((self.RUNS, len(self.TIMES)))
+        for r in range(self.RUNS):
+            rows = run_for(params)(g, params, replica_rng(17, r, k)) \
+                .counts_series
+            at = np.searchsorted(rows[:, 0], self.TIMES, side="right") - 1
+            removed[r] = rows[at, 3]
+        exact = exact_removed_series(g, params, self.TIMES)
+        se = removed.std(axis=0, ddof=1) / np.sqrt(self.RUNS)
+        assert np.all(np.abs(removed.mean(axis=0) - exact) <= 4 * se)
+
+
+@st.composite
+def small_instances(draw):
+    """At most 4 nodes; plain, or isolation with p in {1, 2, 3} whose
+    last phase may return to phase 1, giving a law with cycles."""
+    n = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    g = Graph(node_count=n, edges=frozenset(edges))
+    infected = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    rates = st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n)
+    beta, delta = draw(rates), draw(rates)
+    p = draw(st.sampled_from([None, 1, 2, 3]))
+    laws = None
+    if p is not None:
+        back = draw(st.sampled_from([0.0, 0.9])) if p > 1 else 0.0
+        laws = []
+        for m in draw(st.lists(st.floats(0.2, 5.0), min_size=n,
+                               max_size=n)):
+            pi = erlang(ErlangSpec(p, m)).Pi.copy()
+            if back:
+                pi[-1, 0] = back * p / m
+            laws.append(PhaseType(Pi=pi))
+        laws = tuple(laws)
+    return g, EpidemicParams(beta=np.array(beta), delta=np.array(delta),
+                             initially_infected=frozenset(infected),
+                             isolation=laws)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_instances())
+def test_monte_carlo_within_4se_of_exact(instance):
+    g, params = instance
+    exact = exact_lambda(g, params)
+    est = estimate_lambda(g, params, replicas=20_000, seed=8)
+    assert abs(est.mean - exact) <= 4 * max(est.std_error, 1e-12)
+
+
 class TestIsolationModel:
     def test_edgeless_no_secondary(self):
         g = Graph(node_count=3, edges=frozenset())
@@ -186,6 +264,14 @@ class TestIsolationModel:
         params = EpidemicParams.build(2, 0.4, 0.2, [0], isolation=iso)
         target = exact_lambda(TWO_NODE, params)
         est = estimate_lambda(TWO_NODE, params, replicas=100_000, seed=3)
+        assert abs(est.mean - target) <= 4 * est.std_error
+
+    def test_cyclic_law_against_exact_oracle(self):
+        # most walks outrun their two-step budget and read further levels
+        params = EpidemicParams.build(2, 0.4, 0.2, [0],
+                                      isolation=(RETURNING,) * 2)
+        target = exact_lambda(TWO_NODE, params)
+        est = estimate_lambda(TWO_NODE, params, replicas=100_000, seed=4)
         assert abs(est.mean - target) <= 4 * est.std_error
 
     def test_isolate_events_logged(self):
