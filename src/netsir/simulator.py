@@ -270,9 +270,7 @@ def _simulate(g: Graph, params: EpidemicParams, rng) -> SimOutcome:
         _open_graph(n, lay.src[live], lay.dst[live], delays[live]),
         directed=True, indices=lay.infected0, min_only=True)
     reached = np.flatnonzero(np.isfinite(infected))
-    first = np.zeros(n, dtype=bool)
-    first[lay.infected0] = True
-    new = reached[~first[reached]]
+    new = reached[~np.isin(reached, lay.infected0)]
     # infections before removals, so a stable sort keeps every tie causal
     times = np.concatenate([infected[new],
                             infected[reached] + periods[reached]])
