@@ -3,8 +3,7 @@ linear bounds on accumulated infections, and geometric-program resource
 allocation under a budget."""
 
 from .graph import (Graph, EdgeListParseError, GraphValidationError,
-                    PowerIterationError, load_edge_list, dump_edge_list,
-                    degrees, spectral_radius)
+                    load_edge_list, dump_edge_list, degrees, spectral_radius)
 from .phase_type import (PhaseType, ErlangSpec, erlang, min_with_exponential,
                          cdf, exit_rates, sample, mean)
 from .simulator import (EpidemicParams, SimOutcome, LambdaEstimate,

@@ -9,6 +9,12 @@ handled through a monomial under-estimator kappa * x^alpha <= x + delta
 fitted per node. Baselines (uniform spending and an SIS-style spectral
 design that ignores initial conditions) are provided for comparison.
 
+The GPs are built as arrays, in the compiled form gp.LogConvexProblem,
+over the column blocks [v | beta | delta or gamma | t or s]. Problems 1
+and 2 and the SIS baseline share one certificate-row builder, which
+works from the sparse adjacency and the infected mask, and add only
+their own per-column terms; solutions are read back by slicing.
+
 Cost curves follow the normalized forms
 
     prevention  f(beta)  = c1/beta  + c2   (1 at beta_lo, 0 at beta_hi)
@@ -26,6 +32,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import bound as bound_mod
 from . import gp
@@ -218,10 +225,10 @@ def fit_monomial_bound(delta: float, x_range, grid_size: int = 10_000
 
 @dataclass(frozen=True, eq=False)
 class AllocationProblem:
-    """A GpProblem plus the instance data needed to rebuild and
+    """A compiled GP plus the instance data needed to rebuild and
     re-verify the comparison system from solver output."""
 
-    gp_problem: gp.GpProblem
+    gp_problem: gp.LogConvexProblem
     graph: Graph
     infected: frozenset
     costs: CostModel
@@ -268,60 +275,130 @@ class Allocation:
         return doc
 
 
-def _v(i: int) -> str:
-    return f"v_{i}"
+def _compile(families, lo, hi, names) -> gp.LogConvexProblem:
+    """Stack term families into a compiled GP. A family (seg, logc,
+    entries) holds one monomial term per entry of seg: term k lies in
+    segment seg[k] with log-coefficient logc[k], and each (col, exp) of
+    entries puts exponent exp[k] on column col[k]. Scalars broadcast;
+    the compiled form drops exponents that cancel to zero."""
+    seg, logc, rows, cols, exps = [], [], [], [], []
+    for s, lc, entries in families:
+        s = np.atleast_1d(s)
+        rows += [sum(map(len, seg)) + np.arange(len(s))] * len(entries)
+        seg.append(s)
+        logc.append(np.broadcast_to(lc, s.shape))
+        cols += [np.broadcast_to(col, s.shape) for col, _ in entries]
+        exps += [np.broadcast_to(exp, s.shape) for _, exp in entries]
+    seg = np.concatenate(seg)
+    order = np.argsort(seg, kind="stable")
+    F = sp.csr_matrix((np.concatenate(exps),
+                       (np.argsort(order)[np.concatenate(rows)],
+                        np.concatenate(cols))), shape=(len(seg), len(lo)))
+    return gp.LogConvexProblem(
+        F, np.concatenate(logc)[order],
+        np.searchsorted(seg[order], np.arange(seg.max() + 1)), lo, hi, names)
 
 
-def _vp(i: int, l: int) -> str:
-    return f"v_{i}_{l}"
+def _certificate_rows(g: Graph, transmit: np.ndarray, p: int,
+                      den_logc: np.ndarray, den_exp: np.ndarray,
+                      own: list, epsilon: float) -> list:
+    """Term families of segments 1..n*p, one per certificate column
+    c = j*p + m:
+
+        (sum over neighbours i of j with transmit_i of v_{i,0} beta_i
+         + the own terms of c + eps)
+            / (exp(den_logc_j) v_c x_j^den_exp_j) <= 1
+
+    with x the second rate block. `own` lists each family of a
+    problem's own terms as (columns c, log-coefficients, entries)."""
+    n = g.node_count
+    a = g.adjacency_sparse()   # symmetric: row j lists j's neighbours
+    j = np.repeat(np.arange(n), np.diff(a.indptr))
+    i = a.indices
+    j, i = j[transmit[i]], i[transmit[i]]
+    c = (j * p + np.arange(p)[:, None]).ravel()   # every phase of j
+    i = np.tile(i, p)
+    families = [(c, 0.0, [(i * p, 1.0), (n * p + i, 1.0)]),
+                (np.arange(n * p), math.log(epsilon), [])] + own
+    return [(1 + col, logc - den_logc[col // p],
+             entries + [(col, -1.0), (n * p + n + col // p,
+                                      -den_exp[col // p])])
+            for col, logc, entries in families]
 
 
-def _budget_row(costs: CostModel, n: int) -> gp.Posynomial:
-    """The budget as a posynomial <= 1, the constant offsets of the cost
-    curves moved to the right-hand side."""
+def _budget_terms(costs: CostModel, n: int, p: int, seg: int) -> list:
+    """The budget as a posynomial <= 1 in segment seg, the constant
+    offsets of the cost curves moved to the right-hand side."""
     rhs = costs.absorbed_budget(n)
-    if costs.mode == "plain":
-        second, coeff, power = "delta", costs.c3, 1.0
-    else:
-        second, coeff, power = "gamma", costs.c5, -1.0
-    return gp.Posynomial(tuple(
-        term for i in range(n)
-        for term in (gp.Monomial(costs.c1 / rhs, {f"beta_{i}": -1.0}),
-                     gp.Monomial(coeff / rhs, {f"{second}_{i}": power}))))
+    coeff, power = ((costs.c3, 1.0) if costs.mode == "plain"
+                    else (costs.c5, -1.0))
+    nodes = np.arange(n)
+    return [(np.full(n, seg), math.log(costs.c1 / rhs),
+             [(n * p + nodes, -1.0)]),
+            (np.full(n, seg), math.log(coeff / rhs),
+             [(n * p + n + nodes, power)])]
 
 
-def _bound_and_budget(ineqs: list, infected_v, costs: CostModel, n: int,
-                      lambda_cap: Optional[float], epsilon: float):
-    """Append the bound row (sum of the infected nodes' v + eps) / t <= 1
-    and the budget row to ineqs; return the objective. Minimizing,
-    t = lambda_bar + sigma_I(0) is the objective; under a cap, t is
-    fixed at lambda_cap + sigma_I(0) and the spend is minimized, which
-    picks a canonical feasible point."""
-    bound = gp.Posynomial(tuple(gp.Monomial(1.0, {v: 1.0})
-                                for v in infected_v)
-                          + (gp.Monomial(epsilon, {}),))
-    budget = _budget_row(costs, n)
+def _boxes(costs: CostModel, n: int, p: int, last: dict) -> tuple:
+    """lo, hi and names over the blocks: a wide box per certificate
+    entry, the rate boxes, and `last` ({name: box}, empty or one entry)
+    for the trailing scalar."""
+    plain = costs.mode == "plain"
+    box = costs.delta_box if plain else costs.gamma_box
+    lo, hi = np.array([_WIDE_BOX] * (n * p) + [costs.beta_box] * n
+                      + [box] * n + list(last.values()), dtype=float).T
+    names = [f"v_{i}" if plain else f"v_{i}_{m}"
+             for i in range(n) for m in range(1, p + 1)]
+    names += [f"{rate}_{i}" for rate in
+              ("beta", "delta" if plain else "gamma") for i in range(n)]
+    return lo, hi, names + list(last)
+
+
+def _allocation_problem(g: Graph, infected, costs: CostModel, p: int,
+                        den_logc, den_exp, own: list,
+                        lambda_cap: Optional[float], epsilon: float,
+                        **fields) -> AllocationProblem:
+    """Problems 1 and 2: the certificate rows, the bound row
+
+        (sum of the infected nodes' v_{i,0} + eps) / t <= 1
+
+    and the budget row. Minimizing, t = lambda_bar + sigma_I(0) is the
+    last column and the objective; under a cap, t is fixed at
+    lambda_cap + sigma_I(0) and the spend is minimized, which picks a
+    canonical feasible point."""
+    infected = frozenset(int(i) for i in infected)
+    if not infected:
+        raise ValueError("infected set must be non-empty")
+    n = g.node_count
+    transmit = np.ones(n, dtype=bool)
+    transmit[list(infected)] = False   # J_ii = 0
+    families = _certificate_rows(g, transmit, p, den_logc, den_exp, own,
+                                 epsilon)
+    bound_seg = 1 + n * p
+    heads = np.array(sorted(infected)) * p
     if lambda_cap is None:
-        ineqs += [bound / gp.variable("t"), budget]
-        return gp.variable("t")
-    if lambda_cap <= 0:
-        raise ValueError("lambda cap must be positive")
-    ineqs += [bound * (1.0 / (lambda_cap + len(infected_v))), budget]
-    return budget
+        t = n * p + 2 * n
+        per_t, scale, last = [(t, -1.0)], 0.0, {"t": _WIDE_BOX}
+        families.append((0, 0.0, [(t, 1.0)]))
+    else:
+        if lambda_cap <= 0:
+            raise ValueError("lambda cap must be positive")
+        per_t, last = [], {}
+        scale = -math.log(lambda_cap + len(infected))
+        families += _budget_terms(costs, n, p, 0)
+    families += [(np.full(len(heads), bound_seg), scale,
+                  [(heads, 1.0)] + per_t),
+                 (bound_seg, math.log(epsilon) + scale, per_t)]
+    families += _budget_terms(costs, n, p, bound_seg + 1)
+    return AllocationProblem(
+        gp_problem=_compile(families, *_boxes(costs, n, p, last)), graph=g,
+        infected=infected, costs=costs, mode=costs.mode,
+        lambda_cap=lambda_cap, epsilon=epsilon, p=p, **fields)
 
 
-def _boxes(costs: CostModel, n: int, certificate_vars, with_t: bool) -> dict:
-    """Rate boxes, a wide box per certificate entry and, when
-    minimizing, one for t."""
-    name = "delta" if costs.mode == "plain" else "gamma"
-    second = costs.delta_box if costs.mode == "plain" else costs.gamma_box
-    box = dict.fromkeys(certificate_vars, _WIDE_BOX)
-    if with_t:
-        box["t"] = _WIDE_BOX
-    for i in range(n):
-        box[f"beta_{i}"] = costs.beta_box
-        box[f"{name}_{i}"] = second
-    return box
+def _blocks(x: np.ndarray, n: int, p: int) -> list:
+    """The blocks [v | beta | delta or gamma | t or s] of a point."""
+    return np.split(x, [n * p, n * p + n, n * p + 2 * n])
 
 
 def build_problem1(g: Graph, infected, costs: CostModel,
@@ -342,31 +419,11 @@ def build_problem1(g: Graph, infected, costs: CostModel,
     """
     if costs.mode != "plain":
         raise ValueError("plain-mode cost model required")
-    infected = frozenset(int(i) for i in infected)
-    if not infected:
-        raise ValueError("infected set must be non-empty")
     n = g.node_count
-    nbrs = g.neighbor_lists
-
-    ineqs = []
-    # certificate row, one posynomial per column j
-    for j in range(n):
-        denom = gp.Monomial(1.0, {_v(j): 1.0, f"delta_{j}": 1.0})
-        terms = [gp.Monomial(1.0, {_v(i): 1.0, f"beta_{i}": 1.0})
-                 for i in nbrs[j] if i not in infected]  # J_ii = 0
-        terms += [gp.Monomial(1.0, {f"delta_{j}": 1.0}),
-                  gp.Monomial(epsilon, {})]
-        ineqs.append(gp.Posynomial(tuple(terms)) / denom)
-
-    objective = _bound_and_budget(ineqs, [_v(i) for i in sorted(infected)],
-                                  costs, n, lambda_cap, epsilon)
-    box = _boxes(costs, n, [_v(i) for i in range(n)], lambda_cap is None)
-
-    problem = gp.GpProblem(objective=objective,
-                           ineq_constraints=tuple(ineqs), box=box)
-    return AllocationProblem(gp_problem=problem, graph=g, infected=infected,
-                             costs=costs, mode="plain",
-                             lambda_cap=lambda_cap, epsilon=epsilon)
+    nodes = np.arange(n)
+    own = [(nodes, 0.0, [(2 * n + nodes, 1.0)])]    # delta_j
+    return _allocation_problem(g, infected, costs, 1, np.zeros(n),
+                               np.ones(n), own, lambda_cap, epsilon)
 
 
 def build_problem2(g: Graph, infected, costs: CostModel,
@@ -377,55 +434,38 @@ def build_problem2(g: Graph, infected, costs: CostModel,
 
     Each node has one removal law Erlang(p, gamma_i) with -DPi = p/gamma
     identical across phases, so `fits` carries one monomial bound per
-    node, reused for every phase. `delta` is the fixed natural-recovery
-    rate vector (zero allowed here; the simulator keeps requiring
-    positive rates).
+    node, reused for every phase. Per phase column (j, m) the
+    certificate row inequality is
+
+        (sum_i v_{i,1} J_ii a_ij beta_i + (p/gamma_j) v_{j,m+1}
+         + delta_j + eps) / (kappa_j (p/gamma_j)^alpha_j v_{j,m}) <= 1
+
+    with v_{j,p+1} = 1. `delta` is the fixed natural-recovery rate
+    vector (zero allowed here; the simulator keeps requiring positive
+    rates).
     """
     if costs.mode != "isolation":
         raise ValueError("isolation-mode cost model required")
-    infected = frozenset(int(i) for i in infected)
-    if not infected:
-        raise ValueError("infected set must be non-empty")
     n = g.node_count
     if len(fits) != n:
         raise ValueError(f"need one monomial fit per node, got {len(fits)}")
     delta = np.broadcast_to(np.asarray(delta, float), (n,)).copy()
     if np.any(delta < 0):
         raise ValueError("delta must be nonnegative")
-    nbrs = g.neighbor_lists
-
-    ineqs = []
-    for j in range(n):
-        fit = fits[j]
-        for m in range(1, p + 1):  # phase column (j, m), 1-based here
-            # denominator: v_{j,m} * kappa_j * (p/gamma_j)^alpha_j
-            denom = gp.Monomial(fit.kappa * p ** fit.alpha,
-                                {_vp(j, m): 1.0, f"gamma_{j}": -fit.alpha})
-            terms = [gp.Monomial(1.0, {_vp(i, 1): 1.0, f"beta_{i}": 1.0})
-                     for i in nbrs[j] if i not in infected]
-            if m < p:
-                terms.append(gp.Monomial(float(p),
-                                         {_vp(j, m + 1): 1.0,
-                                          f"gamma_{j}": -1.0}))
-            else:
-                terms.append(gp.Monomial(float(p), {f"gamma_{j}": -1.0}))
-            if delta[j] > 0:
-                terms.append(gp.Monomial(float(delta[j]), {}))
-            terms.append(gp.Monomial(epsilon, {}))
-            ineqs.append(gp.Posynomial(tuple(terms)) / denom)
-
-    objective = _bound_and_budget(ineqs,
-                                  [_vp(i, 1) for i in sorted(infected)],
-                                  costs, n, lambda_cap, epsilon)
-    box = _boxes(costs, n, [_vp(i, l) for i in range(n)
-                            for l in range(1, p + 1)], lambda_cap is None)
-
-    problem = gp.GpProblem(objective=objective,
-                           ineq_constraints=tuple(ineqs), box=box)
-    return AllocationProblem(gp_problem=problem, graph=g, infected=infected,
-                             costs=costs, mode="isolation",
-                             lambda_cap=lambda_cap, epsilon=epsilon, p=p,
-                             delta_fixed=delta, fits=tuple(fits))
+    kappa = np.array([f.kappa for f in fits])
+    alpha = np.array([f.alpha for f in fits])
+    cols = np.arange(n * p)
+    node = cols // p
+    last = cols % p == p - 1
+    recovers = cols[delta[node] > 0]
+    own = [(cols, math.log(p),    # on to phase m+1, or out of the last
+            [(n * p + n + node, -1.0),
+             (np.where(last, cols, cols + 1), np.where(last, 0.0, 1.0))]),
+           (recovers, np.log(delta[recovers // p]), [])]
+    return _allocation_problem(g, infected, costs, p,
+                               np.log(kappa) + alpha * math.log(p), -alpha,
+                               own, lambda_cap, epsilon, delta_fixed=delta,
+                               fits=tuple(fits))
 
 
 def _system(g: Graph, infected, mode: str, beta, second,
@@ -444,7 +484,7 @@ def solve_allocation(prob: AllocationProblem,
     """Solve the assembled GP and re-verify the result: the extracted
     certificate must pass with slack epsilon/2 and the recomputed
     linear-solve bound must not exceed the reported lambda_bar."""
-    sol = gp.solve(prob.gp_problem, tol=tol)
+    sol = gp.solve_compiled(prob.gp_problem, tol=tol)
     if sol.status == "infeasible":
         raise AllocationInfeasible(
             "budget insufficient for the requested control level"
@@ -452,18 +492,9 @@ def solve_allocation(prob: AllocationProblem,
             "allocation problem infeasible")
     if sol.status != "optimal":
         raise CertificateError(f"solver did not converge: {sol.status}")
-    n = prob.graph.node_count
-    beta = np.array([sol.point[f"beta_{i}"] for i in range(n)])
-    sigma_i0 = len(prob.infected)
-    if prob.mode == "plain":
-        second = np.array([sol.point[f"delta_{i}"] for i in range(n)])
-        v = np.array([sol.point[_v(i)] for i in range(n)])
-    else:
-        second = np.array([sol.point[f"gamma_{i}"] for i in range(n)])
-        v = np.array([sol.point[_vp(i, l)]
-                      for i in range(n) for l in range(1, prob.p + 1)])
+    v, beta, second, t = _blocks(sol.x, prob.graph.node_count, prob.p)
     if prob.lambda_cap is None:
-        lambda_bar = max(0.0, sol.point["t"] - sigma_i0)
+        lambda_bar = max(0.0, float(t[0]) - len(prob.infected))
     else:
         lambda_bar = prob.lambda_cap
     sys = _system(prob.graph, prob.infected, prob.mode, beta, second,
@@ -536,32 +567,22 @@ def baseline_sis_spectral(g: Graph, infected, costs: CostModel,
     if costs.mode != "plain":
         raise ValueError("the SIS baseline is defined for plain mode")
     n = g.node_count
-    nbrs = g.neighbor_lists
-    eps = DEFAULT_EPSILON
-
-    ineqs = []
-    for j in range(n):
-        denom = gp.Monomial(1.0, {_v(j): 1.0, f"delta_{j}": 1.0})
-        terms = [gp.Monomial(1.0, {_v(i): 1.0, f"beta_{i}": 1.0})
-                 for i in nbrs[j]]
-        terms.append(gp.Monomial(1.0, {"s": 1.0, _v(j): 1.0}))
-        terms.append(gp.Monomial(eps, {}))
-        ineqs.append(gp.Posynomial(tuple(terms)) / denom)
-    ineqs.append(_budget_row(costs, n))
-    box = dict(_boxes(costs, n, [_v(i) for i in range(n)], False),
-               s=(1e-8, 1e4))
-    problem = gp.GpProblem(
-        objective=gp.Posynomial((gp.Monomial(1.0, {"s": -1.0}),)),
-        ineq_constraints=tuple(ineqs), box=box)
-    sol = gp.solve(problem, tol=tol)
+    nodes = np.arange(n)
+    s = 3 * n
+    own = [(nodes, 0.0, [(s, 1.0), (nodes, 1.0)])]    # s v_j
+    families = _certificate_rows(g, np.ones(n, dtype=bool), 1, np.zeros(n),
+                                 np.ones(n), own, DEFAULT_EPSILON)
+    families += _budget_terms(costs, n, 1, n + 1)
+    families.append((0, 0.0, [(s, -1.0)]))
+    sol = gp.solve_compiled(
+        _compile(families, *_boxes(costs, n, 1, {"s": (1e-8, 1e4)})),
+        tol=tol)
     if sol.status == "infeasible":
         raise AllocationInfeasible("no decay rate is attainable in the boxes")
     if sol.status != "optimal":
         raise CertificateError(f"SIS baseline solve failed: {sol.status}")
-    beta = np.array([sol.point[f"beta_{i}"] for i in range(n)])
-    delta = np.array([sol.point[f"delta_{i}"] for i in range(n)])
-    alloc = _certify(g, infected, costs, beta, delta, strategy="sis_spectral")
-    return alloc
+    _, beta, delta, _ = _blocks(sol.x, n, 1)
+    return _certify(g, infected, costs, beta, delta, strategy="sis_spectral")
 
 
 def allocation_csv_rows(alloc: Allocation, g: Graph,

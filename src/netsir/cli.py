@@ -204,8 +204,11 @@ def _build_allocation_problem(cfg: ExperimentConfig, g: Graph,
     delta = np.broadcast_to(np.asarray(cfg.delta, float), (g.node_count,))
     p = cfg.erlang_shape
     x_lo, x_hi = p / cfg.gamma_box[1], p / cfg.gamma_box[0]
-    fits = [allocator.fit_monomial_bound(float(d), (x_lo, x_hi))
-            for d in delta]
+    # one fit per distinct delta: a scalar delta needs a single fit
+    values, which = np.unique(delta, return_inverse=True)
+    fits = [allocator.fit_monomial_bound(d, (x_lo, x_hi))
+            for d in values.tolist()]
+    fits = [fits[k] for k in which]
     return allocator.build_problem2(g, infected, costs, fits, p=p,
                                     delta=delta, lambda_cap=cfg.lambda_cap,
                                     epsilon=cfg.epsilon)

@@ -1,4 +1,4 @@
-"""Posynomial algebra and a geometric-program solver.
+"""Geometric programs: a compiled array form and its interior-point solver.
 
 A monomial is c * prod x_k^{a_k} with c > 0; a posynomial is a sum of
 monomials. Under x = exp(y) each posynomial becomes a log-sum-exp of
@@ -8,20 +8,22 @@ affine forms, so the program
 
 turns into a smooth convex problem that a primal-dual interior-point
 method (Boyd & Vandenberghe, section 11.7) solves to a dual residual and
-a surrogate duality gap both below the tolerance. The problem is
-compiled once into stacked arrays (StackedLse): one sparse term-exponent
-matrix, the log-coefficients and a term-to-constraint segment index.
-Each StackedLse also compiles, once, the index arrays of a scatter that
-assembles its dense Newton matrix, so each Newton step is a few array
-operations and one Cholesky factorization. Monomial equalities are
-affine in y and are eliminated once, up front, through a null-space
-parametrization of that matrix.
+a surrogate duality gap both below the tolerance. LogConvexProblem is
+the one form the solver reads: a sparse term-exponent matrix, the
+log-coefficients, the segment starts and per-variable boxes, as arrays.
+Callers that know their structure build those arrays and call
+solve_compiled; to_log_convex lowers a hand-written GpProblem of
+Monomial and Posynomial objects into them, and solve does both. The
+rows are stacked once into a StackedLse, which also compiles the index
+arrays of a scatter that assembles its dense Newton matrix, so each
+Newton step is a few array operations and one Cholesky factorization.
+Monomial equalities are affine in y and are eliminated once, up front,
+through a null-space parametrization of that matrix.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -102,18 +104,6 @@ class Posynomial:
 
     __radd__ = __add__
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            other = Monomial(float(other), {})
-        if isinstance(other, Monomial):
-            return Posynomial(tuple(t * other for t in self.terms))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, mono: Monomial):
-        return self * mono ** -1
-
     def variables(self) -> set:
         out = set()
         for t in self.terms:
@@ -175,6 +165,7 @@ class GpSolution:
     kkt_residual: float   # |r_dual|_inf; the phase-I s* when infeasible
     newton_iters: int = 0
     gap: float = math.nan  # surrogate duality gap -f^T lam at exit
+    x: Optional[np.ndarray] = None  # point in the compiled column order
 
 
 def _upper_pairs(ptr: np.ndarray):
@@ -239,6 +230,7 @@ class StackedLse:
     def __init__(self, F, b: np.ndarray, starts: np.ndarray):
         self.F = sp.csr_matrix(F)
         self.F.sum_duplicates()  # sorted, unique columns: see _Scatter
+        self.F.eliminate_zeros()  # exponents that cancelled
         self.b = np.asarray(b, dtype=float)
         self.starts = np.asarray(starts, dtype=np.intp)
         self.ptr = np.append(self.starts, len(self.b))
@@ -351,57 +343,39 @@ class _Segment:
 
 
 class LogConvexProblem:
-    """Log-space form of a GpProblem, compiled once into a StackedLse.
+    """A geometric program in log space, compiled into a StackedLse.
 
-    objective and constraints are log-sum-exps of affine forms in
-    y = log x; constraints (posynomials first, then an upper and a lower
-    side per unpinned box) mean <= 0; the equality system, monomial
-    equalities and pinned boxes, is affine: eq_mat @ y = eq_rhs.
+    Rows of F (terms x variables) and b, grouped into segments by
+    starts, are the objective (segment 0) and the constraints (<= 0) as
+    log-sum-exps of affine forms in y = log x. Each free box
+    lo_i < hi_i adds an upper and a lower segment after them, each
+    pinned one (lo_i == hi_i) a row of the equalities eq_mat @ y =
+    eq_rhs. `variables` names the columns.
     """
 
-    def __init__(self, problem: GpProblem):
-        self.variables = sorted(problem.variables() | set(problem.box))
-        self.var_index = {v: i for i, v in enumerate(self.variables)}
-        n = len(self.variables)
-        rows, cols, exps, b, starts = [], [], [], [], []
-        self.kinds: List[str] = []
-
-        def add(terms, kind):
-            """terms: (log coefficient, {column: exponent}) per monomial"""
-            starts.append(len(b))
-            self.kinds.append(kind)
-            for log_c, row in terms:
-                for c, e in row.items():
-                    rows.append(len(b))
-                    cols.append(c)
-                    exps.append(e)
-                b.append(log_c)
-
-        def terms_of(p):
-            return [(math.log(t.coeff),
-                     {self.var_index[k]: e for k, e in t.exponents.items()})
-                    for t in Posynomial.wrap(p).terms]
-
-        add(terms_of(problem.objective), "objective")
-        for c in problem.ineq_constraints:
-            add(terms_of(c), "posynomial")
-        # monomial equalities and pinned boxes: (log coefficient, row)
-        eqs = [tm for m in problem.eq_constraints for tm in terms_of(m)]
-        for name, (lo, hi) in sorted(problem.box.items()):
-            i = self.var_index[name]
-            if lo == hi:
-                eqs.append((-math.log(lo), {i: 1.0}))
-                continue
-            add([(-math.log(hi), {i: 1.0})], "box_upper")
-            add([(math.log(lo), {i: -1.0})], "box_lower")
+    def __init__(self, F, b, starts, lo, hi, variables: Sequence[str],
+                 eq_mat: Optional[np.ndarray] = None, eq_rhs=()):
+        self.lo, self.hi = np.asarray(lo, float), np.asarray(hi, float)
+        if not np.all((0 < self.lo) & (self.lo <= self.hi)
+                      & np.isfinite(self.hi)):
+            raise ValueError("boxes must satisfy 0 < lo <= hi < inf")
+        self.variables = list(variables)
+        self.ineq_count = len(starts) - 1
+        n = len(self.lo)
+        eye = sp.identity(n, format="csr")
+        free = np.flatnonzero(self.lo < self.hi)
+        pinned = np.flatnonzero(self.lo == self.hi)
+        # y_i - log hi_i <= 0 and log lo_i - y_i <= 0, per free variable
+        sides = eye[np.repeat(free, 2)]
+        sides.data *= np.tile([1.0, -1.0], len(free))
         self.system = StackedLse(
-            sp.csr_matrix((exps, (rows, cols)), shape=(len(b), n)),
-            np.array(b), np.array(starts))
-        self.eq_mat = np.zeros((len(eqs), n))
-        for r, (_, row) in enumerate(eqs):
-            self.eq_mat[r, list(row)] = list(row.values())
-        self.eq_rhs = np.array([-log_c for log_c, _ in eqs])
-        self._box = dict(problem.box)
+            sp.vstack([F, sides]),
+            np.concatenate([b, np.column_stack(
+                [-np.log(self.hi[free]), np.log(self.lo[free])]).ravel()]),
+            np.concatenate([starts, len(b) + np.arange(2 * len(free))]))
+        self.eq_mat = np.vstack([np.zeros((0, n)) if eq_mat is None
+                                 else eq_mat, eye[pinned].toarray()])
+        self.eq_rhs = np.concatenate([eq_rhs, np.log(self.lo[pinned])])
 
     @property
     def dim(self) -> int:
@@ -413,7 +387,7 @@ class LogConvexProblem:
 
     @property
     def constraints(self) -> List[_Segment]:
-        return [_Segment(self, k) for k in range(1, len(self.kinds))]
+        return [_Segment(self, k) for k in range(1, len(self.system.starts))]
 
     def _segment_value_grad(self, k: int, y: np.ndarray):
         vals, w = self.system.lse(y)
@@ -427,10 +401,7 @@ class LogConvexProblem:
         return self._segment_value_grad(0, y)
 
     def center_point(self) -> np.ndarray:
-        y = np.zeros(self.dim)
-        for name, (lo, hi) in self._box.items():
-            y[self.var_index[name]] = 0.5 * (math.log(lo) + math.log(hi))
-        return y
+        return 0.5 * (np.log(self.lo) + np.log(self.hi))
 
     def reduced(self):
         """(system in z, y0, basis) with y = y0 + basis @ z solving the
@@ -445,27 +416,29 @@ class LogConvexProblem:
         basis = scipy.linalg.null_space(self.eq_mat)
         return self.system.reparametrized(y0, basis), y0, basis
 
-    def to_json(self) -> str:
-        s = self.system
-
-        def dump(k: int):
-            terms = slice(s.ptr[k], s.ptr[k + 1])
-            rows = s.F[terms]
-            cols = np.unique(rows.indices)
-            return {"kind": self.kinds[k],
-                    "cols": [self.variables[c] for c in cols],
-                    "exponents": rows[:, cols].toarray().tolist(),
-                    "log_coeffs": s.b[terms].tolist()}
-        doc = {"variables": self.variables,
-               "objective": dump(0),
-               "constraints": [dump(k) for k in range(1, len(self.kinds))],
-               "equalities": {"matrix": self.eq_mat.tolist(),
-                              "rhs": self.eq_rhs.tolist()}}
-        return json.dumps(doc, indent=2)
-
 
 def to_log_convex(problem: GpProblem) -> LogConvexProblem:
-    return LogConvexProblem(problem)
+    """Lower a hand-written GpProblem into its compiled form, one column
+    per variable in sorted name order."""
+    variables = sorted(problem.variables() | set(problem.box))
+    index = {v: i for i, v in enumerate(variables)}
+
+    def rows(terms):
+        """Exponent matrix and log-coefficients of monomials."""
+        coo = [(r, index[name], e) for r, t in enumerate(terms)
+               for name, e in t.exponents.items()]
+        r, c, e = zip(*coo) if coo else ((), (), ())
+        return (sp.csr_matrix((e, (r, c)), shape=(len(terms), len(index))),
+                np.log([t.coeff for t in terms]))
+
+    posys = (problem.objective, *problem.ineq_constraints)
+    F, b = rows([t for p in posys for t in p.terms])
+    eq_mat, eq_logc = rows(problem.eq_constraints)
+    lo, hi = np.array([problem.box[v] for v in variables],
+                      dtype=float).reshape(-1, 2).T
+    return LogConvexProblem(F, b, np.cumsum([0] + [len(p.terms)
+                                                   for p in posys[:-1]]),
+                            lo, hi, variables, eq_mat.toarray(), -eq_logc)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +529,15 @@ def _primal_dual(system: StackedLse, z: np.ndarray, tol: float,
 
 def solve(problem: GpProblem, tol: float = 1e-7,
           max_newton: int = 500) -> GpSolution:
-    """Solve a geometric program by a log-space primal-dual method.
+    """Solve a hand-written geometric program: compile it with
+    to_log_convex, then run solve_compiled."""
+    return solve_compiled(to_log_convex(problem), tol, max_newton)
+
+
+def solve_compiled(lcp: LogConvexProblem, tol: float = 1e-7,
+                   max_newton: int = 500) -> GpSolution:
+    """Solve a compiled geometric program by a log-space primal-dual
+    method.
 
     Phase I minimizes the largest constraint violation s over (y, s)
     and stops once s < 0; a converged s* whose lower bound s* - gap
@@ -569,26 +550,25 @@ def solve(problem: GpProblem, tol: float = 1e-7,
     line search cannot reduce the residual. The iterate stays strictly
     feasible throughout.
     """
-    lcp = to_log_convex(problem)
     reduction = lcp.reduced()
     if reduction is None:
         return GpSolution(point={}, objective_value=math.nan,
                           status="infeasible", kkt_residual=math.inf)
     system, y0, basis = reduction
 
-    def to_point(zz):
+    def solution(zz, **fields):
         y = y0 + basis @ zz
-        return {v: math.exp(y[i]) for i, v in enumerate(lcp.variables)}
+        x = np.exp(y)
+        return GpSolution(point=dict(zip(lcp.variables, x.tolist())),
+                          objective_value=math.exp(lcp.system.values(y)[0]),
+                          x=x, **fields)
 
     z = basis.T @ (lcp.center_point() - y0)
     vals = system.values(z)[1:]
     if system.dim == 0:
         # fully pinned problem: feasibility is a direct check
         if np.all(vals < 0):
-            pt = to_point(z)
-            return GpSolution(point=pt,
-                              objective_value=evaluate(problem.objective, pt),
-                              status="optimal", kkt_residual=0.0, gap=0.0)
+            return solution(z, status="optimal", kkt_residual=0.0, gap=0.0)
         return GpSolution(point={}, objective_value=math.nan,
                           status="infeasible",
                           kkt_residual=float(vals.max()))
@@ -610,9 +590,6 @@ def solve(problem: GpProblem, tol: float = 1e-7,
 
     z, r_dual, eta, steps2, status = _primal_dual(system, z, tol,
                                                   max_newton - steps1)
-    pt = to_point(z)
-    return GpSolution(point=pt,
-                      objective_value=evaluate(problem.objective, pt),
-                      status=status,
-                      kkt_residual=float(np.abs(r_dual).max()), gap=eta,
-                      newton_iters=steps1 + steps2)
+    return solution(z, status=status,
+                    kkt_residual=float(np.abs(r_dual).max()), gap=eta,
+                    newton_iters=steps1 + steps2)

@@ -154,7 +154,7 @@ def test_criterion_5_gp_solver_correctness(rng):
     two_node = load_edge_list("0 1")
     costs = CostModel(beta_box=(0.05, 0.5), delta_box=(0.2, 1.0), budget=2.0)
     prob = build_problem1(two_node, {0}, costs)
-    lcp = gp.to_log_convex(prob.gp_problem)
+    lcp = prob.gp_problem
     h = 1e-6
     for _ in range(10):
         y = rng.uniform(-0.5, 0.5, size=lcp.dim)
@@ -173,7 +173,7 @@ def test_criterion_5_gp_solver_correctness(rng):
     # random-feasible-point dominance on the solved allocation problem:
     # rates and v are rejection-sampled, t is any value clearing the
     # bound row, so every accepted point is feasible for the full GP
-    alloc_sol = gp.solve(prob.gp_problem, tol=1e-7)
+    alloc_sol = gp.solve_compiled(lcp, tol=1e-7)
     assert alloc_sol.status == "optimal"
     found = 0
     while found < 1000:
@@ -187,8 +187,9 @@ def test_criterion_5_gp_solver_correctness(rng):
         }
         point["t"] = (point["v_0"] + 1e-6) * float(rng.uniform(1.0, 3.0)) \
             + 1e-9
-        if all(gp.evaluate(c, point) <= 1.0
-               for c in prob.gp_problem.ineq_constraints):
+        y = np.log([point[name] for name in lcp.variables])
+        if all(math.exp(c.value(y)) <= 1.0
+               for c in lcp.constraints[:lcp.ineq_count]):
             assert alloc_sol.objective_value <= point["t"] + 1e-6
             found += 1
     print("\nACCEPTANCE 5 PASS: AM-GM to 1e-6, gradients to 1e-6, "

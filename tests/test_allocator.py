@@ -93,18 +93,20 @@ class TestMonomialFit:
 class TestProblem1:
     def test_variable_and_constraint_structure(self):
         prob = build_problem1(TWO_NODE, {0}, PLAIN_COSTS)
-        variables = prob.gp_problem.variables()
+        variables = set(prob.gp_problem.variables)
         assert variables == {"v_0", "v_1", "beta_0", "beta_1",
                              "delta_0", "delta_1", "t"}
         # 2 certificate columns + 1 bound row + 1 budget row
-        assert len(prob.gp_problem.ineq_constraints) == 4
+        assert prob.gp_problem.ineq_count == 4
 
     def test_all_infected_feasible_with_scaled_ones(self):
         prob = build_problem1(TWO_NODE, {0, 1}, PLAIN_COSTS)
         point = {"v_0": 2.0, "v_1": 2.0, "beta_0": 0.4, "beta_1": 0.4,
                  "delta_0": 0.5, "delta_1": 0.5, "t": 5.0}
-        for c in prob.gp_problem.ineq_constraints[:2]:
-            assert gp.evaluate(c, point) < 1.0
+        lcp = prob.gp_problem
+        y = np.log([point[name] for name in lcp.variables])
+        for c in lcp.constraints[:2]:
+            assert math.exp(c.value(y)) < 1.0
 
     def test_two_node_generous_budget(self):
         alloc = solve_allocation(build_problem1(TWO_NODE, {0}, PLAIN_COSTS))
@@ -151,8 +153,8 @@ class TestProblem1:
                              rng.choice(g.node_count, size=4, replace=False))
         costs = CostModel(beta_box=(0.00266, 0.0133), delta_box=(0.05, 0.1),
                           budget=68.0)
-        sol = gp.solve(build_problem1(g, infected, costs).gp_problem,
-                       tol=1e-6)
+        sol = gp.solve_compiled(build_problem1(g, infected, costs).gp_problem,
+                                tol=1e-6)
         assert sol.status == "optimal"
         assert abs(sol.point["t"] - len(infected) - 1.950556) <= 1e-4
         assert sol.newton_iters <= 150
@@ -163,13 +165,13 @@ class TestProblem1:
         test_budget_monotonicity_small and acceptance 8 each take one
         'optimal' gp.solve call at tol 1e-7 per allocation."""
         calls = []
-        solve = gp.solve
+        solve = gp.solve_compiled
 
         def counted(problem, tol):
             sol = solve(problem, tol=tol)
             calls.append((tol, sol.status))
             return sol
-        monkeypatch.setattr(gp, "solve", counted)
+        monkeypatch.setattr(gp, "solve_compiled", counted)
         small = load_edge_list("0 1\n1 2\n2 3\n3 0\n0 2")
         for budget in (1.0, 2.0, 4.0):
             costs = CostModel(beta_box=(0.05, 0.5), delta_box=(0.2, 1.0),
@@ -334,3 +336,145 @@ class TestBaselines:
         alloc = baseline_uniform(tri, {0}, costs)
         assert not alloc.is_certified
         assert alloc.lambda_bar == math.inf
+
+
+class _Captured(Exception):
+    pass
+
+
+class TestCompiledRows:
+    """Every non-box segment of the compiled allocation GPs, at random
+    positive points, against the certificate, bound and budget
+    inequalities written out here from the dense adjacency. Values are
+    compared as the ratios num/den that the segments are the logarithms
+    of."""
+
+    PLAIN = CostModel(beta_box=(0.05, 0.5), delta_box=(0.2, 1.0),
+                      budget=2.0)
+    ISO = CostModel(beta_box=(0.05, 0.5), gamma_box=(0.5, 4.0), budget=2.0)
+
+    @staticmethod
+    def instances():
+        from importlib import resources
+        from conftest import random_graph
+        gen = np.random.default_rng(8)
+        graphs = [random_graph(gen, int(gen.integers(2, 9)), edge_prob=0.5)
+                  for _ in range(5)]
+        graphs.append(load_edge_list((resources.files("netsir") / "data"
+                                      / "social68.txt").read_text()))
+        for g in graphs:
+            k = int(gen.integers(1, min(4, g.node_count) + 1))
+            yield g, frozenset(int(i) for i in
+                               gen.choice(g.node_count, k, replace=False))
+
+    @staticmethod
+    def point(lcp, costs, rng):
+        """A random positive point: rates inside their boxes, the rest
+        log-uniform on [e^-2, e^2]."""
+        x = {}
+        for name in lcp.variables:
+            kind = name.split("_")[0]
+            lo, hi = {"beta": costs.beta_box, "delta": costs.delta_box,
+                      "gamma": costs.gamma_box}.get(kind, (np.exp(-2.0),
+                                                           np.exp(2.0)))
+            x[name] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+        return x
+
+    @staticmethod
+    def spend(costs, beta, second, n):
+        """The budget row: total cost <= budget, with the constant
+        offsets moved to the right-hand side."""
+        rhs = costs.absorbed_budget(n)
+        return (costs.total_cost(beta, second) - costs.budget + rhs) / rhs
+
+    def check(self, lcp, costs, rng, expected):
+        for _ in range(3):
+            x = self.point(lcp, costs, rng)
+            vals = lcp.system.values(np.log([x[v] for v in lcp.variables]))
+            objective, rows = expected(x)
+            assert lcp.ineq_count == len(rows)
+            np.testing.assert_allclose(np.exp(vals[:1 + len(rows)]),
+                                       [objective, *rows], rtol=1e-12)
+
+    def test_problem1(self, rng):
+        for g, infected in self.instances():
+            a, n = g.adjacency_matrix(), g.node_count
+            costs = CostModel(beta_box=self.PLAIN.beta_box,
+                              delta_box=self.PLAIN.delta_box, budget=n)
+            unmasked = np.ones(n)
+            unmasked[list(infected)] = 0.0
+            for cap in (None, 0.5):
+                prob = build_problem1(g, infected, costs, lambda_cap=cap)
+                eps = prob.epsilon
+
+                def expected(x):
+                    v, beta, delta = (np.array([x[f"{k}_{i}"]
+                                                for i in range(n)])
+                                      for k in ("v", "beta", "delta"))
+                    cert = ((v * unmasked * beta) @ a + delta + eps) \
+                        / (v * delta)
+                    heads = sum(v[i] for i in infected) + eps
+                    budget = self.spend(costs, beta, delta, n)
+                    if cap is None:
+                        return x["t"], [*cert, heads / x["t"], budget]
+                    return budget, [*cert, heads / (cap + len(infected)),
+                                    budget]
+                self.check(prob.gp_problem, costs, rng, expected)
+
+    def test_problem2(self, rng):
+        for g, infected in self.instances():
+            a, n = g.adjacency_matrix(), g.node_count
+            costs = CostModel(beta_box=self.ISO.beta_box,
+                              gamma_box=self.ISO.gamma_box, budget=n)
+            unmasked = np.ones(n)
+            unmasked[list(infected)] = 0.0
+            for p in (1, 2, 3):
+                x_range = (p / costs.gamma_box[1], p / costs.gamma_box[0])
+                for delta in (np.zeros(n), rng.uniform(0.01, 0.3, n)):
+                    fits = [fit_monomial_bound(d, x_range) for d in delta]
+                    kappa = np.array([f.kappa for f in fits])
+                    alpha = np.array([f.alpha for f in fits])
+                    prob = build_problem2(g, infected, costs, fits, p=p,
+                                          delta=delta)
+                    eps = prob.epsilon
+
+                    def expected(x):
+                        v = np.array([[x[f"v_{i}_{m}"]
+                                       for m in range(1, p + 1)]
+                                      for i in range(n)])
+                        beta, gamma = (np.array([x[f"{k}_{i}"]
+                                                 for i in range(n)])
+                                       for k in ("beta", "gamma"))
+                        rate = p / gamma      # -DPi of every phase
+                        inflow = (v[:, 0] * unmasked * beta) @ a
+                        onward = np.column_stack([v[:, 1:], np.ones(n)])
+                        num = (inflow[:, None] + rate[:, None] * onward
+                               + delta[:, None] + eps)
+                        den = (kappa * rate ** alpha)[:, None] * v
+                        heads = sum(v[i, 0] for i in infected) + eps
+                        return x["t"], [*(num / den).ravel(),
+                                        heads / x["t"],
+                                        self.spend(costs, beta, gamma, n)]
+                    self.check(prob.gp_problem, costs, rng, expected)
+
+    def test_sis_baseline(self, rng, monkeypatch):
+        def capture(lcp, tol):
+            built.append(lcp)
+            raise _Captured
+        monkeypatch.setattr(gp, "solve_compiled", capture)
+        for g, infected in self.instances():
+            a, n = g.adjacency_matrix(), g.node_count
+            costs = CostModel(beta_box=self.PLAIN.beta_box,
+                              delta_box=self.PLAIN.delta_box, budget=n)
+            built = []
+            with pytest.raises(_Captured):
+                baseline_sis_spectral(g, infected, costs)
+
+            def expected(x):
+                v, beta, delta = (np.array([x[f"{k}_{i}"] for i in range(n)])
+                                  for k in ("v", "beta", "delta"))
+                cert = ((v * beta) @ a + x["s"] * v + allocator.DEFAULT_EPSILON) \
+                    / (v * delta)
+                return 1.0 / x["s"], [*cert,
+                                      self.spend(costs, beta, delta, n)]
+            self.check(built[0], costs, rng, expected)

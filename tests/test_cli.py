@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from netsir import gp
+from netsir import allocator, gp
 from netsir.cli import ConfigError, ExperimentConfig, main
 
 
@@ -170,12 +170,36 @@ class TestOptimize:
 
     def test_unconverged_solve_is_exit_3(self, opt_config, monkeypatch,
                                          capsys):
-        monkeypatch.setattr(gp, "solve", lambda problem, tol: gp.GpSolution(
+        monkeypatch.setattr(gp, "solve_compiled", lambda problem, tol: gp.GpSolution(
             point={}, objective_value=math.nan, status="max_iter",
             kkt_residual=math.inf))
         assert main(["optimize", "--config", str(opt_config)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_one_fit_per_distinct_delta(self, tmp_path, monkeypatch):
+        """Isolation optimize fits the monomial decay bound once for a
+        scalar delta, and once per distinct value of a delta vector."""
+        calls = []
+        fit = allocator.fit_monomial_bound
+
+        def counted(delta, x_range):
+            calls.append(delta)
+            return fit(delta, x_range)
+        monkeypatch.setattr(allocator, "fit_monomial_bound", counted)
+        graph = tmp_path / "path.txt"
+        graph.write_text("0 1\n1 2\n2 3\n")
+        cfg = tmp_path / "c.json"
+        for delta, fitted in ((0.1, [0.1]),
+                              ([0.3, 0.1, 0.3, 0.1], [0.1, 0.3])):
+            calls.clear()
+            cfg.write_text(json.dumps({
+                "graph": str(graph), "initially_infected": [0],
+                "mode": "isolation", "delta": delta, "erlang_shape": 2,
+                "beta_box": [0.05, 0.5], "gamma_box": [0.5, 4.0],
+                "budget": 4.0, "out_dir": str(tmp_path / "out")}))
+            assert main(["optimize", "--config", str(cfg)]) == 0
+            assert calls == fitted
 
     def test_random_infected_selection(self, tmp_path, two_node_graph):
         cfg = tmp_path / "c.json"

@@ -1,4 +1,3 @@
-import json
 import math
 from importlib import resources
 
@@ -130,14 +129,6 @@ class TestTransform:
             a = rng.uniform(-2, 2, size=2)
             b = rng.uniform(-2, 2, size=2)
             assert f((a + b) / 2) <= (f(a) + f(b)) / 2 + 1e-12
-
-    def test_json_dump_is_valid(self):
-        prob = GpProblem(objective=variable("x") + variable("y"),
-                         ineq_constraints=(Monomial(1.0, {"x": -1.0, "y": -1.0}),),
-                         box=simple_box("x", "y"))
-        doc = json.loads(gp.to_log_convex(prob).to_json())
-        assert doc["variables"] == ["x", "y"]
-        assert len(doc["constraints"]) == 1 + 4  # posynomial + box sides
 
     def test_compiled_barrier_derivatives(self, rng):
         """Gradient and Hessian of the compiled barrier, before and after
@@ -273,8 +264,8 @@ def test_scatter_matches_sparse_reference_on_social68(rng):
     costs = CostModel(beta_box=(0.00266, 0.0133), gamma_box=(2.0, 20.0),
                       budget=68.0)
     fits = [fit_monomial_bound(0.05, (2 / 20.0, 2 / 2.0))] * g.node_count
-    lcp = gp.to_log_convex(build_problem2(g, infected, costs, fits, p=2,
-                                          delta=0.05).gp_problem)
+    lcp = build_problem2(g, infected, costs, fits, p=2,
+                         delta=0.05).gp_problem
     reduced, y0, basis = lcp.reduced()
     z0 = basis.T @ (lcp.center_point() - y0)
     for system, center in ((reduced, z0),

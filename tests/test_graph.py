@@ -107,10 +107,6 @@ class TestSpectralRadius:
             dense = np.max(np.abs(np.linalg.eigvalsh(g.adjacency_matrix())))
             assert rho == pytest.approx(dense, abs=1e-7)
 
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            spectral_radius(load_edge_list("0 1"), tol=0.0)
-
 
 class TestDegrees:
     def test_path(self):

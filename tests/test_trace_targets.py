@@ -1,0 +1,21 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps netsir functions
+by their import paths, so renaming or removing one breaks a traced
+benchmark run at install. The tracer is read here without being
+imported as a module, so no bytecode lands beside it."""
+
+import importlib
+import runpy
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def test_every_trace_target_resolves():
+    targets = runpy.run_path(str(TRACING))["TARGETS"]
+    assert targets
+    for module, path, _, _ in targets:
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            assert hasattr(owner, part), f"{module}.{path} is gone"
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module}.{path} is not callable"
