@@ -473,8 +473,8 @@ class TestCompiledRows:
             def expected(x):
                 v, beta, delta = (np.array([x[f"{k}_{i}"] for i in range(n)])
                                   for k in ("v", "beta", "delta"))
-                cert = ((v * beta) @ a + x["s"] * v + allocator.DEFAULT_EPSILON) \
-                    / (v * delta)
+                eps = allocator.DEFAULT_EPSILON
+                cert = ((v * beta) @ a + x["s"] * v + eps) / (v * delta)
                 return 1.0 / x["s"], [*cert,
                                       self.spend(costs, beta, delta, n)]
             self.check(built[0], costs, rng, expected)
