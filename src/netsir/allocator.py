@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from . import bound as bound_mod
 from . import gp
 from .graph import Graph, degrees
-from .phase_type import ErlangSpec, erlang
+from .phase_type import erlang_laws
 
 DEFAULT_EPSILON = 1e-6
 _WIDE_BOX = (1e-8, 1e8)
@@ -474,9 +474,8 @@ def _system(g: Graph, infected, mode: str, beta, second,
     rates in plain mode and the Erlang means in isolation mode."""
     if mode == "plain":
         return bound_mod.plain_system_from(g, infected, beta, second)
-    laws = [erlang(ErlangSpec(p, float(gm))) for gm in second]
-    return bound_mod.isolation_system_from(g, infected, delta_fixed, laws,
-                                           beta)
+    return bound_mod.isolation_system_from(g, infected, delta_fixed,
+                                           erlang_laws(p, second), beta)
 
 
 def solve_allocation(prob: AllocationProblem,

@@ -1,11 +1,12 @@
 """Linear comparison systems and certified upper bounds on the expected
 number of accumulated infections.
 
-Without isolation the comparison matrix is M = J B A - D acting on the
-expected infection indicators; with isolation it is the block matrix
-oplus_i (Pi'_i)^T + (J B A) kron (u1 1^T) on the expected phase
-indicators. Both are assembled sparse, from the graph's sparse
-adjacency. Whenever M is Hurwitz the accumulated-infection functional
+On the expected phase indicators, with natural recovery folded into the
+removal laws as Pi'_i = Pi_i - delta_i I, the comparison matrix is
+oplus_i (Pi'_i)^T + (J B A) kron (u1 1^T) with weight row -Pi'_i 1. One
+sparse assembly builds it from the graph's sparse adjacency; plain SIR
+is the one-phase law Pi = 0, where M = J B A - D and the weight row is
+delta. Whenever M is Hurwitz the accumulated-infection functional
 integrates to -weight_row @ M^{-1} @ initial - sigma_I(0).
 
 For Metzler M, Hurwitz is the same as -M being a nonsingular M-matrix,
@@ -30,7 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .graph import Graph
-from .phase_type import PhaseType, require_phase_one
+from .phase_type import PhaseType, phase_type
 from .simulator import EpidemicParams
 
 UNBOUNDED = math.inf
@@ -82,18 +83,33 @@ def _masked_transmission(g: Graph, infected: frozenset, beta) -> sp.csr_array:
     return sp.diags_array(j * beta) @ sp.csr_array(g.adjacency_sparse())
 
 
-def plain_system_from(g: Graph, infected, beta, delta) -> ComparisonSystem:
-    """M = J B A - D from raw per-node data: J masks the initially
-    infected rows, weight_row = delta, initial = infected indicator."""
-    n = g.node_count
+def _assemble(g: Graph, infected, beta, delta,
+              generators: np.ndarray) -> ComparisonSystem:
+    """oplus_i (Pi'_i)^T + (J B A) kron (u1 1^T) with Pi'_i = Pi_i -
+    delta_i I, weight row -Pi'_i 1 and initial u1 per infected node,
+    from the (n, p, p) stack of generators Pi_i."""
+    n, p, _ = generators.shape
     beta = np.broadcast_to(np.asarray(beta, float), (n,))
     delta = np.broadcast_to(np.asarray(delta, float), (n,))
     infected = frozenset(int(i) for i in infected)
-    m = _masked_transmission(g, infected, beta) - sp.diags_array(delta)
-    x0 = np.zeros(n)
-    x0[list(infected)] = 1.0
-    return ComparisonSystem(matrix=m, weight_row=delta.copy(), initial=x0,
-                            sigma_I0=len(infected))
+    folded = generators - delta[:, None, None] * np.eye(p)
+    blocks = sp.bsr_array((folded.transpose(0, 2, 1), np.arange(n),
+                           np.arange(n + 1)), shape=(n * p, n * p))
+    u1_ones = np.zeros((p, p))
+    u1_ones[0, :] = 1.0
+    big = blocks.tocsr() + sp.kron(_masked_transmission(g, infected, beta),
+                                   u1_ones, format="csr")
+    x0 = np.zeros(n * p)
+    x0[[i * p for i in infected]] = 1.0
+    return ComparisonSystem(matrix=big, weight_row=-folded.sum(axis=2).ravel(),
+                            initial=x0, sigma_I0=len(infected))
+
+
+def plain_system_from(g: Graph, infected, beta, delta) -> ComparisonSystem:
+    """M = J B A - D from raw per-node data: J masks the initially
+    infected rows, weight_row = delta, initial = infected indicator."""
+    return _assemble(g, infected, beta, delta,
+                     np.zeros((g.node_count, 1, 1)))
 
 
 def build_sir_system(g: Graph, params: EpidemicParams) -> ComparisonSystem:
@@ -101,8 +117,8 @@ def build_sir_system(g: Graph, params: EpidemicParams) -> ComparisonSystem:
     if params.isolation is not None:
         raise ValueError("params carry isolation laws; use build_isolation_system")
     params.validate_for(g)
-    return plain_system_from(g, params.initially_infected, params.beta,
-                             params.delta)
+    return _assemble(g, params.initially_infected, params.beta, params.delta,
+                     params.generators)
 
 
 def isolation_system_from(g: Graph, infected, delta,
@@ -114,33 +130,15 @@ def isolation_system_from(g: Graph, infected, delta,
     in), each starting in phase 1; delta may be zero entrywise, which
     models removal by isolation only.
     """
-    n = g.node_count
-    delta = np.broadcast_to(np.asarray(delta, float), (n,))
-    beta = np.broadcast_to(np.asarray(beta, float), (n,))
-    infected = frozenset(int(i) for i in infected)
-    p = laws[0].p
-    if any(law.p != p for law in laws):
-        raise ValueError("isolation laws must share one phase count")
-    require_phase_one(laws)
-    pi_primes = [law.Pi - d * np.eye(p) for law, d in zip(laws, delta)]
-    u1_ones = np.zeros((p, p))
-    u1_ones[0, :] = 1.0
-    big = sp.block_diag([pp.T for pp in pi_primes], format="csr") \
-        + sp.kron(_masked_transmission(g, infected, beta), u1_ones,
-                  format="csr")
-    weight = np.concatenate([-pp.sum(axis=1) for pp in pi_primes])
-    x0 = np.zeros(n * p)
-    x0[[i * p for i in infected]] = 1.0
-    return ComparisonSystem(matrix=big, weight_row=weight, initial=x0,
-                            sigma_I0=len(infected))
+    return _assemble(g, infected, beta, delta, phase_type(laws))
 
 
 def build_isolation_system(g: Graph, params: EpidemicParams) -> ComparisonSystem:
     if params.isolation is None:
         raise ValueError("params lack isolation laws; use build_sir_system")
     params.validate_for(g)
-    return isolation_system_from(g, params.initially_infected, params.delta,
-                                 params.isolation, params.beta)
+    return _assemble(g, params.initially_infected, params.beta, params.delta,
+                     params.generators)
 
 
 def _factor_and_verify(sys: ComparisonSystem, margin: float):

@@ -8,8 +8,9 @@ config, including all Monte Carlo output.
 Exit codes: 0 success, 2 infeasible model, 3 validation failure (also
 an optimized allocation whose solve did not converge or whose
 certificate failed re-verification), 4 config or I/O error (also a
-misordered or non-positive rate box and an initially infected node
-outside the graph).
+malformed rate, a misordered or non-positive rate box, a malformed
+initially infected set and an initially infected node outside the
+graph).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from . import allocator, bound, exact_oracle, simulator
 from .allocator import (AllocationInfeasible, BudgetModelError,
                         CertificateError, allocation_csv_rows)
 from .graph import Graph, load_edge_list
-from .phase_type import ErlangSpec, erlang
+from .phase_type import erlang_laws
 from .simulator import EpidemicParams
 
 
@@ -115,15 +116,24 @@ def _infected_set(cfg: ExperimentConfig, g: Graph) -> frozenset:
     spec = cfg.initially_infected
     if spec is None:
         raise ConfigError("config needs initially_infected")
+    malformed = ConfigError(
+        "initially_infected must be a list of node ids or "
+        f'{{"random": k, "seed": s}}, got {spec!r}')
+    if not isinstance(spec, (dict, list, tuple)):
+        raise malformed
+    try:
+        if isinstance(spec, dict):
+            k = int(spec.get("random", 0))
+            rng = np.random.default_rng(int(spec.get("seed", 0)))
+        else:
+            nodes = frozenset(int(i) for i in spec)
+    except (TypeError, ValueError):
+        raise malformed from None
     if isinstance(spec, dict):
-        k = int(spec.get("random", 0))
-        seed = int(spec.get("seed", 0))
         if not 1 <= k <= g.node_count:
             raise ConfigError(f"random infected count {k} out of range")
-        rng = np.random.default_rng(seed)
         return frozenset(int(i) for i in
                          rng.choice(g.node_count, size=k, replace=False))
-    nodes = frozenset(int(i) for i in spec)
     if not nodes:
         raise ConfigError("initially_infected must be non-empty")
     bad = sorted(i for i in nodes if not 0 <= i < g.node_count)
@@ -132,20 +142,33 @@ def _infected_set(cfg: ExperimentConfig, g: Graph) -> frozenset:
     return nodes
 
 
+def _per_node(cfg: ExperimentConfig, name: str, n: int) -> np.ndarray:
+    """Config rate `name` as a new array of n floats, from a scalar or a
+    per-node list."""
+    value = getattr(cfg, name)
+    try:
+        return np.broadcast_to(np.asarray(value, float), (n,)).copy()
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number or a list of {n} "
+                          f"numbers, got {value!r}") from None
+
+
 def _rates(cfg: ExperimentConfig, g: Graph) -> EpidemicParams:
     if cfg.beta is None or cfg.delta is None:
         raise ConfigError("this command needs 'beta' and 'delta' rates")
     n = g.node_count
     infected = _infected_set(cfg, g)
+    beta, delta = _per_node(cfg, "beta", n), _per_node(cfg, "delta", n)
     isolation = None
     if cfg.mode == "isolation":
         if cfg.gamma is None:
             raise ConfigError("isolation mode needs 'gamma'")
-        gamma = np.broadcast_to(np.asarray(cfg.gamma, float), (n,))
-        isolation = tuple(erlang(ErlangSpec(cfg.erlang_shape, float(gm)))
-                          for gm in gamma)
+        gamma = _per_node(cfg, "gamma", n)
+        if not np.all(gamma > 0):
+            raise ConfigError(f"gamma must be positive, got {cfg.gamma!r}")
+        isolation = erlang_laws(cfg.erlang_shape, gamma)
     try:
-        return EpidemicParams.build(n, cfg.beta, cfg.delta, infected,
+        return EpidemicParams.build(n, beta, delta, infected,
                                     isolation=isolation)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -201,7 +224,9 @@ def _build_allocation_problem(cfg: ExperimentConfig, g: Graph,
                                         epsilon=cfg.epsilon)
     if cfg.delta is None:
         raise ConfigError("isolation optimization needs fixed 'delta'")
-    delta = np.broadcast_to(np.asarray(cfg.delta, float), (g.node_count,))
+    delta = _per_node(cfg, "delta", g.node_count)
+    if not np.all(delta >= 0):
+        raise ConfigError(f"delta must be nonnegative, got {cfg.delta!r}")
     p = cfg.erlang_shape
     x_lo, x_hi = p / cfg.gamma_box[1], p / cfg.gamma_box[0]
     # one fit per distinct delta: a scalar delta needs a single fit
@@ -219,12 +244,10 @@ def _params_for_allocation(cfg: ExperimentConfig, g: Graph, infected,
     if alloc.mode == "plain":
         return EpidemicParams(beta=alloc.beta, delta=alloc.delta,
                               initially_infected=infected)
-    delta = np.broadcast_to(np.asarray(cfg.delta, float),
-                            (g.node_count,)).copy()
-    laws = tuple(erlang(ErlangSpec(cfg.erlang_shape, float(gm)))
-                 for gm in alloc.gamma)
-    return EpidemicParams(beta=alloc.beta, delta=delta,
-                          initially_infected=infected, isolation=laws)
+    return EpidemicParams(beta=alloc.beta,
+                          delta=_per_node(cfg, "delta", g.node_count),
+                          initially_infected=infected,
+                          isolation=erlang_laws(cfg.erlang_shape, alloc.gamma))
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -325,8 +348,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         allocations.append(allocator.baseline_sis_spectral(
             g, infected, costs, tol=cfg.solver_tol))
     else:
-        delta = np.broadcast_to(np.asarray(cfg.delta, float),
-                                (g.node_count,))
+        delta = _per_node(cfg, "delta", g.node_count)
         allocations.append(allocator.baseline_uniform(
             g, infected, costs, delta_fixed=delta, p=cfg.erlang_shape))
     results = []

@@ -44,7 +44,7 @@ def _transitions(code, n, p, neigh, beta, pi_prime, w_prime):
         elif 1 <= c <= p:
             l = c - 1
             for m in range(p):
-                r = pi_prime[i][l, m]
+                r = pi_prime[i][l][m]
                 if m != l and r > 0.0:
                     nxt = list(code)
                     nxt[i] = m + 1
@@ -57,26 +57,23 @@ def _transitions(code, n, p, neigh, beta, pi_prime, w_prime):
 
 
 def _build_chain(g: Graph, params: EpidemicParams):
-    """Explore the chain reachable from the initial state.
+    """Explore the chain reachable from the initial state, which gets
+    index 0.
 
-    Returns (states, index, rows, cols, rates, absorbing_mask,
-    removed_counts, initial_index).
+    Returns (states, rows, cols, rates, absorbing_mask, removed_counts).
     """
     params.validate_for(g)
     n = g.node_count
-    p = params.phase_count
+    p = params.generators.shape[1]
     if state_count(n, p) > STATE_CAP:
         raise StateSpaceTooLarge(
             f"(p+2)^n = {state_count(n, p)} exceeds cap {STATE_CAP}")
     neigh = g.neighbor_lists
     beta = params.beta
-    if params.isolation is None:
-        pi_prime = [np.array([[-params.delta[i]]]) for i in range(n)]
-        w_prime = [np.array([params.delta[i]]) for i in range(n)]
-    else:
-        pi_prime = [law.Pi - params.delta[i] * np.eye(p)
-                    for i, law in enumerate(params.isolation)]
-        w_prime = [-m.sum(axis=1) for m in pi_prime]
+    folded = params.generators - params.delta[:, None, None] * np.eye(p)
+    # Python lists: element reads in _transitions are the hot loop
+    pi_prime = folded.tolist()
+    w_prime = (-folded.sum(axis=2)).tolist()
 
     init = tuple(1 if i in params.initially_infected else 0 for i in range(n))
     index = {init: 0}
@@ -95,9 +92,6 @@ def _build_chain(g: Graph, params: EpidemicParams):
                 continue
             for s2, r in outs:
                 if s2 not in index:
-                    if len(states) >= STATE_CAP:
-                        raise StateSpaceTooLarge(
-                            f"reachable states exceed cap {STATE_CAP}")
                     index[s2] = len(states)
                     states.append(s2)
                     nxt_frontier.append(s2)
@@ -110,7 +104,7 @@ def _build_chain(g: Graph, params: EpidemicParams):
     absorbing_mask[absorbing] = True
     removed = np.array([sum(1 for c in s if c == p + 1) for s in states],
                        dtype=float)
-    return states, index, rows, cols, rates, absorbing_mask, removed, 0
+    return states, rows, cols, rates, absorbing_mask, removed
 
 
 def exact_lambda(g: Graph, params: EpidemicParams) -> float:
@@ -122,11 +116,10 @@ def exact_lambda(g: Graph, params: EpidemicParams) -> float:
     raises the sum, so Q_TT is then upper triangular and its LU has no
     fill; laws with backward phase moves stay exact through pivoting.
     """
-    (states, _, rows, cols, rates, absorbing_mask, removed,
-     init_idx) = _build_chain(g, params)
+    states, rows, cols, rates, absorbing_mask, removed = _build_chain(g, params)
     m = len(states)
     sigma_i0 = len(params.initially_infected)
-    if absorbing_mask[init_idx]:
+    if absorbing_mask[0]:
         return 0.0
     trans_idx = np.flatnonzero(~absorbing_mask)
     code_sums = np.array([sum(s) for s in states])
@@ -154,7 +147,7 @@ def exact_lambda(g: Graph, params: EpidemicParams) -> float:
         f_t = spla.splu(q_tt, permc_spec="NATURAL").solve(rhs)
     except RuntimeError as exc:  # singular factorization
         raise ArithmeticError(f"hitting system solve failed: {exc}") from exc
-    lam = float(f_t[pos[init_idx]]) - sigma_i0
+    lam = float(f_t[pos[0]]) - sigma_i0
     return max(0.0, lam)
 
 
@@ -165,19 +158,18 @@ def exact_removed_series(g: Graph, params: EpidemicParams,
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) < 0) or np.any(t_grid < 0):
         raise ValueError("t_grid must be nonnegative and increasing")
-    (states, _, rows, cols, rates, absorbing_mask, removed,
-     init_idx) = _build_chain(g, params)
+    states, rows, cols, rates, _, removed = _build_chain(g, params)
     m = len(states)
     q = sp.coo_matrix((rates, (rows, cols)), shape=(m, m)).tocsr()
     diag = -np.asarray(q.sum(axis=1)).ravel()
     q = (q + sp.diags(diag)).tocsc()
     pi0 = np.zeros(m)
-    pi0[init_idx] = 1.0
+    pi0[0] = 1.0
     out = np.empty(len(t_grid))
     qt = q.T
     for k, t in enumerate(t_grid):
         if t == 0.0:
-            out[k] = removed[init_idx]
+            out[k] = removed[0]
             continue
         pit = spla.expm_multiply(qt * t, pi0)
         out[k] = float(pit @ removed)

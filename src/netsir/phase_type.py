@@ -82,16 +82,25 @@ def erlang(spec: ErlangSpec) -> PhaseType:
     return PhaseType(Pi=pi)
 
 
-def require_phase_one(laws) -> None:
-    """Raise ValueError unless every law starts in phase 1 (phi = u1).
+def erlang_laws(p: int, means) -> tuple:
+    """One Erlang(p, mean) law per entry of the vector `means`, each
+    distinct mean built once."""
+    values, which = np.unique(np.asarray(means, dtype=float),
+                              return_inverse=True)
+    built = [erlang(ErlangSpec(p, m)) for m in values.tolist()]
+    return tuple(built[k] for k in which)
 
-    The simulator, the comparison system and the exact oracle all enter
-    a new infection in phase 1, so they refuse any other phi.
-    """
-    for law in laws:
-        first, *rest = law.phi.tolist()
-        if first != 1.0 or any(rest):
-            raise ValueError("isolation laws must start in phase 1 (phi = u1)")
+
+def phase_type(laws) -> np.ndarray:
+    """The generators of a sequence of removal laws, stacked (n, p, p).
+    The laws must share one phase count and start in phase 1 (phi = u1),
+    as every layer enters a new infection in phase 1."""
+    if len({law.p for law in laws}) != 1:
+        raise ValueError("isolation laws must share one phase count")
+    phis = np.stack([law.phi for law in laws])
+    if np.any(phis[:, 0] != 1.0) or np.any(phis[:, 1:]):
+        raise ValueError("isolation laws must start in phase 1 (phi = u1)")
+    return np.stack([law.Pi for law in laws])
 
 
 def min_with_exponential(y: PhaseType, delta: float) -> PhaseType:

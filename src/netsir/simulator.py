@@ -32,7 +32,7 @@ chunking, and each chunk draws a level in one call.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
@@ -41,8 +41,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .graph import Graph
-from .phase_type import (absorbing_walk, exit_rates, require_phase_one,
-                         walk_table)
+from .phase_type import absorbing_walk, phase_type, walk_table
 
 _CHUNK = 1 << 18   # uniforms drawn per chunk of replicas (2 MB)
 _KINDS = ("infect", "recover", "isolate")
@@ -53,15 +52,17 @@ class EpidemicParams:
     """Per-node rates and the initial infected set.
 
     `isolation`, when present, holds one removal-time law per node
-    (all with the same phase count, all starting in phase 1); the
-    natural-recovery exponential delta_i is folded in by the simulator
-    via the min-with-exponential closure.
+    (all with the same phase count, all starting in phase 1).
+    `generators` is their validated (n, p, p) stack of Pi_i; plain SIR
+    is the one-phase law Pi = 0. Each layer folds the natural recovery
+    rate delta_i in itself, as Pi_i - delta_i I.
     """
 
     beta: np.ndarray
     delta: np.ndarray
     initially_infected: frozenset
     isolation: Optional[tuple] = None
+    generators: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
@@ -76,15 +77,15 @@ class EpidemicParams:
             raise ValueError("beta and delta must be equal-length vectors")
         if not self.initially_infected:
             raise ValueError("initially_infected must be non-empty")
-        if self.isolation is not None:
+        if self.isolation is None:
+            generators = np.zeros((len(beta), 1, 1))
+        else:
             iso = tuple(self.isolation)
             object.__setattr__(self, "isolation", iso)
             if len(iso) != len(beta):
                 raise ValueError("need one isolation law per node")
-            ps = {d.p for d in iso}
-            if len(ps) != 1:
-                raise ValueError("isolation laws must share one phase count")
-            require_phase_one(iso)
+            generators = phase_type(iso)
+        object.__setattr__(self, "generators", generators)
 
     @classmethod
     def build(cls, n: int, beta, delta, infected, isolation=None):
@@ -101,10 +102,6 @@ class EpidemicParams:
         bad = [i for i in self.initially_infected if not 0 <= i < n]
         if bad:
             raise ValueError(f"initially infected nodes out of range: {bad}")
-
-    @property
-    def phase_count(self) -> int:
-        return 1 if self.isolation is None else self.isolation[0].p
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,14 +179,13 @@ def _layout(g: Graph, params: EpidemicParams) -> _Layout:
     if params.isolation is None:
         walk, budget = None, 1
     else:
-        p = params.phase_count
-        folded = np.stack([d.Pi - dl * np.eye(p) for d, dl
-                           in zip(params.isolation, params.delta.tolist())])
-        # exits split into recovery (delta_i) and isolation (w_i)
-        exits = np.stack([np.repeat(params.delta[:, None], p, axis=1),
-                          np.stack([exit_rates(d) for d in params.isolation])],
-                         axis=2)
-        walk, budget = walk_table(folded, exits), 2 * p
+        gens, delta = params.generators, params.delta
+        p = gens.shape[1]
+        # exits split into recovery (delta_i) and isolation (-Pi_i 1)
+        exits = np.stack([np.repeat(delta[:, None], p, axis=1),
+                          -gens.sum(axis=2)], axis=2)
+        walk = walk_table(gens - delta[:, None, None] * np.eye(p), exits)
+        budget = 2 * p
     return _Layout(src=src, dst=dst, beta_dst=params.beta[dst],
                    delta=params.delta, walk=walk, budget=budget,
                    k=-(-(n * budget + len(src)) // 4) * 4,

@@ -80,6 +80,39 @@ class TestBuildIsolationSystem:
         assert np.allclose(sys_.weight_row, [delta, r + delta, delta, r + delta])
         assert sys_.initial.tolist() == [1.0, 0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_per_node_laws_block_by_block(self, p):
+        # every node has its own law, recovery and infection rate, so a
+        # node-ordering slip in the stacked assembly changes the matrix
+        g = load_edge_list("0 1\n1 2")
+        adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        beta, delta = np.array([0.3, 0.5, 0.7]), np.array([0.1, 0.2, 0.4])
+        means, infected = [0.8, 1.5, 3.0], [0]
+        laws = [erlang(ErlangSpec(p, m)) for m in means]
+        # block (i, j) = delta_ij Pi'_i^T + J_ii beta_i a_ij u1 1^T
+        expected = np.zeros((3 * p, 3 * p))
+        weight = np.zeros(3 * p)
+        for i in range(3):
+            r = p / means[i]
+            pi_prime = np.diag(np.full(p, -r - delta[i])) \
+                + np.diag(np.full(p - 1, r), 1)
+            expected[i * p:(i + 1) * p, i * p:(i + 1) * p] = pi_prime.T
+            weight[i * p:(i + 1) * p] = -pi_prime.sum(axis=1)
+            for j in range(3):
+                if i not in infected:
+                    expected[i * p, j * p:(j + 1) * p] += beta[i] * adj[i, j]
+        initial = np.zeros(3 * p)
+        initial[0] = 1.0
+        params = EpidemicParams(beta=beta, delta=delta,
+                                initially_infected=frozenset(infected),
+                                isolation=tuple(laws))
+        for sys_ in (build_isolation_system(g, params),
+                     isolation_system_from(g, infected, delta, laws, beta)):
+            assert np.allclose(sys_.matrix.toarray(), expected,
+                               rtol=1e-15, atol=0.0)
+            assert np.allclose(sys_.weight_row, weight, rtol=1e-15, atol=0.0)
+            assert sys_.initial.tolist() == initial.tolist()
+
     def test_phi_other_than_u1_refused(self):
         # every layer enters an infection in phase 1, so a law that
         # starts in phase 2 is refused rather than misread

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import netsir.phase_type
 from netsir import allocator, gp
 from netsir.cli import ConfigError, ExperimentConfig, main
 
@@ -73,6 +74,34 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: beta_box") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, fields, field", [
+        ("bound", {"mode": "isolation", "gamma": -1.0}, "gamma"),
+        ("simulate", {"mode": "isolation", "gamma": "x"}, "gamma"),
+        ("validate", {"mode": "isolation", "gamma": [1.0, 2.0, 3.0]},
+         "gamma"),
+        ("optimize", {"mode": "isolation", "delta": -0.1}, "delta"),
+        ("optimize", {"mode": "isolation", "delta": "x"}, "delta"),
+        ("bound", {"initially_infected": {"random": "x"}},
+         "initially_infected"),
+        ("simulate", {"initially_infected": "abc"}, "initially_infected"),
+        ("validate", {"initially_infected": [[0]]}, "initially_infected"),
+        ("bound", {"initially_infected": 5}, "initially_infected"),
+    ], ids=["gamma-negative", "gamma-string", "gamma-length",
+            "delta-negative", "delta-string", "random-string",
+            "infected-string", "infected-nested", "infected-int"])
+    def test_malformed_rate_or_infected_is_exit_4(self, tmp_path,
+                                                  two_node_graph, capsys,
+                                                  command, fields, field):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(dict({
+            "graph": str(two_node_graph), "initially_infected": [0],
+            "beta": 0.2, "delta": 0.5, "gamma": 2.0, "erlang_shape": 2,
+            "beta_box": [0.05, 0.5], "gamma_box": [0.5, 4.0], "budget": 2.0,
+            "replicas": 100, "out_dir": str(tmp_path / "out")}, **fields)))
+        assert main([command, "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}") and err.count("\n") == 1
+
     def test_out_of_range_infected_is_exit_4(self, sim_config, capsys):
         doc = json.loads(sim_config.read_text())
         sim_config.write_text(json.dumps(dict(doc, initially_infected=[5])))
@@ -124,6 +153,29 @@ class TestBound:
         doc = json.loads((tmp_path / "out" / "bound.json").read_text())
         assert doc["hurwitz"] is True
         assert doc["lambda_bound"] == pytest.approx(0.4, abs=1e-9)
+
+    def test_one_erlang_per_distinct_gamma(self, tmp_path, monkeypatch):
+        """Isolation bound builds one Erlang law for a scalar gamma, and
+        one per distinct value of a gamma vector."""
+        calls = []
+        erlang = netsir.phase_type.erlang
+
+        def counted(spec):
+            calls.append(spec.mean)
+            return erlang(spec)
+        monkeypatch.setattr(netsir.phase_type, "erlang", counted)
+        graph = tmp_path / "path.txt"
+        graph.write_text("0 1\n1 2\n2 3\n")
+        cfg = tmp_path / "c.json"
+        for gamma, built in ((1.5, [1.5]), ([2.0, 1.0, 2.0, 1.0], [1.0, 2.0])):
+            calls.clear()
+            cfg.write_text(json.dumps({
+                "graph": str(graph), "initially_infected": [0],
+                "mode": "isolation", "beta": 0.3, "delta": 0.2,
+                "gamma": gamma, "erlang_shape": 3,
+                "out_dir": str(tmp_path / "out")}))
+            assert main(["bound", "--config", str(cfg)]) == 0
+            assert calls == built
 
 
 class TestValidate:
