@@ -98,8 +98,8 @@ class TestBuildIsolationSystem:
                 + np.diag(np.full(p - 1, r), 1)
             expected[i * p:(i + 1) * p, i * p:(i + 1) * p] = pi_prime.T
             weight[i * p:(i + 1) * p] = -pi_prime.sum(axis=1)
-            for j in range(3):
-                if i not in infected:
+            if i not in infected:   # J masks the initially infected rows
+                for j in range(3):
                     expected[i * p, j * p:(j + 1) * p] += beta[i] * adj[i, j]
         initial = np.zeros(3 * p)
         initial[0] = 1.0
