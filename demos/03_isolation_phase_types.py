@@ -9,7 +9,7 @@ import numpy as np
 
 from netsir import (EpidemicParams, ErlangSpec, cdf, erlang, estimate_lambda,
                     exact_lambda, exit_rates, load_edge_list, mean,
-                    min_with_exponential, sample, simulate_sir_isolation)
+                    min_with_exponential, sample, simulate_sir)
 from netsir.simulator import replica_rng
 
 # Erlang(p=3, mean=1.5): the response time of authorities who isolate
@@ -40,7 +40,7 @@ g = load_edge_list("0 1\n1 2\n2 3\n3 0")
 laws = tuple(erlang(ErlangSpec(3, 1.5)) for _ in range(4))
 params = EpidemicParams.build(4, beta=0.5, delta=delta, infected=[0],
                               isolation=laws)
-out = simulate_sir_isolation(g, params, replica_rng(3, 0))
+out = simulate_sir(g, params, replica_rng(3, 0))
 print("\none isolation trajectory event log:")
 for t, node, kind in out.event_log:
     print(f"  t={t:6.3f}  node {node}  {kind}")

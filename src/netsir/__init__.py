@@ -13,9 +13,9 @@ from .simulator import (EpidemicParams, SimOutcome, LambdaEstimate,
 from .exact_oracle import (StateSpaceTooLarge, state_count, exact_lambda,
                            exact_removed_series)
 from .bound import (ComparisonSystem, UNBOUNDED, build_sir_system,
-                    build_isolation_system, plain_system_from,
-                    isolation_system_from, is_hurwitz_metzler, lambda_bound,
-                    verify_certificate, certificate_for)
+                    build_isolation_system, isolation_system_from,
+                    is_hurwitz_metzler, lambda_bound, verify_certificate,
+                    certificate_for)
 from .gp import (Monomial, Posynomial, GpProblem, GpSolution, variable,
                  evaluate, to_log_convex, solve)
 from .allocator import (CostModel, MonomialBound, Allocation,

@@ -38,6 +38,7 @@ from . import bound as bound_mod
 from . import gp
 from .graph import Graph, degrees
 from .phase_type import erlang_laws
+from .simulator import EpidemicParams
 
 DEFAULT_EPSILON = 1e-6
 _WIDE_BOX = (1e-8, 1e8)
@@ -441,8 +442,8 @@ def build_problem2(g: Graph, infected, costs: CostModel,
          + delta_j + eps) / (kappa_j (p/gamma_j)^alpha_j v_{j,m}) <= 1
 
     with v_{j,p+1} = 1. `delta` is the fixed natural-recovery rate
-    vector (zero allowed here; the simulator keeps requiring positive
-    rates).
+    vector; zero is allowed, as in `EpidemicParams` under isolation
+    laws.
     """
     if costs.mode != "isolation":
         raise ValueError("isolation-mode cost model required")
@@ -468,14 +469,15 @@ def build_problem2(g: Graph, infected, costs: CostModel,
                                fits=tuple(fits))
 
 
-def _system(g: Graph, infected, mode: str, beta, second,
-            delta_fixed=None, p: int = 1) -> bound_mod.ComparisonSystem:
-    """Comparison system of one allocation: `second` holds the recovery
-    rates in plain mode and the Erlang means in isolation mode."""
-    if mode == "plain":
-        return bound_mod.plain_system_from(g, infected, beta, second)
-    return bound_mod.isolation_system_from(g, infected, delta_fixed,
-                                           erlang_laws(p, second), beta)
+def allocation_params(infected, mode: str, beta, second, delta_fixed=None,
+                      p: int = 1) -> EpidemicParams:
+    """The model of one allocation: `second` holds the recovery rates in
+    plain mode and the Erlang(p) means in isolation mode, where
+    `delta_fixed` holds the fixed recovery rates."""
+    plain = mode == "plain"
+    return EpidemicParams.build(
+        len(beta), beta, second if plain else delta_fixed, infected,
+        isolation=None if plain else erlang_laws(p, second))
 
 
 def solve_allocation(prob: AllocationProblem,
@@ -496,8 +498,8 @@ def solve_allocation(prob: AllocationProblem,
         lambda_bar = max(0.0, float(t[0]) - len(prob.infected))
     else:
         lambda_bar = prob.lambda_cap
-    sys = _system(prob.graph, prob.infected, prob.mode, beta, second,
-                  prob.delta_fixed, prob.p)
+    sys = bound_mod.build_sir_system(prob.graph, allocation_params(
+        prob.infected, prob.mode, beta, second, prob.delta_fixed, prob.p))
     if not bound_mod.verify_certificate(sys, v, lambda_bar,
                                         slack=prob.epsilon / 2):
         raise CertificateError("solver output failed certificate validation")
@@ -518,7 +520,8 @@ def _certify(g: Graph, infected, costs: CostModel, beta, second,
              strategy: str = "baseline") -> Allocation:
     """Wrap externally chosen rates into an Allocation, synthesizing a
     certificate when the comparison system is Hurwitz."""
-    sys = _system(g, infected, costs.mode, beta, second, delta_fixed, p)
+    sys = bound_mod.build_sir_system(g, allocation_params(
+        infected, costs.mode, beta, second, delta_fixed, p))
     cert = bound_mod.certificate_for(sys, margin=DEFAULT_EPSILON)
     if cert is None:
         lambda_bar, v = bound_mod.UNBOUNDED, None

@@ -3,10 +3,12 @@ number of accumulated infections.
 
 On the expected phase indicators, with natural recovery folded into the
 removal laws as Pi'_i = Pi_i - delta_i I, the comparison matrix is
-oplus_i (Pi'_i)^T + (J B A) kron (u1 1^T) with weight row -Pi'_i 1. One
-sparse assembly builds it from the graph's sparse adjacency; plain SIR
-is the one-phase law Pi = 0, where M = J B A - D and the weight row is
-delta. Whenever M is Hurwitz the accumulated-infection functional
+oplus_i (Pi'_i)^T + (J B A) kron (u1 1^T) with weight row -Pi'_i 1.
+`build_sir_system` is its one constructor: one sparse assembly from an
+`EpidemicParams` and the graph's sparse adjacency, whatever the removal
+laws. Plain SIR is the one-phase law Pi = 0, where M = J B A - D and
+the weight row is delta; under isolation laws delta may be zero.
+Whenever M is Hurwitz the accumulated-infection functional
 integrates to -weight_row @ M^{-1} @ initial - sigma_I(0).
 
 For Metzler M, Hurwitz is the same as -M being a nonsingular M-matrix,
@@ -31,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .graph import Graph
-from .phase_type import PhaseType, phase_type
+from .phase_type import PhaseType
 from .simulator import EpidemicParams
 
 UNBOUNDED = math.inf
@@ -83,62 +85,40 @@ def _masked_transmission(g: Graph, infected: frozenset, beta) -> sp.csr_array:
     return sp.diags_array(j * beta) @ sp.csr_array(g.adjacency_sparse())
 
 
-def _assemble(g: Graph, infected, beta, delta,
-              generators: np.ndarray) -> ComparisonSystem:
-    """oplus_i (Pi'_i)^T + (J B A) kron (u1 1^T) with Pi'_i = Pi_i -
+def build_sir_system(g: Graph, params: EpidemicParams) -> ComparisonSystem:
+    """The comparison system of `params` checked against the graph:
+    oplus_i (Pi'_i)^T + (J B A) kron (u1 1^T) with Pi'_i = Pi_i -
     delta_i I, weight row -Pi'_i 1 and initial u1 per infected node,
-    from the (n, p, p) stack of generators Pi_i."""
+    from the (n, p, p) generator stack of the removal laws (p = 1 and
+    Pi = 0 in plain SIR)."""
+    params.validate_for(g)
+    generators, delta = params.generators, params.delta
     n, p, _ = generators.shape
-    beta = np.broadcast_to(np.asarray(beta, float), (n,))
-    delta = np.broadcast_to(np.asarray(delta, float), (n,))
-    infected = frozenset(int(i) for i in infected)
+    infected = params.initially_infected
     folded = generators - delta[:, None, None] * np.eye(p)
     blocks = sp.bsr_array((folded.transpose(0, 2, 1), np.arange(n),
                            np.arange(n + 1)), shape=(n * p, n * p))
     u1_ones = np.zeros((p, p))
     u1_ones[0, :] = 1.0
-    big = blocks.tocsr() + sp.kron(_masked_transmission(g, infected, beta),
-                                   u1_ones, format="csr")
+    big = blocks.tocsr() + sp.kron(
+        _masked_transmission(g, infected, params.beta), u1_ones, format="csr")
     x0 = np.zeros(n * p)
     x0[[i * p for i in infected]] = 1.0
     return ComparisonSystem(matrix=big, weight_row=-folded.sum(axis=2).ravel(),
                             initial=x0, sigma_I0=len(infected))
 
 
-def plain_system_from(g: Graph, infected, beta, delta) -> ComparisonSystem:
-    """M = J B A - D from raw per-node data: J masks the initially
-    infected rows, weight_row = delta, initial = infected indicator."""
-    return _assemble(g, infected, beta, delta,
-                     np.zeros((g.node_count, 1, 1)))
-
-
-def build_sir_system(g: Graph, params: EpidemicParams) -> ComparisonSystem:
-    """Plain comparison system of rates checked against the graph."""
-    if params.isolation is not None:
-        raise ValueError("params carry isolation laws; use build_isolation_system")
-    params.validate_for(g)
-    return _assemble(g, params.initially_infected, params.beta, params.delta,
-                     params.generators)
+# Both names below are kept only for the benchmark tracer, which wraps
+# them, until the program records its own spans (ROADMAP item 4).
+build_isolation_system = build_sir_system
 
 
 def isolation_system_from(g: Graph, infected, delta,
                           laws: Sequence[PhaseType],
                           beta) -> ComparisonSystem:
-    """Block comparison system from raw per-node data.
-
-    `laws` are the isolation-time laws (natural recovery not yet folded
-    in), each starting in phase 1; delta may be zero entrywise, which
-    models removal by isolation only.
-    """
-    return _assemble(g, infected, beta, delta, phase_type(laws))
-
-
-def build_isolation_system(g: Graph, params: EpidemicParams) -> ComparisonSystem:
-    if params.isolation is None:
-        raise ValueError("params lack isolation laws; use build_sir_system")
-    params.validate_for(g)
-    return _assemble(g, params.initially_infected, params.beta, params.delta,
-                     params.generators)
+    """`build_sir_system` from raw per-node data and isolation laws."""
+    return build_sir_system(g, EpidemicParams.build(
+        g.node_count, beta, delta, infected, isolation=tuple(laws)))
 
 
 def _factor_and_verify(sys: ComparisonSystem, margin: float):

@@ -8,9 +8,13 @@ config, including all Monte Carlo output.
 Exit codes: 0 success, 2 infeasible model, 3 validation failure (also
 an optimized allocation whose solve did not converge or whose
 certificate failed re-verification), 4 config or I/O error (also a
-malformed rate, a misordered or non-positive rate box, a malformed
-initially infected set and an initially infected node outside the
-graph).
+malformed graph file, a mistyped config field, a malformed rate, a
+misordered or non-positive rate box, a malformed initially infected
+set and an initially infected node outside the graph).
+
+Each command builds one `EpidemicParams`, plain or with isolation
+laws, and hands it to the one entry of each layer: `simulate_sir`,
+`build_sir_system`, `exact_lambda` and `estimate_lambda`.
 """
 
 from __future__ import annotations
@@ -29,13 +33,19 @@ import numpy as np
 from . import allocator, bound, exact_oracle, simulator
 from .allocator import (AllocationInfeasible, BudgetModelError,
                         CertificateError, allocation_csv_rows)
-from .graph import Graph, load_edge_list
+from .graph import (EdgeListParseError, Graph, GraphValidationError,
+                    load_edge_list)
 from .phase_type import erlang_laws
 from .simulator import EpidemicParams
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _positive_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float)) \
+        and 0 < value < math.inf
 
 
 @dataclass
@@ -74,10 +84,20 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is None and name in ("budget", "lambda_cap"):
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not 0 < value < math.inf:
+            if not _positive_number(value):
                 raise ConfigError(
                     f"{name} must be a positive number, got {value!r}")
+        for name in ("graph", "out_dir"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a path string, got {value!r}")
+        for name in ("beta_box", "delta_box", "gamma_box"):
+            value = getattr(self, name)
+            if value is not None and not (
+                    isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(map(_positive_number, value))):
+                raise ConfigError(f"{name} must be a list of two positive "
+                                  f"numbers, got {value!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -110,6 +130,9 @@ def _load_graph(cfg: ExperimentConfig) -> Graph:
             return load_edge_list(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read graph {cfg.graph}: {exc}") from exc
+    except (EdgeListParseError, GraphValidationError,
+            UnicodeDecodeError) as exc:
+        raise ConfigError(f"graph {cfg.graph}: {exc}") from exc
 
 
 def _infected_set(cfg: ExperimentConfig, g: Graph) -> frozenset:
@@ -239,24 +262,12 @@ def _build_allocation_problem(cfg: ExperimentConfig, g: Graph,
                                     epsilon=cfg.epsilon)
 
 
-def _params_for_allocation(cfg: ExperimentConfig, g: Graph, infected,
-                           alloc: allocator.Allocation) -> EpidemicParams:
-    if alloc.mode == "plain":
-        return EpidemicParams(beta=alloc.beta, delta=alloc.delta,
-                              initially_infected=infected)
-    return EpidemicParams(beta=alloc.beta,
-                          delta=_per_node(cfg, "delta", g.node_count),
-                          initially_infected=infected,
-                          isolation=erlang_laws(cfg.erlang_shape, alloc.gamma))
-
-
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     g = _load_graph(cfg)
     params = _rates(cfg, g)
     out = _out_dir(cfg)
-    run = (simulator.simulate_sir_isolation if params.isolation is not None
-           else simulator.simulate_sir)
-    outcome = run(g, params, simulator.replica_rng(cfg.seed, 0))
+    outcome = simulator.simulate_sir(g, params,
+                                     simulator.replica_rng(cfg.seed, 0))
     _write_csv(out / "counts.csv", ["t", "sigma_S", "sigma_I", "sigma_R"],
                [tuple(row) for row in outcome.counts_series])
     est = simulator.estimate_lambda(g, params, cfg.replicas, cfg.seed)
@@ -271,9 +282,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 def cmd_bound(cfg: ExperimentConfig) -> int:
     g = _load_graph(cfg)
     params = _rates(cfg, g)
-    sys_ = (bound.build_isolation_system(g, params)
-            if params.isolation is not None
-            else bound.build_sir_system(g, params))
+    sys_ = bound.build_sir_system(g, params)
     val = bound.lambda_bound(sys_)
     out = _out_dir(cfg)
     _write_json(out / "bound.json",
@@ -311,9 +320,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     params = _rates(cfg, g)
     exact = exact_oracle.exact_lambda(g, params)
     est = simulator.estimate_lambda(g, params, cfg.replicas, cfg.seed)
-    sys_ = (bound.build_isolation_system(g, params)
-            if params.isolation is not None
-            else bound.build_sir_system(g, params))
+    sys_ = bound.build_sir_system(g, params)
     cert = bound.lambda_bound(sys_)
     bound_ok = exact <= cert + 1e-9
     mc_tol = 4.0 * max(est.std_error, 1e-12)
@@ -340,20 +347,21 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
 def cmd_compare(cfg: ExperimentConfig) -> int:
     g = _load_graph(cfg)
     infected = _infected_set(cfg, g)
-    costs = _cost_model(cfg)
     prob = _build_allocation_problem(cfg, g, infected)
-    allocations = [allocator.solve_allocation(prob, tol=cfg.solver_tol)]
+    costs = prob.costs
+    allocations = [allocator.solve_allocation(prob, tol=cfg.solver_tol),
+                   allocator.baseline_uniform(g, infected, costs,
+                                              delta_fixed=prob.delta_fixed,
+                                              p=prob.p)]
     if cfg.mode == "plain":
-        allocations.append(allocator.baseline_uniform(g, infected, costs))
         allocations.append(allocator.baseline_sis_spectral(
             g, infected, costs, tol=cfg.solver_tol))
-    else:
-        delta = _per_node(cfg, "delta", g.node_count)
-        allocations.append(allocator.baseline_uniform(
-            g, infected, costs, delta_fixed=delta, p=cfg.erlang_shape))
     results = []
     for alloc in allocations:
-        params = _params_for_allocation(cfg, g, infected, alloc)
+        params = allocator.allocation_params(
+            infected, alloc.mode, alloc.beta,
+            alloc.delta if alloc.mode == "plain" else alloc.gamma,
+            prob.delta_fixed, prob.p)
         est = simulator.estimate_lambda(g, params, cfg.replicas, cfg.seed)
         results.append((alloc.strategy, est.mean, est.std_error))
     lam_opt = results[0][1]

@@ -49,13 +49,19 @@ _KINDS = ("infect", "recover", "isolate")
 
 @dataclass(frozen=True, eq=False)
 class EpidemicParams:
-    """Per-node rates and the initial infected set.
+    """Per-node rates and the initial infected set: the one model record
+    that the simulator, the exact oracle and the bound all read.
 
     `isolation`, when present, holds one removal-time law per node
     (all with the same phase count, all starting in phase 1).
     `generators` is their validated (n, p, p) stack of Pi_i; plain SIR
     is the one-phase law Pi = 0. Each layer folds the natural recovery
     rate delta_i in itself, as Pi_i - delta_i I.
+
+    beta must be positive, and so must delta in plain SIR. Under
+    isolation laws delta may be zero (removal by isolation only), as
+    each law is absorbing on its own: `PhaseType` requires an
+    invertible Pi.
     """
 
     beta: np.ndarray
@@ -71,8 +77,10 @@ class EpidemicParams:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "initially_infected",
                            frozenset(int(i) for i in self.initially_infected))
-        if np.any(beta <= 0) or np.any(delta <= 0):
-            raise ValueError("beta and delta must be strictly positive")
+        recovers = delta > 0 if self.isolation is None else delta >= 0
+        if not (np.all(beta > 0) and np.all(recovers)):
+            raise ValueError("beta and delta must be strictly positive "
+                             "(delta may be zero under isolation laws)")
         if beta.shape != delta.shape or beta.ndim != 1:
             raise ValueError("beta and delta must be equal-length vectors")
         if not self.initially_infected:
@@ -252,7 +260,11 @@ def _final_sizes(lay: _Layout, periods, delays) -> np.ndarray:
     return np.bincount(order[1:] // n, minlength=r)
 
 
-def _simulate(g: Graph, params: EpidemicParams, rng) -> SimOutcome:
+def simulate_sir(g: Graph, params: EpidemicParams, rng) -> SimOutcome:
+    """One exact realization of the SIR process under the removal laws
+    of `params` (plain SIR without them); runs until no node is
+    infected. `rng` is a Generator, or an integer seed for replica 0 of
+    that seed's Monte Carlo run."""
     lay = _layout(g, params)
     n, k0 = lay.n, len(lay.infected0)
     if isinstance(rng, np.random.Generator):
@@ -287,22 +299,9 @@ def _simulate(g: Graph, params: EpidemicParams, rng) -> SimOutcome:
         counts_series=np.vstack([[0.0, n - k0, k0, 0], counts]))
 
 
-def simulate_sir(g: Graph, params: EpidemicParams, rng) -> SimOutcome:
-    """One exact realization of the plain SIR process; runs until no
-    node is infected. `rng` is a Generator, or an integer seed for
-    replica 0 of that seed's Monte Carlo run."""
-    if params.isolation is not None:
-        raise ValueError("params carry isolation laws; use simulate_sir_isolation")
-    return _simulate(g, params, rng)
-
-
-def simulate_sir_isolation(g: Graph, params: EpidemicParams, rng) -> SimOutcome:
-    """One exact realization of the SIR process with phase-type
-    isolation; infected nodes start in phase 1 and leave through the
-    folded generator Pi - delta*I."""
-    if params.isolation is None:
-        raise ValueError("params lack isolation laws; use simulate_sir")
-    return _simulate(g, params, rng)
+# Kept only for the benchmark tracer, which wraps this name, until the
+# program records its own spans (ROADMAP item 4).
+simulate_sir_isolation = simulate_sir
 
 
 def replica_infections(g: Graph, params: EpidemicParams, replicas: int,

@@ -9,7 +9,7 @@ from netsir import (ComparisonSystem, EpidemicParams, ErlangSpec, Graph,
                     PhaseType, UNBOUNDED, build_isolation_system,
                     build_sir_system, certificate_for, erlang, exact_lambda,
                     is_hurwitz_metzler, isolation_system_from, lambda_bound,
-                    load_edge_list, plain_system_from, verify_certificate)
+                    load_edge_list, verify_certificate)
 from conftest import random_instance
 
 TWO_NODE = load_edge_list("0 1")
@@ -321,7 +321,8 @@ def small_systems(draw):
     beta = draw(rates)
     p = draw(st.sampled_from([None, 1, 2, 3]))
     if p is None:
-        return plain_system_from(g, infected, beta, draw(rates))
+        return build_sir_system(g, EpidemicParams.build(n, beta, draw(rates),
+                                                        infected))
     delta = draw(st.one_of(st.just(0.0), rates))
     means = draw(st.lists(st.floats(0.2, 5.0), min_size=n, max_size=n))
     laws = [erlang(ErlangSpec(p, m)) for m in means]

@@ -86,9 +86,18 @@ class TestConfig:
         ("simulate", {"initially_infected": "abc"}, "initially_infected"),
         ("validate", {"initially_infected": [[0]]}, "initially_infected"),
         ("bound", {"initially_infected": 5}, "initially_infected"),
+        ("bound", {"graph": 0}, "graph"),
+        ("simulate", {"out_dir": ["out"]}, "out_dir"),
+        ("optimize", {"beta_box": 5}, "beta_box"),
+        ("optimize", {"beta_box": ["a", "b"]}, "beta_box"),
+        ("optimize", {"beta_box": [0.05]}, "beta_box"),
+        ("compare", {"gamma_box": [0.5, True]}, "gamma_box"),
+        ("compare", {"delta_box": [0.2, math.inf]}, "delta_box"),
     ], ids=["gamma-negative", "gamma-string", "gamma-length",
             "delta-negative", "delta-string", "random-string",
-            "infected-string", "infected-nested", "infected-int"])
+            "infected-string", "infected-nested", "infected-int",
+            "graph-int", "out-dir-list", "box-number", "box-strings",
+            "box-short", "box-bool", "box-infinite"])
     def test_malformed_rate_or_infected_is_exit_4(self, tmp_path,
                                                   two_node_graph, capsys,
                                                   command, fields, field):
@@ -145,6 +154,23 @@ class TestSimulate:
                                    "initially_infected": [0],
                                    "beta": 0.1, "delta": 0.1}))
         assert main(["simulate", "--config", str(cfg)]) == 4
+
+    @pytest.mark.parametrize("content, where", [
+        (b"0 x\n", "line 1:"), (b"0 1\n2 2\n", "line 2:"),
+        (b"n 2\n0 1\nn 3\n", "line 3:"), (b"0 1\n\xff\n", "'utf-8'")],
+        ids=["endpoint", "self-loop", "late-header", "not-utf8"])
+    def test_malformed_graph_is_exit_4(self, tmp_path, capsys, content,
+                                       where):
+        graph = tmp_path / "g.txt"
+        graph.write_bytes(content)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"graph": str(graph),
+                                   "initially_infected": [0],
+                                   "beta": 0.1, "delta": 0.1}))
+        assert main(["simulate", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: graph {graph}: {where}") \
+            and err.count("\n") == 1
 
 
 class TestBound:
@@ -290,13 +316,15 @@ class TestCompare:
 
     def test_isolation_mode_compare(self, tmp_path, two_node_graph):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({
-            "graph": str(two_node_graph), "initially_infected": [0],
-            "mode": "isolation", "delta": 0.1, "erlang_shape": 2,
-            "beta_box": [0.05, 0.5], "gamma_box": [0.5, 4.0], "budget": 2.0,
-            "replicas": 2_000, "seed": 1,
-            "out_dir": str(tmp_path / "out")}))
-        assert main(["compare", "--config", str(cfg)]) == 0
-        lines = (tmp_path / "out" / "comparison.csv").read_text().splitlines()
-        strategies = [row.split(",")[0] for row in lines[1:]]
-        assert strategies == ["optimized", "uniform"]
+        for delta in (0.1, 0.0):   # 0.0: removal by isolation only
+            cfg.write_text(json.dumps({
+                "graph": str(two_node_graph), "initially_infected": [0],
+                "mode": "isolation", "delta": delta, "erlang_shape": 2,
+                "beta_box": [0.05, 0.5], "gamma_box": [0.5, 4.0],
+                "budget": 2.0, "replicas": 2_000, "seed": 1,
+                "out_dir": str(tmp_path / "out")}))
+            assert main(["compare", "--config", str(cfg)]) == 0
+            lines = (tmp_path / "out" / "comparison.csv").read_text() \
+                .splitlines()
+            strategies = [row.split(",")[0] for row in lines[1:]]
+            assert strategies == ["optimized", "uniform"]

@@ -30,10 +30,6 @@ def build_params(n, beta, delta, infected, isolated):
     return EpidemicParams.build(n, beta, delta, infected, isolation=iso)
 
 
-def run_for(params):
-    return simulate_sir if params.isolation is None else simulate_sir_isolation
-
-
 MODES = pytest.mark.parametrize("isolated", [False, True],
                                 ids=["plain", "erlang2"])
 
@@ -77,14 +73,6 @@ class TestSingleRun:
         out = simulate_sir(TWO_NODE, EpidemicParams.build(2, 5.0, 0.1, [0]), 1)
         kinds = {k for _, _, k in out.event_log}
         assert kinds <= {"infect", "recover"}
-
-    def test_wrong_entry_point_raises(self):
-        iso = tuple(erlang(ErlangSpec(1, 1.0)) for _ in range(2))
-        params = EpidemicParams.build(2, 0.2, 0.5, [0], isolation=iso)
-        with pytest.raises(ValueError):
-            simulate_sir(TWO_NODE, params, 0)
-        with pytest.raises(ValueError):
-            simulate_sir_isolation(TWO_NODE, RACE_P, 0)
 
 
 class TestEstimateLambda:
@@ -146,8 +134,8 @@ class TestStreams:
         xs = replica_infections(g, params, 40, seed=13)
         assert len(set(xs.tolist())) > 5
         for r in (0, 1, 7, 23, 39):
-            out = run_for(params)(g, params,
-                                  replica_rng(13, r, row_length(g, params)))
+            out = simulate_sir(g, params,
+                               replica_rng(13, r, row_length(g, params)))
             assert out.infections_after_t0 == xs[r]
 
     @MODES
@@ -158,7 +146,7 @@ class TestStreams:
         params = build_params(n, 0.8, 0.3, [0, n - 1], isolated)
         kinds = {"recover", "isolate"} if isolated else {"recover"}
         for seed in range(20):
-            out = run_for(params)(g, params, replica_rng(seed, 0))
+            out = simulate_sir(g, params, replica_rng(seed, 0))
             status = ["S"] * n
             for i in params.initially_infected:
                 status[i] = "I"
@@ -192,8 +180,7 @@ class TestRecordRuns:
         k = row_length(g, params)
         removed = np.empty((self.RUNS, len(self.TIMES)))
         for r in range(self.RUNS):
-            rows = run_for(params)(g, params, replica_rng(17, r, k)) \
-                .counts_series
+            rows = simulate_sir(g, params, replica_rng(17, r, k)).counts_series
             at = np.searchsorted(rows[:, 0], self.TIMES, side="right") - 1
             removed[r] = rows[at, 3]
         exact = exact_removed_series(g, params, self.TIMES)
@@ -261,10 +248,11 @@ class TestIsolationModel:
 
     def test_two_node_erlang_against_exact_oracle(self):
         iso = tuple(erlang(ErlangSpec(2, 1.5)) for _ in range(2))
-        params = EpidemicParams.build(2, 0.4, 0.2, [0], isolation=iso)
-        target = exact_lambda(TWO_NODE, params)
-        est = estimate_lambda(TWO_NODE, params, replicas=100_000, seed=3)
-        assert abs(est.mean - target) <= 4 * est.std_error
+        for delta in (0.2, 0.0):   # 0.0: removal by isolation only
+            params = EpidemicParams.build(2, 0.4, delta, [0], isolation=iso)
+            target = exact_lambda(TWO_NODE, params)
+            est = estimate_lambda(TWO_NODE, params, replicas=100_000, seed=3)
+            assert abs(est.mean - target) <= 4 * est.std_error
 
     def test_cyclic_law_against_exact_oracle(self):
         # most walks outrun their two-step budget and read further levels
@@ -295,6 +283,8 @@ class TestParamsValidation:
     def test_nonpositive_rates(self):
         with pytest.raises(ValueError):
             EpidemicParams.build(2, 0.0, 0.5, [0])
+        with pytest.raises(ValueError):   # plain SIR needs recovery
+            EpidemicParams.build(2, 0.1, 0.0, [0])
 
     def test_empty_infected(self):
         with pytest.raises(ValueError):
