@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import netsir.bound
 from netsir import (ComparisonSystem, EpidemicParams, ErlangSpec, Graph,
                     PhaseType, UNBOUNDED, build_isolation_system,
                     build_sir_system, certificate_for, erlang, exact_lambda,
                     is_hurwitz_metzler, isolation_system_from, lambda_bound,
-                    load_edge_list, verify_certificate)
+                    load_edge_list, mean, min_with_exponential,
+                    spectral_radius, verify_certificate)
 from conftest import random_instance
 
 TWO_NODE = load_edge_list("0 1")
@@ -363,6 +366,105 @@ class TestSparseProperties:
     def test_hurwitz_same_on_sparse_and_dense(self, sys_):
         assert is_hurwitz_metzler(sys_.matrix) == \
             is_hurwitz_metzler(sys_.matrix.toarray())
+
+
+def sparse2k(seed=2000):
+    """A seeded random graph with 2000 nodes, 6000 distinct edges and 10
+    random infected nodes (the shape of the certify-sparse2k benchmark),
+    with its spectral radius."""
+    rng = np.random.default_rng(seed)
+    n = 2000
+    edges = set()
+    while len(edges) < 3 * n:
+        i, j = sorted(int(k) for k in rng.integers(0, n, size=2))
+        if i != j:
+            edges.add((i, j))
+    g = Graph(node_count=n, edges=frozenset(edges))
+    infected = [int(i) for i in rng.choice(n, size=10, replace=False)]
+    return g, infected, spectral_radius(g)
+
+
+_SPLU = spla.splu
+
+
+class TestKrylovCertification:
+    """Certification solves by GMRES, then checks; the LU runs only when
+    Krylov fails, and it alone answers "unbounded". Counting LU calls
+    guards the fast path without a timing assertion."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return sparse2k()
+
+    @pytest.fixture
+    def lu_calls(self, monkeypatch):
+        calls = []
+
+        def counting_splu(*args, **kwargs):
+            calls.append(args[0].shape)
+            return _SPLU(*args, **kwargs)
+        monkeypatch.setattr(netsir.bound.spla, "splu", counting_splu)
+        return calls
+
+    @staticmethod
+    def system(graph, mode, level):
+        """beta puts the system at `level` of the epidemic threshold
+        beta rho(A) E[infectious period] = 1, with delta = 1."""
+        g, infected, rho = graph
+        if mode == "plain":
+            return build_sir_system(g, EpidemicParams.build(
+                g.node_count, level / rho, 1.0, infected))
+        law = erlang(ErlangSpec(3, 1.0))
+        period = mean(min_with_exponential(law, 1.0))
+        return build_sir_system(g, EpidemicParams.build(
+            g.node_count, level / (rho * period), 1.0, infected,
+            isolation=(law,) * g.node_count))
+
+    @pytest.mark.parametrize("mode, level", [("plain", 0.5), ("plain", 0.99),
+                                             ("erlang3", 0.5)])
+    def test_subcritical_certified_without_lu(self, graph, lu_calls, mode,
+                                              level):
+        sys_ = self.system(graph, mode, level)
+        lb = lambda_bound(sys_)
+        v, lam = certificate_for(sys_, margin=1e-6)
+        assert lu_calls == []
+        assert verify_certificate(sys_, v, lam, slack=5e-7)
+        x = _SPLU(sys_.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A") \
+            .solve(sys_.initial)
+        ref = float(-sys_.weight_row @ x) - sys_.sigma_I0
+        assert lb == pytest.approx(ref, rel=1e-10)
+        assert lb <= lam
+
+    @_PROPERTY
+    @given(small_systems())
+    def test_krylov_path_on_small_systems(self, sys_):
+        # small systems go to the LU directly; forcing the Krylov path
+        # on them checks it against a dense reference
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netsir.bound, "_KRYLOV_MIN_DIM", 0)
+            lb = lambda_bound(sys_)
+            cert = certificate_for(sys_, margin=1e-6)
+            hurwitz = is_hurwitz_metzler(sys_.matrix)
+        assert hurwitz == is_hurwitz_metzler(sys_.matrix)
+        assert math.isfinite(lb) == (cert is not None)
+        dense = sys_.matrix.toarray()
+        abscissa = float(np.max(np.linalg.eigvals(dense).real))
+        if cert is None:
+            assert abscissa > -1e-6
+            return
+        v, lam = cert
+        assert verify_certificate(sys_, v, lam, slack=5e-7)
+        assert lb <= lam
+        ref = float(-sys_.weight_row @ np.linalg.solve(dense, sys_.initial))
+        assert lb == pytest.approx(max(0.0, ref - sys_.sigma_I0), rel=1e-10,
+                                   abs=1e-10 * sys_.sigma_I0)
+
+    def test_supercritical_unbounded_from_one_lu(self, graph, lu_calls):
+        sys_ = self.system(graph, "plain", 1.5)
+        assert lambda_bound(sys_) is UNBOUNDED
+        assert lu_calls == [sys_.matrix.shape]
+        assert certificate_for(sys_) is None
+        assert lu_calls == [sys_.matrix.shape] * 2
 
 
 def test_comparison_system_validation():
