@@ -16,8 +16,7 @@ from .bound import (ComparisonSystem, UNBOUNDED, build_sir_system,
                     build_isolation_system, isolation_system_from,
                     is_hurwitz_metzler, lambda_bound, verify_certificate,
                     certificate_for)
-from .gp import (Monomial, Posynomial, GpProblem, GpSolution, variable,
-                 evaluate, to_log_convex, solve)
+from .gp import GpSolution
 from .allocator import (CostModel, MonomialBound, Allocation,
                         AllocationProblem, AllocationInfeasible,
                         BudgetModelError, fit_monomial_bound, build_problem1,

@@ -133,7 +133,7 @@ def build_sir_system(g: Graph, params: EpidemicParams) -> ComparisonSystem:
 
 
 # Both names below are kept only for the benchmark tracer, which wraps
-# them, until the program records its own spans (ROADMAP item 4).
+# them, until the program records its own spans (ROADMAP item 5).
 build_isolation_system = build_sir_system
 
 

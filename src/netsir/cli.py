@@ -8,9 +8,10 @@ config, including all Monte Carlo output.
 Exit codes: 0 success, 2 infeasible model, 3 validation failure (also
 an optimized allocation whose solve did not converge or whose
 certificate failed re-verification), 4 config or I/O error (also a
-malformed graph file, a mistyped config field, a malformed rate, a
-misordered or non-positive rate box, a malformed initially infected
-set and an initially infected node outside the graph).
+malformed graph file, a mistyped config field, a seed of 2**128 or
+more, a malformed rate, a misordered or non-positive rate box, a
+malformed initially infected set and an initially infected node outside
+the graph).
 
 Each command builds one `EpidemicParams`, plain or with isolation
 laws, and hands it to the one entry of each layer: `simulate_sir`,
@@ -41,6 +42,10 @@ from .simulator import EpidemicParams
 
 class ConfigError(ValueError):
     pass
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _positive_number(value) -> bool:
@@ -76,10 +81,12 @@ class ExperimentConfig:
         for name, least in (("replicas", 1), ("seed", 0),
                             ("erlang_shape", 1)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
+        if self.seed >= 2 ** 128:   # a Philox key has 128 bits
+            raise ConfigError(f"seed must be < 2**128, got {self.seed}")
         for name in ("budget", "lambda_cap", "epsilon", "solver_tol"):
             value = getattr(self, name)
             if value is None and name in ("budget", "lambda_cap"):
@@ -144,10 +151,14 @@ def _infected_set(cfg: ExperimentConfig, g: Graph) -> frozenset:
         f'{{"random": k, "seed": s}}, got {spec!r}')
     if not isinstance(spec, (dict, list, tuple)):
         raise malformed
+    if isinstance(spec, dict) and not (
+            "random" in spec and set(spec) <= {"random", "seed"}
+            and all(map(_integer, spec.values()))):
+        raise malformed
     try:
         if isinstance(spec, dict):
-            k = int(spec.get("random", 0))
-            rng = np.random.default_rng(int(spec.get("seed", 0)))
+            k = spec["random"]
+            rng = np.random.default_rng(spec.get("seed", 0))
         else:
             nodes = frozenset(int(i) for i in spec)
     except (TypeError, ValueError):

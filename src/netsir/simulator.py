@@ -300,7 +300,7 @@ def simulate_sir(g: Graph, params: EpidemicParams, rng) -> SimOutcome:
 
 
 # Kept only for the benchmark tracer, which wraps this name, until the
-# program records its own spans (ROADMAP item 4).
+# program records its own spans (ROADMAP item 5).
 simulate_sir_isolation = simulate_sir
 
 

@@ -21,6 +21,7 @@ from netsir import gp
 from netsir.simulator import replica_rng
 from netsir.cli import main
 from conftest import ks_statistic, random_graph
+import gp_front as front
 
 
 def _plain_instances(count=50, seed=11):
@@ -142,11 +143,11 @@ def test_criterion_4_lemma2_law_check(p):
 def test_criterion_5_gp_solver_correctness(rng):
     """AM-GM optimum, gradient checks, and feasible-point dominance."""
     # AM-GM equality case
-    am_gm = gp.GpProblem(
-        objective=gp.variable("x") + gp.variable("y"),
-        ineq_constraints=(gp.Monomial(1.0, {"x": -1.0, "y": -1.0}),),
+    am_gm = front.GpProblem(
+        objective=front.variable("x") + front.variable("y"),
+        ineq_constraints=(front.Monomial(1.0, {"x": -1.0, "y": -1.0}),),
         box={"x": (0.01, 100.0), "y": (0.01, 100.0)})
-    sol = gp.solve(am_gm, tol=1e-8)
+    sol = front.solve(am_gm, tol=1e-8)
     assert sol.status == "optimal"
     assert abs(sol.objective_value - 2.0) <= 1e-6
 
@@ -158,15 +159,15 @@ def test_criterion_5_gp_solver_correctness(rng):
     h = 1e-6
     for _ in range(10):
         y = rng.uniform(-0.5, 0.5, size=lcp.dim)
-        for k in range(len(lcp.constraints)):
-            _, grad = lcp.constraint_value_grad(k, y)
+        for k in range(1, len(lcp.system.starts)):
+            _, grad = front.segment_value_grad(lcp.system, k, y)
             fd = np.zeros(lcp.dim)
             for i in range(lcp.dim):
                 yp, ym = y.copy(), y.copy()
                 yp[i] += h
                 ym[i] -= h
-                fd[i] = (lcp.constraints[k].value(yp)
-                         - lcp.constraints[k].value(ym)) / (2 * h)
+                fd[i] = (lcp.system.values(yp)[k]
+                         - lcp.system.values(ym)[k]) / (2 * h)
             assert np.linalg.norm(grad - fd) <= 1e-6 * max(
                 1.0, np.linalg.norm(fd))
 
@@ -188,8 +189,8 @@ def test_criterion_5_gp_solver_correctness(rng):
         point["t"] = (point["v_0"] + 1e-6) * float(rng.uniform(1.0, 3.0)) \
             + 1e-9
         y = np.log([point[name] for name in lcp.variables])
-        if all(math.exp(c.value(y)) <= 1.0
-               for c in lcp.constraints[:lcp.ineq_count]):
+        if all(math.exp(value) <= 1.0
+               for value in lcp.system.values(y)[1:1 + lcp.ineq_count]):
             assert alloc_sol.objective_value <= point["t"] + 1e-6
             found += 1
     print("\nACCEPTANCE 5 PASS: AM-GM to 1e-6, gradients to 1e-6, "

@@ -105,8 +105,8 @@ class TestProblem1:
                  "delta_0": 0.5, "delta_1": 0.5, "t": 5.0}
         lcp = prob.gp_problem
         y = np.log([point[name] for name in lcp.variables])
-        for c in lcp.constraints[:2]:
-            assert math.exp(c.value(y)) < 1.0
+        for value in lcp.system.values(y)[1:3]:
+            assert math.exp(value) < 1.0
 
     def test_two_node_generous_budget(self):
         alloc = solve_allocation(build_problem1(TWO_NODE, {0}, PLAIN_COSTS))
@@ -163,7 +163,7 @@ class TestProblem1:
                                                            monkeypatch):
         """No solve is retried at a looser tolerance: the budget sweeps of
         test_budget_monotonicity_small and acceptance 8 each take one
-        'optimal' gp.solve call at tol 1e-7 per allocation."""
+        'optimal' gp.solve_compiled call at tol 1e-7 per allocation."""
         calls = []
         solve = gp.solve_compiled
 

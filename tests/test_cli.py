@@ -93,11 +93,22 @@ class TestConfig:
         ("optimize", {"beta_box": [0.05]}, "beta_box"),
         ("compare", {"gamma_box": [0.5, True]}, "gamma_box"),
         ("compare", {"delta_box": [0.2, math.inf]}, "delta_box"),
+        ("simulate", {"seed": 2 ** 128}, "seed"),
+        ("bound", {"initially_infected": {"random": 2, "sed": 7}},
+         "initially_infected"),
+        ("bound", {"initially_infected": {"random": True}},
+         "initially_infected"),
+        ("bound", {"initially_infected": {"random": 1.9}},
+         "initially_infected"),
+        ("bound", {"initially_infected": {"random": 1, "seed": 2.5}},
+         "initially_infected"),
     ], ids=["gamma-negative", "gamma-string", "gamma-length",
             "delta-negative", "delta-string", "random-string",
             "infected-string", "infected-nested", "infected-int",
             "graph-int", "out-dir-list", "box-number", "box-strings",
-            "box-short", "box-bool", "box-infinite"])
+            "box-short", "box-bool", "box-infinite", "seed-2-128",
+            "random-misspelled-key", "random-bool", "random-float",
+            "random-seed-float"])
     def test_malformed_rate_or_infected_is_exit_4(self, tmp_path,
                                                   two_node_graph, capsys,
                                                   command, fields, field):

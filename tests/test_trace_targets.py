@@ -19,3 +19,13 @@ def test_every_trace_target_resolves():
             assert hasattr(owner, part), f"{module}.{path} is gone"
             owner = getattr(owner, part)
         assert callable(owner), f"{module}.{path} is not callable"
+
+
+def test_tracer_only_aliases_are_their_entries():
+    """The names kept only for the tracer stay aliases, so none of them
+    becomes a second code path."""
+    from netsir import bound, gp, simulator
+    assert bound.build_isolation_system is bound.build_sir_system
+    assert simulator.simulate_sir_isolation is simulator.simulate_sir
+    assert gp.solve is gp.solve_compiled
+    assert gp.to_log_convex is gp.LogConvexProblem
