@@ -1,9 +1,10 @@
 """Three routes to the accumulated-infection count on a small instance.
 
 For a chain small enough to enumerate, compares: the exact value from
-the full product Markov chain, a Monte Carlo estimate from the
-simulator, and the certified linear upper bound. The bound must
-dominate the exact value; the estimate must straddle it.
+the product Markov chain reachable from the initial state, a Monte
+Carlo estimate from the simulator, and the certified linear upper
+bound. The bound must dominate the exact value; the estimate must
+straddle it.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ est = estimate_lambda(g, params, replicas=100_000, seed=4)
 sys_ = build_sir_system(g, params)
 bound_val = lambda_bound(sys_)
 
-print(f"exact lambda      : {exact:.6f}   (3^4 = 81 product states)")
+print(f"exact lambda      : {exact:.6f}   (at most 3^4 = 81 product states)")
 print(f"Monte Carlo       : {est.mean:.6f} +/- {est.std_error:.6f}")
 print(f"certified bound   : {bound_val:.6f}")
 assert exact <= bound_val

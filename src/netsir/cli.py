@@ -149,25 +149,22 @@ def _infected_set(cfg: ExperimentConfig, g: Graph) -> frozenset:
     malformed = ConfigError(
         "initially_infected must be a list of node ids or "
         f'{{"random": k, "seed": s}}, got {spec!r}')
-    if not isinstance(spec, (dict, list, tuple)):
-        raise malformed
-    if isinstance(spec, dict) and not (
-            "random" in spec and set(spec) <= {"random", "seed"}
-            and all(map(_integer, spec.values()))):
-        raise malformed
-    try:
-        if isinstance(spec, dict):
-            k = spec["random"]
-            rng = np.random.default_rng(spec.get("seed", 0))
-        else:
-            nodes = frozenset(int(i) for i in spec)
-    except (TypeError, ValueError):
-        raise malformed from None
     if isinstance(spec, dict):
+        if not ("random" in spec and set(spec) <= {"random", "seed"}
+                and all(map(_integer, spec.values()))):
+            raise malformed
+        k = spec["random"]
+        try:
+            rng = np.random.default_rng(spec.get("seed", 0))
+        except ValueError:
+            raise malformed from None
         if not 1 <= k <= g.node_count:
             raise ConfigError(f"random infected count {k} out of range")
         return frozenset(int(i) for i in
                          rng.choice(g.node_count, size=k, replace=False))
+    if not (isinstance(spec, (list, tuple)) and all(map(_integer, spec))):
+        raise malformed
+    nodes = frozenset(spec)
     if not nodes:
         raise ConfigError("initially_infected must be non-empty")
     bad = sorted(i for i in nodes if not 0 <= i < g.node_count)

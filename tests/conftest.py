@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from netsir import Graph, EpidemicParams
+from netsir import EpidemicParams, ErlangSpec, Graph, PhaseType, erlang
 
 
 def random_graph(rng: np.random.Generator, n: int, edge_prob: float = 0.6) -> Graph:
@@ -23,6 +24,34 @@ def random_instance(rng: np.random.Generator, n: int,
     infected = frozenset(int(i) for i in rng.choice(n, size=k, replace=False))
     params = EpidemicParams(beta=beta, delta=delta, initially_infected=infected)
     return g, params
+
+
+@st.composite
+def small_instances(draw, max_nodes=4):
+    """At most max_nodes nodes; plain, or isolation with p in {1, 2, 3}
+    whose last phase may return to phase 1, giving a law with cycles."""
+    n = draw(st.integers(1, max_nodes))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    g = Graph(node_count=n, edges=frozenset(edges))
+    infected = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    rates = st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n)
+    beta, delta = draw(rates), draw(rates)
+    p = draw(st.sampled_from([None, 1, 2, 3]))
+    laws = None
+    if p is not None:
+        back = draw(st.sampled_from([0.0, 0.9])) if p > 1 else 0.0
+        laws = []
+        for m in draw(st.lists(st.floats(0.2, 5.0), min_size=n,
+                               max_size=n)):
+            pi = erlang(ErlangSpec(p, m)).Pi.copy()
+            if back:
+                pi[-1, 0] = back * p / m
+            laws.append(PhaseType(Pi=pi))
+        laws = tuple(laws)
+    return g, EpidemicParams(beta=np.array(beta), delta=np.array(delta),
+                             initially_infected=frozenset(infected),
+                             isolation=laws)
 
 
 def ks_statistic(samples: np.ndarray, cdf_values_at_sorted: np.ndarray) -> float:

@@ -102,13 +102,15 @@ class TestConfig:
          "initially_infected"),
         ("bound", {"initially_infected": {"random": 1, "seed": 2.5}},
          "initially_infected"),
+        ("bound", {"initially_infected": [1.9]}, "initially_infected"),
+        ("validate", {"initially_infected": [0, True]}, "initially_infected"),
     ], ids=["gamma-negative", "gamma-string", "gamma-length",
             "delta-negative", "delta-string", "random-string",
             "infected-string", "infected-nested", "infected-int",
             "graph-int", "out-dir-list", "box-number", "box-strings",
             "box-short", "box-bool", "box-infinite", "seed-2-128",
             "random-misspelled-key", "random-bool", "random-float",
-            "random-seed-float"])
+            "random-seed-float", "infected-float", "infected-bool"])
     def test_malformed_rate_or_infected_is_exit_4(self, tmp_path,
                                                   two_node_graph, capsys,
                                                   command, fields, field):

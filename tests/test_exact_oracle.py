@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from netsir import (EpidemicParams, ErlangSpec, Graph, StateSpaceTooLarge,
                     erlang, exact_lambda, exact_removed_series, load_edge_list,
                     state_count)
+from netsir.exact_oracle import _build_chain
 from netsir.phase_type import PhaseType
-from conftest import random_instance
+from conftest import random_instance, small_instances
+from oracle_reference import reference_chain, reference_lambda
 
 TWO_NODE = load_edge_list("0 1")
 RACE_P = EpidemicParams.build(2, 0.2, 0.5, [0])
@@ -76,8 +81,74 @@ class TestExactLambda:
     def test_cap_enforced(self):
         g = Graph(node_count=14, edges=frozenset({(0, 1)}))
         params = EpidemicParams.build(14, 0.1, 0.1, [0])
-        with pytest.raises(StateSpaceTooLarge):
-            exact_lambda(g, params)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceTooLarge):
+                exact_lambda(g, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # refused before the 3^14-entry (38 MB) state index is allocated
+        assert peak < 1_000_000
+
+    def test_single_node(self):
+        g = Graph(node_count=1, edges=frozenset())
+        iso = (erlang(ErlangSpec(2, 1.0)),)
+        for law in (None, iso):
+            params = EpidemicParams.build(1, 0.5, 0.3, [0], isolation=law)
+            assert exact_lambda(g, params) == 0.0
+            assert len(_build_chain(g, params)[0]) == (2 if law is None else 3)
+
+    @pytest.mark.parametrize("edges", [frozenset({(0, 1), (1, 2), (0, 2)}),
+                                       frozenset()], ids=["triangle", "none"])
+    def test_no_infection_moves(self, edges):
+        # every node starts infected, or no infected node has a neighbour
+        g = Graph(node_count=3, edges=edges)
+        infected = [0, 1, 2] if edges else [0, 2]
+        iso = tuple(erlang(ErlangSpec(2, 1.5)) for _ in range(3))
+        params = EpidemicParams.build(3, 0.7, 0.2, infected, isolation=iso)
+        assert exact_lambda(g, params) == pytest.approx(0.0, abs=1e-12)
+        # each infected node is in phase 1, phase 2 or removed
+        assert len(_build_chain(g, params)[0]) == 3 ** len(infected)
+
+    def test_node_relabelling(self):
+        rng = np.random.default_rng(5)
+        n, edges = 6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]
+        beta, delta = rng.uniform(0.2, 1.0, n), rng.uniform(0.1, 0.5, n)
+        laws = []
+        for mean in rng.uniform(0.5, 3.0, n):
+            pi = erlang(ErlangSpec(2, mean)).Pi.copy()
+            pi[1, 0] = 0.9 * 2 / mean
+            laws.append(PhaseType(Pi=pi))
+        lams = []
+        for perm in (np.arange(n), rng.permutation(n)):
+            inv = np.argsort(perm)     # new id perm[i] for old node i
+            g = Graph(node_count=n, edges=frozenset(
+                tuple(sorted((int(perm[i]), int(perm[j])))) for i, j in edges))
+            params = EpidemicParams(
+                beta=beta[inv], delta=delta[inv],
+                initially_infected={int(perm[0]), int(perm[3])},
+                isolation=tuple(laws[i] for i in inv))
+            lams.append(exact_lambda(g, params))
+        assert lams[1] == pytest.approx(lams[0], rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_instances(max_nodes=5))
+def test_chain_matches_per_state_reference(instance):
+    g, params = instance
+    _, digits, rows, cols, rates = _build_chain(g, params)
+    states, ref_rows, ref_cols, ref_rates, _, _ = reference_chain(g, params)
+    assert tuple(digits[0]) == states[0]
+    assert sorted(map(tuple, digits.tolist())) == sorted(states)
+    triples = set(zip(map(tuple, digits[rows].tolist()),
+                      map(tuple, digits[cols].tolist()), rates.tolist()))
+    assert len(triples) == len(rates)
+    assert triples == {(states[a], states[b], r)
+                       for a, b, r in zip(ref_rows, ref_cols, ref_rates)}
+    # the reference clamps nothing: its roundoff may leave -1e-16 at zero
+    assert exact_lambda(g, params) == pytest.approx(
+        reference_lambda(g, params), rel=1e-12, abs=1e-13)
 
 
 class TestRemovedSeries:

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from netsir import (EpidemicParams, ErlangSpec, Graph, PhaseType, erlang,
                     estimate_lambda, exact_lambda, exact_removed_series,
                     load_edge_list, replica_infections, row_length,
                     simulate_sir, simulate_sir_isolation, simulator)
 from netsir.simulator import replica_rng
+from conftest import small_instances
 
 TWO_NODE = load_edge_list("0 1")
 RACE_P = EpidemicParams.build(2, 0.2, 0.5, [0])  # P(transmit) = 0.2/0.7
@@ -186,34 +187,6 @@ class TestRecordRuns:
         exact = exact_removed_series(g, params, self.TIMES)
         se = removed.std(axis=0, ddof=1) / np.sqrt(self.RUNS)
         assert np.all(np.abs(removed.mean(axis=0) - exact) <= 4 * se)
-
-
-@st.composite
-def small_instances(draw):
-    """At most 4 nodes; plain, or isolation with p in {1, 2, 3} whose
-    last phase may return to phase 1, giving a law with cycles."""
-    n = draw(st.integers(1, 4))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    g = Graph(node_count=n, edges=frozenset(edges))
-    infected = draw(st.sets(st.integers(0, n - 1), min_size=1))
-    rates = st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n)
-    beta, delta = draw(rates), draw(rates)
-    p = draw(st.sampled_from([None, 1, 2, 3]))
-    laws = None
-    if p is not None:
-        back = draw(st.sampled_from([0.0, 0.9])) if p > 1 else 0.0
-        laws = []
-        for m in draw(st.lists(st.floats(0.2, 5.0), min_size=n,
-                               max_size=n)):
-            pi = erlang(ErlangSpec(p, m)).Pi.copy()
-            if back:
-                pi[-1, 0] = back * p / m
-            laws.append(PhaseType(Pi=pi))
-        laws = tuple(laws)
-    return g, EpidemicParams(beta=np.array(beta), delta=np.array(delta),
-                             initially_infected=frozenset(infected),
-                             isolation=laws)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
