@@ -106,7 +106,7 @@ def _masked_transmission(g: Graph, infected: frozenset, beta) -> sp.csr_array:
     """J B A: row i scaled by beta_i, zero for initially infected i."""
     j = np.ones(g.node_count)
     j[list(infected)] = 0.0
-    return sp.diags_array(j * beta) @ sp.csr_array(g.adjacency_sparse())
+    return sp.diags_array(j * beta) @ g.adjacency_sparse()
 
 
 def build_sir_system(g: Graph, params: EpidemicParams) -> ComparisonSystem:

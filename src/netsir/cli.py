@@ -122,7 +122,7 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -133,7 +133,7 @@ class ExperimentConfig:
 
 def _load_graph(cfg: ExperimentConfig) -> Graph:
     try:
-        with open(cfg.graph, "r", encoding="utf-8") as fh:
+        with open(cfg.graph, "r", encoding="utf-8-sig") as fh:
             return load_edge_list(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read graph {cfg.graph}: {exc}") from exc

@@ -1,16 +1,27 @@
-"""Undirected simple graphs: edge-list ingestion, adjacency access and
-spectral diagnostics."""
+"""Undirected simple graphs held as arrays: edge-list ingestion,
+adjacency access and spectral diagnostics.
+
+A `Graph` is its node count and its canonical edges, an (m, 2) int32
+array of pairs i < j, sorted and unique. Every adjacency view comes
+from one CSR matrix, built from those pairs on first use and cached:
+the neighbour lists, the dense matrix, the degrees and the spectral
+radius all read it. `load_edge_list` parses a whole edge-list text with
+array operations; only the first bad line of a malformed text is looked
+at in Python, to word its error.
+"""
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass
+import operator
+import re
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+# The CSR matrix indexes nodes in int32: at most 2**31 - 1 of them.
+MAX_NODES = 2 ** 31 - 1
 
 
 class EdgeListParseError(ValueError):
@@ -25,139 +36,262 @@ class GraphValidationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Graph:
     """Immutable undirected simple graph on nodes 0..node_count-1.
 
-    Edges are stored canonically as (i, j) with i < j; no self-loops,
-    no duplicates.
+    `Graph(node_count=, edges=)` takes any iterable of (i, j) pairs with
+    0 <= i < j < node_count, or an (m, 2) integer array of them; a pair
+    given twice counts once. No self-loops, and at most `MAX_NODES`
+    nodes. `edge_array` holds the pairs sorted, unique and read-only;
+    `edges` is the same set as a frozenset of tuples, made on first use.
+    Two graphs are equal when their node counts and edge arrays are.
     """
 
-    node_count: int
-    edges: frozenset
-
-    def __post_init__(self):
-        if self.node_count < 1:
+    def __init__(self, node_count: int, edges):
+        n = operator.index(node_count)
+        if n < 1:
             raise GraphValidationError("graph needs at least one node")
-        for e in self.edges:
-            i, j = e
-            if i == j:
-                raise GraphValidationError(f"self-loop at node {i}")
-            if not (0 <= i < j < self.node_count):
-                raise GraphValidationError(f"edge {e} out of range or not canonical")
+        if n > MAX_NODES:
+            raise GraphValidationError(
+                f"node count {n} exceeds the limit {MAX_NODES}")
+        pairs = np.array(edges if isinstance(edges, np.ndarray)
+                         else list(edges))
+        if pairs.size == 0:
+            pairs = np.empty((0, 2), dtype=np.int32)
+        elif pairs.ndim != 2 or pairs.shape[1] != 2 \
+                or pairs.dtype.kind not in "iu":
+            raise GraphValidationError("edges must be pairs of integer nodes")
+        i, j = pairs.T
+        bad = (i < 0) | (i >= j) | (j >= n)
+        if bad.any():
+            e = tuple(pairs[np.argmax(bad)].tolist())
+            if e[0] == e[1]:
+                raise GraphValidationError(f"self-loop at node {e[0]}")
+            raise GraphValidationError(
+                f"edge {e} out of range or not canonical")
+        pairs = pairs.astype(np.int32)
+        # i * 2**32 + j orders the pairs as (i, j) does, and is exact in
+        # int64 because every node id is below 2**31
+        key = pairs[:, 0].astype(np.int64) << 32 | pairs[:, 1]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        fresh = np.ones(len(key), dtype=bool)
+        fresh[1:] = key[1:] != key[:-1]
+        pairs = pairs[order[fresh]]
+        pairs.flags.writeable = False
+        object.__setattr__(self, "node_count", n)
+        object.__setattr__(self, "edge_array", pairs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Graph is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Graph is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.node_count == other.node_count \
+            and np.array_equal(self.edge_array, other.edge_array)
+
+    def __hash__(self):
+        return hash((self.node_count, self.edge_array.tobytes()))
+
+    def __repr__(self):
+        return (f"Graph(node_count={self.node_count}, "
+                f"edge_count={self.edge_count})")
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
+
+    @cached_property
+    def edges(self) -> frozenset:
+        return frozenset(zip(*self.edge_array.T.tolist()))
 
     @cached_property
     def neighbor_lists(self) -> tuple:
-        nbrs = [[] for _ in range(self.node_count)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return tuple(sorted(ns) for ns in nbrs)
+        """Each node's neighbours, ascending: the rows of the CSR matrix."""
+        a = self.adjacency_sparse()
+        cols, ptr = a.indices.tolist(), a.indptr.tolist()
+        return tuple(map(cols.__getitem__, map(slice, ptr[:-1], ptr[1:])))
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.node_count, self.node_count))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
+        """The dense 0/1 adjacency matrix, a fresh copy of the CSR one."""
+        return self.adjacency_sparse().toarray()
+
+    def adjacency_sparse(self) -> sp.csr_array:
+        """The symmetric 0/1 adjacency as one CSR matrix, built on first
+        call and shared by every later one: its column indices are
+        sorted in each row and its arrays are read-only."""
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> sp.csr_array:
+        n, (i, j) = self.node_count, self.edge_array.T
+        # scipy's COO -> CSR conversion is a stable counting sort on the
+        # row. With j -> i before i -> j it leaves each row's columns
+        # ascending: the sorted pairs list the columns below row r (pairs
+        # (i, r)), then those above it (pairs (r, j)), each in order.
+        a = sp.csr_array((np.ones(2 * len(i)), (np.concatenate([j, i]),
+                                                 np.concatenate([i, j]))),
+                         shape=(n, n))
+        for arr in (a.data, a.indices, a.indptr):
+            arr.flags.writeable = False
         return a
 
-    def adjacency_sparse(self) -> sp.csr_matrix:
-        if not self.edges:
-            return sp.csr_matrix((self.node_count, self.node_count))
-        rows, cols = [], []
-        for i, j in self.edges:
-            rows += [i, j]
-            cols += [j, i]
-        data = np.ones(len(rows))
-        return sp.csr_matrix((data, (rows, cols)),
-                             shape=(self.node_count, self.node_count))
+
+# Every line break str.splitlines knows but "\n" and "\r\n", to "\n"
+_BREAKS = str.maketrans(dict.fromkeys("\r\v\f\x1c\x1d\x1e\x85\u2028\u2029",
+                                      "\n"))
+_COMMENT = re.compile("#[^\n]*")
+_SPACES = re.compile("[ \t\x1f]+")      # what separates a line's fields
+_INTEGER = re.compile("[+-]?[0-9]+")
+_BIG = 10 ** 10     # more than any node count: magnitudes past it read as it
 
 
 def load_edge_list(text) -> Graph:
-    """Parse an edge-list stream into a Graph.
+    """Parse an edge-list text into a Graph.
 
-    Accepts a string or a file-like object. One "i j" pair per line,
-    optional "n <count>" header fixing the node count, '#' starts a
-    comment. Edges are deduplicated and symmetrized.
+    Accepts a string, a file-like object or an iterable of lines. One
+    "i j" pair per line, optional "n <count>" header fixing the node
+    count, '#' starts a comment. Fields are separated by ASCII spaces or
+    tabs; a node id or count is ASCII decimal digits with an optional
+    sign. Edges are deduplicated and symmetrized. The first bad line
+    raises `EdgeListParseError` with its number; an empty list without
+    a header, or a header too small for the edges, raises it at line 0.
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    elif isinstance(text, io.IOBase) or hasattr(text, "read"):
-        lines = text.read().splitlines()
-    else:
-        lines = list(text)
-
-    declared_n = None
-    edges = set()
-    max_node = -1
-    saw_data = False
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "n":
-            if saw_data or declared_n is not None:
-                raise EdgeListParseError("header 'n <count>' must come first",
-                                         line_no)
-            if len(parts) != 2:
-                raise EdgeListParseError("header must be 'n <count>'", line_no)
-            try:
-                declared_n = int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(f"bad node count {parts[1]!r}",
-                                         line_no) from None
-            if declared_n < 1:
-                raise EdgeListParseError("node count must be positive", line_no)
-            continue
-        if len(parts) != 2:
-            raise EdgeListParseError(f"expected 'i j', got {line!r}", line_no)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListParseError(f"non-integer endpoint in {line!r}",
-                                     line_no) from None
-        if i < 0 or j < 0:
-            raise EdgeListParseError("negative node index", line_no)
-        if i == j:
-            raise EdgeListParseError(f"self-loop at node {i}", line_no)
-        saw_data = True
-        max_node = max(max_node, i, j)
-        edges.add((min(i, j), max(i, j)))
-
-    if declared_n is None:
-        if max_node < 0:
-            raise EdgeListParseError("empty edge list and no 'n' header", 0)
-        n = max_node + 1
-    else:
-        n = declared_n
+    if hasattr(text, "read"):
+        text = text.read()
+    elif not isinstance(text, str):
+        text = "\n".join(map(str.rstrip, text))
+    text = _COMMENT.sub("", text.replace("\r\n", "\n").translate(_BREAKS))
+    # line k runs from just after ends[k - 1] to ends[k]: ends[0] = 0
+    # stands in for line 0, and the last line gets a newline too
+    buf = np.frombuffer(f"\n{text}\n".encode(errors="surrogatepass"),
+                        dtype=np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    line, keyword, value, integer = _fields(buf, ends)
+    count = np.bincount(line, minlength=len(ends))
+    lines = np.flatnonzero(count)              # the lines that hold a field
+    first = (np.cumsum(count) - count)[lines]  # the first field of each
+    second = np.minimum(first + 1, len(value) - 1)
+    i, j = value[first], value[second]
+    fine = (count[lines] == 2) & integer[second] & (j >= 0)
+    header = keyword[first]
+    ok = fine & np.where(
+        header, (j >= 1) & (j <= MAX_NODES) & (np.arange(len(lines)) == 0),
+        integer[first] & (i >= 0) & (np.maximum(i, j) < MAX_NODES) & (i != j))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        bad = buf[ends[lines[k] - 1] + 1:ends[lines[k]]].tobytes()
+        raise EdgeListParseError(
+            _line_error(bad.decode(errors="surrogatepass"), k == 0),
+            int(lines[k]))
+    i, j = i[~header], j[~header]
+    max_node = int(max(i.max(), j.max())) if len(i) else -1
+    if header.any():
+        n = int(value[second[0]])
         if max_node >= n:
-            raise EdgeListParseError(
-                f"edge references node {max_node} but header declares n={n}", 0)
-    return Graph(node_count=n, edges=frozenset(edges))
+            raise EdgeListParseError(f"edge references node {max_node} "
+                                     f"but header declares n={n}", 0)
+    elif max_node < 0:
+        raise EdgeListParseError("empty edge list and no 'n' header", 0)
+    else:
+        n = max_node + 1
+    return Graph(node_count=n,
+                 edges=np.column_stack([np.minimum(i, j), np.maximum(i, j)]))
+
+
+def _fields(buf: np.ndarray, ends: np.ndarray):
+    """The fields of a comment-free text `buf`, one entry per field: its
+    line number, whether it is the header keyword "n", its int64 value
+    and whether it is an integer. A negative integer's value is -1, and
+    a value past _BIG reads as _BIG."""
+    solid = (buf != 10) & (buf != 32) & (buf != 9) & (buf != 31)
+    # buf starts and ends with a newline, so the changes alternate
+    change = np.flatnonzero(solid[1:] != solid[:-1]) + 1
+    start, stop = change.reshape(-1, 2).T
+    size = stop - start
+    # a field with a byte other than a digit is no integer, unless that
+    # byte is the leading sign of a longer field
+    other = np.flatnonzero(solid & (buf - np.uint8(48) >= 10))
+    field = np.searchsorted(start, other, side="right") - 1
+    sign = ((buf[other] == ord("+")) | (buf[other] == ord("-"))) \
+        & (other == start[field]) & (size[field] > 1)
+    integer = np.ones(len(start), dtype=bool)
+    integer[field[~sign]] = False
+    # the ten lowest places, units first, hold every value up to _BIG
+    value = np.zeros(len(start), dtype=np.int64)
+    for k in range(10):
+        d = buf[np.maximum(stop - 1 - k, start)] - np.uint8(48)
+        value += np.where((size > k) & (d < 10), d, 0) * np.int64(10 ** k)
+    # a nonzero digit before those ten places
+    long = size > 10
+    cut = np.column_stack([start[long], stop[long] - 10]).ravel()
+    nonzero = buf - np.uint8(49) < 9
+    value[long] = np.where(
+        np.maximum.reduceat(nonzero, np.append(0, cut))[1::2], _BIG,
+        value[long])
+    value[(buf[start] == ord("-")) & (value > 0)] = -1
+    keyword = (size == 1) & (buf[start] == ord("n"))
+    return np.searchsorted(ends, start), keyword, value, integer
+
+
+def _line_error(line: str, first: bool) -> str:
+    """Why a line with at least one field is bad; `first` when no line
+    with a field comes before it."""
+    line = line.strip(" \t\x1f")
+    parts = _SPACES.split(line)
+    if parts[0] == "n":
+        if not first:
+            return "header 'n <count>' must come first"
+        if len(parts) != 2:
+            return "header must be 'n <count>'"
+        count = _integer(parts[1])
+        if count is None:
+            return f"bad node count {parts[1]!r}"
+        if count < 1:
+            return "node count must be positive"
+        return f"node count {parts[1]} exceeds the limit {MAX_NODES}"
+    if len(parts) != 2:
+        return f"expected 'i j', got {line!r}"
+    i, j = map(_integer, parts)
+    if i is None or j is None:
+        return f"non-integer endpoint in {line!r}"
+    if i < 0 or j < 0:
+        return "negative node index"
+    if max(i, j) >= MAX_NODES:
+        return (f"node index {parts[int(j > i)]} exceeds the limit "
+                f"{MAX_NODES - 1}")
+    return f"self-loop at node {i}"
+
+
+def _integer(token: str):
+    """The value of a decimal token, or None; magnitudes past _BIG read
+    as _BIG, so a token of any length converts in bounded time."""
+    if not _INTEGER.fullmatch(token):
+        return None
+    digits = token.lstrip("+-").lstrip("0")
+    magnitude = min(int(digits[:11] or "0"), _BIG)
+    return -magnitude if token[0] == "-" else magnitude
 
 
 def dump_edge_list(g: Graph) -> str:
     """Serialize a Graph; load(dump(g)) reconstructs g exactly."""
-    out = [f"n {g.node_count}"]
-    out += [f"{i} {j}" for i, j in sorted(g.edges)]
-    return "\n".join(out) + "\n"
+    return "\n".join([f"n {g.node_count}",
+                      *map("{} {}".format, *g.edge_array.T.tolist())]) + "\n"
 
 
 def degrees(g: Graph) -> np.ndarray:
-    return np.array([len(ns) for ns in g.neighbor_lists], dtype=int)
+    return np.diff(g.adjacency_sparse().indptr).astype(int)
 
 
 def spectral_radius(g: Graph) -> float:
     """Spectral radius of the adjacency matrix: its largest eigenvalue,
     by ARPACK's Lanczos iteration from the uniform start vector. Returns
     exactly 0.0 for edgeless graphs."""
-    if not g.edges:
+    if not g.edge_count:
         return 0.0
-    a = g.adjacency_sparse()
-    return float(spla.eigsh(a, k=1, which="LA",
+    return float(spla.eigsh(g.adjacency_sparse(), k=1, which="LA",
                             v0=np.ones(g.node_count))[0][0])

@@ -181,9 +181,9 @@ class _Layout:
 def _layout(g: Graph, params: EpidemicParams) -> _Layout:
     params.validate_for(g)
     n = g.node_count
-    neigh = g.neighbor_lists
-    src = np.repeat(np.arange(n), [len(js) for js in neigh])
-    dst = np.array([j for js in neigh for j in js], dtype=np.intp)
+    a = g.adjacency_sparse()
+    src = np.repeat(np.arange(n), np.diff(a.indptr))
+    dst = a.indices.astype(np.intp)
     if params.isolation is None:
         walk, budget = None, 1
     else:

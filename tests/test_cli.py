@@ -170,8 +170,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("content, where", [
         (b"0 x\n", "line 1:"), (b"0 1\n2 2\n", "line 2:"),
-        (b"n 2\n0 1\nn 3\n", "line 3:"), (b"0 1\n\xff\n", "'utf-8'")],
-        ids=["endpoint", "self-loop", "late-header", "not-utf8"])
+        (b"n 2\n0 1\nn 3\n", "line 3:"), (b"0 1\n\xff\n", "'utf-8'"),
+        (b"n 10000000000\n0 1\n", "line 1: node count 10000000000 exceeds")],
+        ids=["endpoint", "self-loop", "late-header", "not-utf8",
+             "huge-header"])
     def test_malformed_graph_is_exit_4(self, tmp_path, capsys, content,
                                        where):
         graph = tmp_path / "g.txt"
@@ -192,6 +194,22 @@ class TestBound:
         doc = json.loads((tmp_path / "out" / "bound.json").read_text())
         assert doc["hurwitz"] is True
         assert doc["lambda_bound"] == pytest.approx(0.4, abs=1e-9)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """A graph file and a config that start with a UTF-8 byte order
+        mark, as some editors write them, read as they do without it."""
+        text = "n 4\n0 1\n1 2\n2 3\n0 2\n"
+        for tag, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            graph = tmp_path / f"{tag}.txt"
+            graph.write_bytes(bom + text.encode())
+            cfg = tmp_path / f"{tag}.json"
+            cfg.write_bytes(bom + json.dumps(
+                {"graph": str(graph), "initially_infected": [0],
+                 "beta": 0.3, "delta": 0.6,
+                 "out_dir": str(tmp_path / tag)}).encode())
+            assert main(["bound", "--config", str(cfg)]) == 0
+        assert (tmp_path / "bom" / "bound.json").read_bytes() \
+            == (tmp_path / "plain" / "bound.json").read_bytes()
 
     def test_one_erlang_per_distinct_gamma(self, tmp_path, monkeypatch):
         """Isolation bound builds one Erlang law for a scalar gamma, and
