@@ -54,8 +54,12 @@ class Graph:
         if n > MAX_NODES:
             raise GraphValidationError(
                 f"node count {n} exceeds the limit {MAX_NODES}")
-        pairs = np.array(edges if isinstance(edges, np.ndarray)
-                         else list(edges))
+        try:
+            pairs = np.array(edges if isinstance(edges, np.ndarray)
+                             else list(edges))
+        except ValueError:      # ragged input
+            raise GraphValidationError(
+                "edges must be pairs of integer nodes") from None
         if pairs.size == 0:
             pairs = np.empty((0, 2), dtype=np.int32)
         elif pairs.ndim != 2 or pairs.shape[1] != 2 \
@@ -69,15 +73,15 @@ class Graph:
                 raise GraphValidationError(f"self-loop at node {e[0]}")
             raise GraphValidationError(
                 f"edge {e} out of range or not canonical")
-        pairs = pairs.astype(np.int32)
         # i * 2**32 + j orders the pairs as (i, j) does, and is exact in
-        # int64 because every node id is below 2**31
-        key = pairs[:, 0].astype(np.int64) << 32 | pairs[:, 1]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        fresh = np.ones(len(key), dtype=bool)
-        fresh[1:] = key[1:] != key[:-1]
-        pairs = pairs[order[fresh]]
+        # int64 because every node id is below 2**31. numpy's stable sort
+        # of int64 is timsort, quickest on sorted input such as the lists
+        # `dump_edge_list` writes. (np.unique does the same but, in numpy
+        # 2.4, takes twenty times as long on a few thousand keys.)
+        key = np.sort(pairs[:, 0].astype(np.int64) << 32
+                      | pairs[:, 1].astype(np.int64), kind="stable")
+        key = key[np.diff(key, prepend=-1) != 0]
+        pairs = np.column_stack([key >> 32, key & 0xFFFFFFFF]).astype(np.int32)
         pairs.flags.writeable = False
         object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "edge_array", pairs)
@@ -129,10 +133,11 @@ class Graph:
     @cached_property
     def _adjacency(self) -> sp.csr_array:
         n, (i, j) = self.node_count, self.edge_array.T
-        # scipy's COO -> CSR conversion is a stable counting sort on the
-        # row. With j -> i before i -> j it leaves each row's columns
-        # ascending: the sorted pairs list the columns below row r (pairs
-        # (i, r)), then those above it (pairs (r, j)), each in order.
+        # scipy's COO -> CSR conversion groups the entries by row in their
+        # given order, then sorts each row's columns if they are out of
+        # order. With j -> i before i -> j they are in order (the sorted
+        # pairs give row r the columns below r, then those above), so that
+        # sort, and the code it pulls in, is skipped.
         a = sp.csr_array((np.ones(2 * len(i)), (np.concatenate([j, i]),
                                                  np.concatenate([i, j]))),
                          shape=(n, n))
@@ -141,31 +146,42 @@ class Graph:
         return a
 
 
-# Every line break str.splitlines knows but "\n" and "\r\n", to "\n"
-_BREAKS = str.maketrans(dict.fromkeys("\r\v\f\x1c\x1d\x1e\x85\u2028\u2029",
-                                      "\n"))
+# Every line break str.splitlines knows; _BREAKS turns the others to "\n"
+_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_BREAKS = str.maketrans(dict.fromkeys(_ENDS[1:], "\n"))
 _COMMENT = re.compile("#[^\n]*")
 _SPACES = re.compile("[ \t\x1f]+")      # what separates a line's fields
 _INTEGER = re.compile("[+-]?[0-9]+")
 _BIG = 10 ** 10     # more than any node count: magnitudes past it read as it
+_DIGIT = np.zeros(256, dtype=np.int64)  # a byte's value as a decimal digit
+_DIGIT[ord("0"):ord("9") + 1] = range(10)
 
 
 def load_edge_list(text) -> Graph:
     """Parse an edge-list text into a Graph.
 
-    Accepts a string, a file-like object or an iterable of lines. One
-    "i j" pair per line, optional "n <count>" header fixing the node
-    count, '#' starts a comment. Fields are separated by ASCII spaces or
-    tabs; a node id or count is ASCII decimal digits with an optional
-    sign. Edges are deduplicated and symmetrized. The first bad line
-    raises `EdgeListParseError` with its number; an empty list without
-    a header, or a header too small for the edges, raises it at line 0.
+    Accepts a string, a file-like object or an iterable of lines, where
+    each item is one line: its trailing line break is dropped, and any
+    other line break in it is a character of that line. One "i j" pair
+    per line, optional "n <count>" header fixing the node count, '#'
+    starts a comment. Fields are separated by ASCII spaces or tabs; a
+    node id or count is ASCII decimal digits with an optional sign.
+    Edges are deduplicated and symmetrized. The first bad line raises
+    `EdgeListParseError` with its number; an empty list without a
+    header, or a header too small for the edges, raises it at line 0.
     """
     if hasattr(text, "read"):
         text = text.read()
-    elif not isinstance(text, str):
-        text = "\n".join(map(str.rstrip, text))
-    text = _COMMENT.sub("", text.replace("\r\n", "\n").translate(_BREAKS))
+    if isinstance(text, str):
+        items = None
+        text = text.replace("\r\n", "\n").translate(_BREAKS)
+    else:
+        # an item is one line, so a "\n" inside it must not start another;
+        # as "\r" it is just a bad character, and errors quote the item
+        items = list(map(operator.methodcaller("rstrip", _ENDS), text))
+        text = "\n".join(map(operator.methodcaller("replace", "\n", "\r"),
+                             items))
+    text = _COMMENT.sub("", text)
     # line k runs from just after ends[k - 1] to ends[k]: ends[0] = 0
     # stands in for line 0, and the last line gets a newline too
     buf = np.frombuffer(f"\n{text}\n".encode(errors="surrogatepass"),
@@ -184,10 +200,10 @@ def load_edge_list(text) -> Graph:
         integer[first] & (i >= 0) & (np.maximum(i, j) < MAX_NODES) & (i != j))
     if not ok.all():
         k = int(np.argmin(ok))
-        bad = buf[ends[lines[k] - 1] + 1:ends[lines[k]]].tobytes()
-        raise EdgeListParseError(
-            _line_error(bad.decode(errors="surrogatepass"), k == 0),
-            int(lines[k]))
+        row = int(lines[k])
+        bad = buf[ends[row - 1] + 1:ends[row]].tobytes().decode(
+            errors="surrogatepass") if items is None else items[row - 1]
+        raise EdgeListParseError(_line_error(bad, k == 0), row)
     i, j = i[~header], j[~header]
     max_node = int(max(i.max(), j.max())) if len(i) else -1
     if header.any():
@@ -221,11 +237,12 @@ def _fields(buf: np.ndarray, ends: np.ndarray):
         & (other == start[field]) & (size[field] > 1)
     integer = np.ones(len(start), dtype=bool)
     integer[field[~sign]] = False
-    # the ten lowest places, units first, hold every value up to _BIG
+    # the ten lowest places, units first, hold every value up to _BIG;
+    # the digits are read as int64, so no product wraps
     value = np.zeros(len(start), dtype=np.int64)
     for k in range(10):
-        d = buf[np.maximum(stop - 1 - k, start)] - np.uint8(48)
-        value += np.where((size > k) & (d < 10), d, 0) * np.int64(10 ** k)
+        d = _DIGIT[buf[np.maximum(stop - 1 - k, start)]]
+        value += np.where(size > k, d, 0) * 10 ** k
     # a nonzero digit before those ten places
     long = size > 10
     cut = np.column_stack([start[long], stop[long] - 10]).ravel()
@@ -241,7 +258,7 @@ def _fields(buf: np.ndarray, ends: np.ndarray):
 def _line_error(line: str, first: bool) -> str:
     """Why a line with at least one field is bad; `first` when no line
     with a field comes before it."""
-    line = line.strip(" \t\x1f")
+    line = line.split("#", 1)[0].strip(" \t\x1f")
     parts = _SPACES.split(line)
     if parts[0] == "n":
         if not first:

@@ -251,9 +251,10 @@ class TestParserAgainstReference:
         assert load_edge_list(text).edges == frozenset({(0, 1), (1, 2)})
 
     @pytest.mark.parametrize("text", ["1_000 2", "0 \u0663", "\uff11 2",
-                                      "0\u00a01", "0 1\u2003"],
+                                      "0\u00a01", "0 1\u2003",
+                                      ["0 1\u2003\n"]],
                              ids=["underscore", "arabic-indic", "fullwidth",
-                                  "nbsp", "em-space"])
+                                  "nbsp", "em-space", "em-space-item"])
     def test_only_ascii_digits_and_separators(self, text):
         """int() and str.split() take these, so the per-line parser did;
         the array parser reads ASCII digits, signs, spaces and tabs
@@ -262,6 +263,31 @@ class TestParserAgainstReference:
         with pytest.raises(EdgeListParseError) as err:
             load_edge_list(text)
         assert err.value.line_no == 1
+
+    def test_large_digits_in_every_place(self):
+        """Ids and counts whose digits times their place values pass
+        2**8, 2**16 and 2**32, so the place-value sum must not be done
+        in narrow integers."""
+        text = "n 2000000000\n0 399\n1 78999\n2 1999999999\n3 987654321\n"
+        g = load_edge_list(text)
+        assert g == reference_load_edge_list(text)
+        assert g.node_count == 2_000_000_000
+        assert g.edges == frozenset({(0, 399), (1, 78999), (2, 1999999999),
+                                     (3, 987654321)})
+        assert dump_edge_list(g) == text
+        with pytest.raises(EdgeListParseError, match="exceeds") as err:
+            load_edge_list("n 5000000000\n0 1\n")
+        assert err.value.line_no == 1
+
+    @pytest.mark.parametrize("inner", ["\n", "\r", "\u2028", "\x1c"])
+    def test_list_item_is_one_line(self, inner):
+        """An item of a list of lines loses only its trailing line
+        break; a break inside it stays on that line, as it did in the
+        per-line parser, so later line numbers do not shift."""
+        items = ["0 1\n", f"1 2{inner}2 3\n", "x\n"]
+        assert _outcome(load_edge_list, items) == _outcome(
+            reference_load_edge_list, items) == (
+            "error", f"line 2: expected 'i j', got {f'1 2{inner}2 3'!r}", 2)
 
     def test_byte_order_mark_is_not_a_digit(self):
         """A byte order mark left in a string is refused, as it was; the
@@ -312,7 +338,7 @@ class TestArrays:
         ([(1, 1)], "self-loop at node 1"),
         ([(2, 1)], "not canonical"), ([(0, 4)], "out of range"),
         ([(-1, 2)], "out of range"), ([(0, 1, 2)], "pairs"),
-        ([(0.5, 1.0)], "pairs")])
+        ([(0.5, 1.0)], "pairs"), ([(0, 1), (0, 1, 2)], "pairs")])
     def test_validation(self, edges, message):
         with pytest.raises(GraphValidationError, match=message):
             Graph(node_count=4, edges=edges)
