@@ -9,9 +9,9 @@ Exit codes: 0 success, 2 infeasible model, 3 validation failure (also
 an optimized allocation whose solve did not converge or whose
 certificate failed re-verification), 4 config or I/O error (also a
 malformed graph file, a mistyped config field, a seed of 2**128 or
-more, a malformed rate, a misordered or non-positive rate box, a
-malformed initially infected set and an initially infected node outside
-the graph).
+more, replicas of 2**40 or more, a malformed rate, a misordered or
+non-positive rate box, a malformed initially infected set, an initially
+infected node outside the graph and a run that runs out of memory).
 
 Each command builds one `EpidemicParams`, plain or with isolation
 laws, and hands it to the one entry of each layer: `simulate_sir`,
@@ -87,6 +87,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
         if self.seed >= 2 ** 128:   # a Philox key has 128 bits
             raise ConfigError(f"seed must be < 2**128, got {self.seed}")
+        if self.replicas >= 2 ** 40:    # 8 TiB of int64 results
+            raise ConfigError(
+                f"replicas must be < 2**40, got {self.replicas}")
         for name in ("budget", "lambda_cap", "epsilon", "solver_tol"):
             value = getattr(self, name)
             if value is None and name in ("budget", "lambda_cap"):
@@ -436,6 +439,9 @@ def main(argv=None) -> int:
         return 3
     except exact_oracle.StateSpaceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 4
 
 

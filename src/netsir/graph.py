@@ -153,6 +153,7 @@ _COMMENT = re.compile("#[^\n]*")
 _SPACES = re.compile("[ \t\x1f]+")      # what separates a line's fields
 _INTEGER = re.compile("[+-]?[0-9]+")
 _BIG = 10 ** 10     # more than any node count: magnitudes past it read as it
+_ECHO = 40          # the most characters of a token or line an error quotes
 _DIGIT = np.zeros(256, dtype=np.int64)  # a byte's value as a decimal digit
 _DIGIT[ord("0"):ord("9") + 1] = range(10)
 
@@ -267,21 +268,27 @@ def _line_error(line: str, first: bool) -> str:
             return "header must be 'n <count>'"
         count = _integer(parts[1])
         if count is None:
-            return f"bad node count {parts[1]!r}"
+            return f"bad node count {_clip(parts[1])!r}"
         if count < 1:
             return "node count must be positive"
-        return f"node count {parts[1]} exceeds the limit {MAX_NODES}"
+        return f"node count {_clip(parts[1])} exceeds the limit {MAX_NODES}"
     if len(parts) != 2:
-        return f"expected 'i j', got {line!r}"
+        return f"expected 'i j', got {_clip(line)!r}"
     i, j = map(_integer, parts)
     if i is None or j is None:
-        return f"non-integer endpoint in {line!r}"
+        return f"non-integer endpoint in {_clip(line)!r}"
     if i < 0 or j < 0:
         return "negative node index"
     if max(i, j) >= MAX_NODES:
-        return (f"node index {parts[int(j > i)]} exceeds the limit "
+        return (f"node index {_clip(parts[int(j > i)])} exceeds the limit "
                 f"{MAX_NODES - 1}")
     return f"self-loop at node {i}"
+
+
+def _clip(text: str) -> str:
+    """`text`, or its first _ECHO characters and an ellipsis, so that an
+    error stays one short line."""
+    return text if len(text) <= _ECHO else text[:_ECHO] + "..."
 
 
 def _integer(token: str):

@@ -194,24 +194,31 @@ def absorbing_walk(hold, cum, law, phase, budget, more):
     table's exit columns).
     """
     p = cum.shape[1]
+    hold = hold.ravel()
+    moves = cum.reshape(len(hold), -1).T.copy()  # one column of cum a row
     t = np.zeros(len(law))
     phase = np.array(phase, dtype=np.intp)
     kind = np.zeros(len(law), dtype=np.intp)
+    # the walks not yet absorbed, their laws' first table rows, their
+    # phases and their times; integer gathers, as masks cost 4x more
     live = np.arange(len(law))
+    base = np.asarray(law, dtype=np.intp) * p
+    at = phase.copy()
+    clock = np.zeros(len(law))
     col = 0
     while live.size:
         if col == budget.shape[1]:
             budget, col = more(), 0
-        u = budget[live, col:col + 2]
+        row = base + at
+        h = hold[row]
+        clock -= np.log1p(-budget[:, col].take(live)) / h
+        x = budget[:, col + 1].take(live) * h
         col += 2
-        lw, ph = law[live], phase[live]
-        h = hold[lw, ph]
-        t[live] -= np.log1p(-u[:, 0]) / h
-        pick = np.sum(cum[lw, ph] <= (u[:, 1] * h)[:, None], axis=1)
-        out = pick >= p
-        kind[live[out]] = pick[out] - p
-        phase[live[~out]] = pick[~out]
-        live = live[~out]
+        pick = sum(c.take(row) <= x for c in moves)
+        out, stay = np.flatnonzero(pick >= p), np.flatnonzero(pick < p)
+        done = live[out]
+        t[done], phase[done], kind[done] = clock[out], at[out], pick[out] - p
+        live, base, at, clock = live[stay], base[stay], pick[stay], clock[stay]
     return t, phase, kind
 
 

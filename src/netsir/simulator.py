@@ -26,12 +26,23 @@ outruns its budget, as on a law with cycles, reads a further budget
 from level l = 1, 2, ...: a row of the node budgets alone, padded to a
 multiple of 4 uniforms, in the same layout on Philox(key=seed) jumped
 by 2^128 l. So replica r depends on (seed, r) alone, whatever the
-chunking, and each chunk draws a level in one call.
+chunking: a chunk of replicas opens its own streams and draws each
+level it needs for all its walks in one call.
+
+The chunks run on a thread pool with one thread for each CPU the
+process may use. There is no setting for it: a chunk shares nothing
+mutable and writes only its own replicas' results, so the output does
+not depend on the thread count. Most of a chunk's time goes to numpy
+calls that release the GIL: the Philox fill, the logarithms, the
+comparisons and the gathers.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -43,8 +54,20 @@ from scipy.sparse import csgraph
 from .graph import Graph
 from .phase_type import absorbing_walk, phase_type, walk_table
 
-_CHUNK = 1 << 18   # uniforms drawn per chunk of replicas (2 MB)
 _KINDS = ("infect", "recover", "isolate")
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "process_cpu_count"):    # Python 3.13
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_WORKERS = _cpu_count()   # threads that run chunks of replicas
+_CHUNK = 1 << 16          # uniforms drawn per chunk of replicas (512 KB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,10 +260,13 @@ def _draw(lay: _Layout, u: np.ndarray, more):
 
 def _open_graph(size: int, rows, cols, data) -> sp.csr_matrix:
     """size x size CSR matrix of the edges rows -> cols, rows sorted.
-    csgraph keeps an explicit zero as an edge of weight 0."""
-    indptr = np.zeros(size + 1, dtype=np.intp)
+    csgraph keeps an explicit zero as an edge of weight 0. Its indices
+    are the int32 that csgraph takes, so scipy neither scans nor copies
+    them."""
+    indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-    return sp.csr_matrix((data, cols, indptr), shape=(size, size))
+    return sp.csr_matrix((data, cols.astype(np.int32), indptr),
+                         shape=(size, size))
 
 
 def _final_sizes(lay: _Layout, periods, delays) -> np.ndarray:
@@ -248,7 +274,8 @@ def _final_sizes(lay: _Layout, periods, delays) -> np.ndarray:
     chunk's open edges from a super-source wired to every replica's
     initially infected nodes."""
     r, n = periods.shape
-    rep, edge = np.nonzero(delays < periods[:, lay.src])
+    rep, edge = np.divmod(np.flatnonzero(delays < periods[:, lay.src]),
+                          len(lay.src))
     source = r * n
     seeds = (np.arange(r)[:, None] * n + lay.infected0).ravel()
     rows = np.concatenate([rep * n + lay.src[edge],
@@ -309,18 +336,33 @@ def replica_infections(g: Graph, params: EpidemicParams, replicas: int,
     """Infections-after-t0 for each of `replicas` independent runs.
 
     Replica r reads only stream (seed, r), so the result does not
-    depend on how the replicas are chunked.
+    depend on how the replicas are chunked or how many threads run the
+    chunks.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     lay = _layout(g, params)
     rows = max(1, _CHUNK // lay.k)
     out = np.empty(replicas, dtype=np.int64)
-    for r0 in range(0, replicas, rows):
+
+    def chunk(r0: int):
         r1 = min(replicas, r0 + rows)
-        u = _stream(seed, r0, lay.k).random((r1 - r0, lay.k))
-        periods, _, delays = _draw(lay, u, _levels(lay, seed, r0, r1))
+        periods, _, delays = _draw(
+            lay, _stream(seed, r0, lay.k).random((r1 - r0, lay.k)),
+            _levels(lay, seed, r0, r1))
         out[r0:r1] = _final_sizes(lay, periods, delays)
+
+    # chunks write disjoint slices of out. At most two chunks a thread
+    # are submitted ahead, so the queue does not grow with the replica
+    # count; a chunk's error is raised here once those have finished
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        queued = collections.deque()
+        for r0 in range(0, replicas, rows):
+            if len(queued) == 2 * _WORKERS:
+                queued.popleft().result()
+            queued.append(pool.submit(chunk, r0))
+        for done in queued:
+            done.result()
     return out - len(lay.infected0)
 
 

@@ -10,6 +10,8 @@ The reference accepts what `int` accepts (`1_000`, non-ASCII digits)
 and splits fields on any Unicode whitespace; `netsir.graph` takes ASCII
 digits with an optional sign, separated by ASCII spaces or tabs, and at
 most 2**31 - 1 nodes. The tests compare the two on texts inside both.
+Both cut a token or line that an error quotes to its first 40
+characters and an ellipsis.
 """
 
 from __future__ import annotations
@@ -17,6 +19,12 @@ from __future__ import annotations
 import io
 
 from netsir import EdgeListParseError, Graph
+
+ECHO = 40   # an error quotes at most this many characters of a token or line
+
+
+def _clip(text: str) -> str:
+    return text if len(text) <= ECHO else text[:ECHO] + "..."
 
 
 def reference_load_edge_list(text) -> Graph:
@@ -45,18 +53,19 @@ def reference_load_edge_list(text) -> Graph:
             try:
                 declared_n = int(parts[1])
             except ValueError:
-                raise EdgeListParseError(f"bad node count {parts[1]!r}",
-                                         line_no) from None
+                raise EdgeListParseError(
+                    f"bad node count {_clip(parts[1])!r}", line_no) from None
             if declared_n < 1:
                 raise EdgeListParseError("node count must be positive", line_no)
             continue
         if len(parts) != 2:
-            raise EdgeListParseError(f"expected 'i j', got {line!r}", line_no)
+            raise EdgeListParseError(f"expected 'i j', got {_clip(line)!r}",
+                                     line_no)
         try:
             i, j = int(parts[0]), int(parts[1])
         except ValueError:
-            raise EdgeListParseError(f"non-integer endpoint in {line!r}",
-                                     line_no) from None
+            raise EdgeListParseError(
+                f"non-integer endpoint in {_clip(line)!r}", line_no) from None
         if i < 0 or j < 0:
             raise EdgeListParseError("negative node index", line_no)
         if i == j:

@@ -4,7 +4,7 @@ import math
 import pytest
 
 import netsir.phase_type
-from netsir import allocator, gp
+from netsir import allocator, gp, simulator
 from netsir.cli import ConfigError, ExperimentConfig, main
 
 
@@ -94,6 +94,7 @@ class TestConfig:
         ("compare", {"gamma_box": [0.5, True]}, "gamma_box"),
         ("compare", {"delta_box": [0.2, math.inf]}, "delta_box"),
         ("simulate", {"seed": 2 ** 128}, "seed"),
+        ("simulate", {"replicas": 2 ** 40}, "replicas"),
         ("bound", {"initially_infected": {"random": 2, "sed": 7}},
          "initially_infected"),
         ("bound", {"initially_infected": {"random": True}},
@@ -109,6 +110,7 @@ class TestConfig:
             "infected-string", "infected-nested", "infected-int",
             "graph-int", "out-dir-list", "box-number", "box-strings",
             "box-short", "box-bool", "box-infinite", "seed-2-128",
+            "replicas-2-40",
             "random-misspelled-key", "random-bool", "random-float",
             "random-seed-float", "infected-float", "infected-bool"])
     def test_malformed_rate_or_infected_is_exit_4(self, tmp_path,
@@ -123,6 +125,19 @@ class TestConfig:
         assert main([command, "--config", str(cfg)]) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}") and err.count("\n") == 1
+
+    def test_out_of_memory_is_exit_4(self, sim_config, capsys,
+                                     monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array "
+                              "with shape (100000000000,) and data type "
+                              "int64")
+
+        monkeypatch.setattr(simulator, "replica_infections", exhausted)
+        assert main(["simulate", "--config", str(sim_config)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate") \
+            and err.count("\n") == 1
 
     def test_out_of_range_infected_is_exit_4(self, sim_config, capsys):
         doc = json.loads(sim_config.read_text())
@@ -149,6 +164,21 @@ class TestSimulate:
         main(["simulate", "--config", str(sim_config)])
         assert (tmp_path / "out" / "counts.csv").read_bytes() == first
         assert (tmp_path / "out" / "lambda.json").read_bytes() == first_lambda
+
+    def test_worker_count_keeps_bytes(self, sim_config, tmp_path,
+                                      monkeypatch):
+        """The same files with one thread as with the default pool; at
+        256 replicas a chunk the run has 118 chunks."""
+        monkeypatch.setattr(simulator, "_CHUNK", 1 << 10)
+        outputs = []
+        for workers in (simulator._WORKERS, 1):
+            monkeypatch.setattr(simulator, "_WORKERS", workers)
+            out = tmp_path / f"out{workers}"
+            assert main(["simulate", "--config", str(sim_config),
+                         "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("lambda.json", "counts.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_seed_override_changes_trajectory(self, sim_config, tmp_path):
         main(["simulate", "--config", str(sim_config)])

@@ -298,6 +298,18 @@ class TestParserAgainstReference:
             "error", f"line 1: non-integer endpoint in {text!r}", 1)
 
 
+    @pytest.mark.parametrize("text", ["0 1\n2 " + "x" * 100_000,
+                                      "n " + "x" * 1000,
+                                      "0 1\n" + "1 2 " * 1000],
+                             ids=["endpoint", "count", "fields"])
+    def test_error_quotes_a_clipped_line(self, text):
+        """A refused line or token is quoted up to 40 characters, then
+        cut with an ellipsis, so the error stays one short line."""
+        expected = _outcome(reference_load_edge_list, text)
+        assert _outcome(load_edge_list, text) == expected
+        assert "..." in expected[1] and len(expected[1]) < 100
+
+
 class TestNodeLimit:
     def test_refused_before_anything_of_size_n(self):
         huge = 10_000_000_000
@@ -319,6 +331,13 @@ class TestNodeLimit:
         assert str(err.value) == (f"line 1: node count {huge} exceeds the "
                                   f"limit {MAX_NODES}")
         assert peak < 1_000_000
+
+    def test_million_digit_count_is_clipped(self):
+        with pytest.raises(EdgeListParseError) as err:
+            load_edge_list("n " + "9" * 10**6)
+        assert err.value.line_no == 1
+        assert str(err.value) == (f"line 1: node count {'9' * 40}... exceeds "
+                                  f"the limit {MAX_NODES}")
 
     def test_endpoint_below_the_limit_parses(self):
         g = load_edge_list(f"0 {MAX_NODES - 1}\n")

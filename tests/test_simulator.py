@@ -1,3 +1,7 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -14,6 +18,8 @@ TWO_NODE = load_edge_list("0 1")
 RACE_P = EpidemicParams.build(2, 0.2, 0.5, [0])  # P(transmit) = 0.2/0.7
 # phase 2 returns to phase 1 at 0.95 of its rate: walks of many steps
 RETURNING = PhaseType(Pi=np.array([[-2.0, 2.0], [1.9, -2.0]]))
+WORKERS = (1, 2, 3)         # threads that run the chunks of replicas
+CHUNK = simulator._CHUNK    # the default chunk size
 
 
 def star_graph(k):
@@ -33,6 +39,33 @@ def build_params(n, beta, delta, infected, isolated):
 
 MODES = pytest.mark.parametrize("isolated", [False, True],
                                 ids=["plain", "erlang2"])
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads handed the interpreter lock every 10 us, not every 5 ms,
+    so that chunks of replicas interleave as finely as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def same_for_every_pool(monkeypatch, g, params, replicas, seed):
+    """Replica r reads stream (seed, r) alone: the one-thread result at
+    the default chunk size, also at 1, 2 and 3 threads crossed with one
+    replica a chunk and the default."""
+    monkeypatch.setattr(simulator, "_WORKERS", 1)
+    monkeypatch.setattr(simulator, "_CHUNK", CHUNK)
+    a = replica_infections(g, params, replicas, seed=seed)
+    for workers, chunk in itertools.product(WORKERS, [1, CHUNK]):
+        monkeypatch.setattr(simulator, "_WORKERS", workers)
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        b = replica_infections(g, params, replicas, seed=seed)
+        assert np.array_equal(a, b), (g, workers, chunk)
+    return a
 
 
 class TestSingleRun:
@@ -101,24 +134,43 @@ class TestEstimateLambda:
         assert np.array_equal(a, b)
 
     @MODES
-    def test_chunking_keeps_rows(self, isolated, monkeypatch):
-        params = build_params(2, 0.2, 0.5, [0], isolated)
-        a = replica_infections(TWO_NODE, params, 2000, seed=5)
-        monkeypatch.setattr(simulator, "_CHUNK", 1)   # one replica a chunk
-        b = replica_infections(TWO_NODE, params, 2000, seed=5)
-        assert np.array_equal(a, b)
+    def test_chunking_keeps_rows(self, isolated, monkeypatch,
+                                 fast_switching):
+        """The star's chunks hold arrays large enough for numpy to
+        release the interpreter lock, so there the threads truly
+        overlap."""
+        for g, replicas in ((TWO_NODE, 2000), (star_graph(40), 500)):
+            params = build_params(g.node_count, 0.2, 0.5, [0], isolated)
+            same_for_every_pool(monkeypatch, g, params, replicas, 5)
 
-    def test_chunking_keeps_budget_levels(self, monkeypatch):
+    def test_chunking_keeps_budget_levels(self, monkeypatch,
+                                          fast_switching):
         # walks on a law with cycles outrun their budget and read levels
         params = EpidemicParams.build(4, 0.6, 0.1, [0],
                                       isolation=(RETURNING,) * 4)
         g = star_graph(3)
-        a = replica_infections(g, params, 200, seed=6)
-        monkeypatch.setattr(simulator, "_CHUNK", 1)
-        b = replica_infections(g, params, 200, seed=6)
-        assert np.array_equal(a, b)
+        a = same_for_every_pool(monkeypatch, g, params, 200, 6)
         assert simulate_sir_isolation(g, params, 6).infections_after_t0 \
             == a[0]
+
+    def test_chunk_error_reaches_the_caller(self, monkeypatch):
+        """An error in one chunk is raised by the call, and no thread of
+        the pool outlives it."""
+        calls = itertools.count(1)
+        final_sizes = simulator._final_sizes
+
+        def third_fails(*args):
+            if next(calls) == 3:
+                raise RuntimeError("chunk failed")
+            return final_sizes(*args)
+
+        monkeypatch.setattr(simulator, "_WORKERS", 2)
+        monkeypatch.setattr(simulator, "_CHUNK", 1)
+        monkeypatch.setattr(simulator, "_final_sizes", third_fails)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            estimate_lambda(TWO_NODE, RACE_P, 100, seed=3)
+        assert threading.active_count() == threads
 
     def test_replica_streams_differ(self):
         xs = replica_infections(TWO_NODE, RACE_P, 4000, seed=0)
