@@ -31,7 +31,7 @@ sys_ = build_sir_system(g, EpidemicParams(beta=alloc.beta, delta=alloc.delta,
 print(f"recomputed bound     : {lambda_bound(sys_):.4f}")
 
 prev = costs.prevention_cost(alloc.beta)
-corr = costs.correction_cost(alloc.delta)
+corr = costs.second_cost(alloc.second)
 deg = degrees(g)
 order = np.argsort(-deg)
 print("\n node  degree  prevention  correction   (top degrees)")

@@ -6,8 +6,9 @@ per-node infection and recovery rates under prevention/correction cost
 curves; with isolation the recovery rates are fixed and the Erlang mean
 of each node's removal law is tuned instead, with the diagonal decay
 handled through a monomial under-estimator kappa * x^alpha <= x + delta
-fitted per node. Baselines (uniform spending and an SIS-style spectral
-design that ignores initial conditions) are provided for comparison.
+that `build_problem2` fits once per distinct delta. Baselines (uniform
+spending and an SIS-style spectral design that ignores initial
+conditions) are provided for comparison.
 
 The GPs are built as arrays, in the compiled form gp.LogConvexProblem,
 over the column blocks [v | beta | delta or gamma | t or s]. Problems 1
@@ -15,13 +16,13 @@ and 2 and the SIS baseline share one certificate-row builder, which
 works from the sparse adjacency and the infected mask, and add only
 their own per-column terms; solutions are read back by slicing.
 
-Cost curves follow the normalized forms
+Every cost curve has the one normalized form c * x**power + o:
 
-    prevention  f(beta)  = c1/beta  + c2   (1 at beta_lo, 0 at beta_hi)
-    correction  g(delta) = c3*delta + c4   (1 at delta_hi, 0 at delta_lo)
-    isolation   h(gamma) = c5/gamma + c6   (1 at gamma_lo, 0 at gamma_hi)
+    prevention  beta   power -1   (1 at beta_lo,  0 at beta_hi)
+    correction  delta  power +1   (1 at delta_hi, 0 at delta_lo)
+    isolation   gamma  power -1   (1 at gamma_lo, 0 at gamma_hi)
 
-and the constant offsets are absorbed into the budget so every
+and the constant offsets o are absorbed into the budget so every
 constraint stays posynomial.
 """
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +43,7 @@ from .simulator import EpidemicParams
 
 DEFAULT_EPSILON = 1e-6
 _WIDE_BOX = (1e-8, 1e8)
+_FIT_GRID = 10_000   # points on which a monomial fit re-verifies itself
 
 
 class BudgetModelError(ValueError):
@@ -57,11 +59,43 @@ class CertificateError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class _Curve:
+    """The normalized cost c * x**power + o of one rate on its box: 1 at
+    the end that slows the epidemic most (lo for power -1, hi for power
+    +1) and 0 at the other. An inverse curve divides, c / x."""
+
+    box: tuple
+    power: float
+
+    @property
+    def coeff(self) -> float:
+        lo, hi = self.box
+        return lo * hi / (hi - lo) if self.power < 0 else 1.0 / (hi - lo)
+
+    @property
+    def offset(self) -> float:
+        c = self.coeff
+        return -c / self.box[1] if self.power < 0 else -c * self.box[0]
+
+    def __call__(self, x) -> np.ndarray:
+        c, x = self.coeff, np.asarray(x, float)
+        return (c / x if self.power < 0 else c * x) + self.offset
+
+    def rate_at(self, spend: float) -> float:
+        """The rate whose cost is `spend`, clipped to the box."""
+        s = spend - self.offset
+        return np.clip(self.coeff / s if self.power < 0 else s / self.coeff,
+                       *self.box)
+
+
+@dataclass(frozen=True)
 class CostModel:
-    """Boxes, budget, and the normalized cost constants.
+    """Boxes, budget, and the normalized cost curves.
 
     Exactly one of delta_box (plain mode) and gamma_box (isolation
-    mode) must be present.
+    mode) must be present; it is `second_box`. `prevention_cost` and
+    `second_cost` are one `_Curve` form: power -1 for beta and gamma,
+    +1 for delta.
     """
 
     beta_box: tuple
@@ -87,52 +121,27 @@ class CostModel:
     def mode(self) -> str:
         return "plain" if self.delta_box is not None else "isolation"
 
-    # prevention: f(beta) = c1/beta + c2, f(lo)=1, f(hi)=0
     @property
-    def c1(self) -> float:
-        lo, hi = self.beta_box
-        return lo * hi / (hi - lo)
+    def second_box(self) -> tuple:
+        return self.delta_box if self.mode == "plain" else self.gamma_box
 
     @property
-    def c2(self) -> float:
-        return -self.c1 / self.beta_box[1]
-
-    # correction: g(delta) = c3*delta + c4, g(hi)=1, g(lo)=0
-    @property
-    def c3(self) -> float:
-        lo, hi = self.delta_box
-        return 1.0 / (hi - lo)
-
-    @property
-    def c4(self) -> float:
-        return -self.c3 * self.delta_box[0]
-
-    # isolation: h(gamma) = c5/gamma + c6, h(lo)=1, h(hi)=0
-    @property
-    def c5(self) -> float:
-        lo, hi = self.gamma_box
-        return lo * hi / (hi - lo)
-
-    @property
-    def c6(self) -> float:
-        return -self.c5 / self.gamma_box[1]
+    def _curves(self) -> tuple:
+        """The prevention curve and the second rate's curve."""
+        power = 1.0 if self.mode == "plain" else -1.0
+        return _Curve(self.beta_box, -1.0), _Curve(self.second_box, power)
 
     def prevention_cost(self, beta) -> np.ndarray:
-        return self.c1 / np.asarray(beta, float) + self.c2
+        return self._curves[0](beta)
 
-    def correction_cost(self, delta) -> np.ndarray:
-        return self.c3 * np.asarray(delta, float) + self.c4
-
-    def isolation_cost(self, gamma) -> np.ndarray:
-        return self.c5 / np.asarray(gamma, float) + self.c6
+    def second_cost(self, x) -> np.ndarray:
+        return self._curves[1](x)
 
     def absorbed_budget(self, n: int) -> float:
         """Budget left for the variable cost terms after the constant
         offsets of all n nodes are moved to the right-hand side."""
-        if self.mode == "plain":
-            fixed = n * (self.c2 + self.c4)
-        else:
-            fixed = n * (self.c2 + self.c6)
+        prevention, second = self._curves
+        fixed = n * (prevention.offset + second.offset)
         remaining = self.budget - fixed
         if remaining <= 0:
             raise BudgetModelError(
@@ -141,11 +150,8 @@ class CostModel:
         return remaining
 
     def total_cost(self, beta, second) -> float:
-        if self.mode == "plain":
-            return float(np.sum(self.prevention_cost(beta)
-                                + self.correction_cost(second)))
         return float(np.sum(self.prevention_cost(beta)
-                            + self.isolation_cost(second)))
+                            + self.second_cost(second)))
 
 
 @dataclass(frozen=True)
@@ -176,12 +182,11 @@ def _max_gap(alpha: float, kappa: float, delta: float, x_lo: float,
     return max((x + delta) - kappa * x ** alpha for x in (x_lo, x_hi))
 
 
-def fit_monomial_bound(delta: float, x_range, grid_size: int = 10_000
-                       ) -> MonomialBound:
+def fit_monomial_bound(delta: float, x_range) -> MonomialBound:
     """Fit kappa * x^alpha <= x + delta on x_range, minimizing the
     worst-case slack by golden-section search over alpha in (0, 1],
     with the tightest kappa per alpha in closed form. The result is
-    re-verified on a grid of grid_size points.
+    re-verified on a grid of _FIT_GRID points.
     """
     x_lo, x_hi = float(x_range[0]), float(x_range[1])
     if not (0 < x_lo <= x_hi):
@@ -218,7 +223,7 @@ def fit_monomial_bound(delta: float, x_range, grid_size: int = 10_000
             alpha = 1.0  # never do worse than the exponent-one fit
         kappa = _tightest_kappa(alpha, delta, x_lo, x_hi)
     kappa *= 1.0 - 1e-12  # shave so the grid check is roundoff-proof
-    xs = np.linspace(x_lo, x_hi, max(2, grid_size))
+    xs = np.linspace(x_lo, x_hi, _FIT_GRID)
     if np.any(kappa * xs ** alpha > xs + delta):
         raise RuntimeError("monomial fit failed its own grid verification")
     return MonomialBound(kappa=kappa, alpha=alpha, x_lo=x_lo, x_hi=x_hi)
@@ -233,47 +238,50 @@ class AllocationProblem:
     graph: Graph
     infected: frozenset
     costs: CostModel
-    mode: str                      # plain | isolation
     lambda_cap: Optional[float]    # None means minimize lambda_bar
     epsilon: float
     p: int = 1
     delta_fixed: Optional[np.ndarray] = None
-    fits: Optional[tuple] = None
 
 
 @dataclass(frozen=True, eq=False)
 class Allocation:
     """Solved allocation: rates, spent budget, and the certified bound
     with its witness (certificate_v is None only for uncertifiable
-    baseline allocations, in which case lambda_bar is unbounded)."""
+    baseline allocations, in which case lambda_bar is unbounded).
+    `second` is delta in plain mode and gamma in isolation mode."""
 
     mode: str
     beta: np.ndarray
-    delta: Optional[np.ndarray]
-    gamma: Optional[np.ndarray]
+    second: np.ndarray
     total_cost: float
     lambda_bar: float
     certificate_v: Optional[np.ndarray]
     strategy: str = "optimized"
 
     @property
+    def delta(self) -> Optional[np.ndarray]:
+        return self.second if self.mode == "plain" else None
+
+    @property
+    def gamma(self) -> Optional[np.ndarray]:
+        return self.second if self.mode == "isolation" else None
+
+    @property
     def is_certified(self) -> bool:
         return self.certificate_v is not None and math.isfinite(self.lambda_bar)
 
     def to_json_dict(self) -> dict:
-        doc = {"mode": self.mode,
-               "strategy": self.strategy,
-               "lambda_bar": self.lambda_bar if math.isfinite(self.lambda_bar)
-               else "unbounded",
-               "total_cost": self.total_cost,
-               "beta": self.beta.tolist(),
-               "certificate_v": None if self.certificate_v is None
-               else self.certificate_v.tolist()}
-        if self.delta is not None:
-            doc["delta"] = self.delta.tolist()
-        if self.gamma is not None:
-            doc["gamma"] = self.gamma.tolist()
-        return doc
+        return {"mode": self.mode,
+                "strategy": self.strategy,
+                "lambda_bar": self.lambda_bar
+                if math.isfinite(self.lambda_bar) else "unbounded",
+                "total_cost": self.total_cost,
+                "beta": self.beta.tolist(),
+                "certificate_v": None if self.certificate_v is None
+                else self.certificate_v.tolist(),
+                "delta" if self.mode == "plain" else "gamma":
+                self.second.tolist()}
 
 
 def _compile(families, lo, hi, names) -> gp.LogConvexProblem:
@@ -331,13 +339,10 @@ def _budget_terms(costs: CostModel, n: int, p: int, seg: int) -> list:
     """The budget as a posynomial <= 1 in segment seg, the constant
     offsets of the cost curves moved to the right-hand side."""
     rhs = costs.absorbed_budget(n)
-    coeff, power = ((costs.c3, 1.0) if costs.mode == "plain"
-                    else (costs.c5, -1.0))
     nodes = np.arange(n)
-    return [(np.full(n, seg), math.log(costs.c1 / rhs),
-             [(n * p + nodes, -1.0)]),
-            (np.full(n, seg), math.log(coeff / rhs),
-             [(n * p + n + nodes, power)])]
+    return [(np.full(n, seg), math.log(curve.coeff / rhs),
+             [(n * p + k * n + nodes, curve.power)])
+            for k, curve in enumerate(costs._curves)]
 
 
 def _boxes(costs: CostModel, n: int, p: int, last: dict) -> tuple:
@@ -345,9 +350,9 @@ def _boxes(costs: CostModel, n: int, p: int, last: dict) -> tuple:
     entry, the rate boxes, and `last` ({name: box}, empty or one entry)
     for the trailing scalar."""
     plain = costs.mode == "plain"
-    box = costs.delta_box if plain else costs.gamma_box
     lo, hi = np.array([_WIDE_BOX] * (n * p) + [costs.beta_box] * n
-                      + [box] * n + list(last.values()), dtype=float).T
+                      + [costs.second_box] * n + list(last.values()),
+                      dtype=float).T
     names = [f"v_{i}" if plain else f"v_{i}_{m}"
              for i in range(n) for m in range(1, p + 1)]
     names += [f"{rate}_{i}" for rate in
@@ -393,8 +398,8 @@ def _allocation_problem(g: Graph, infected, costs: CostModel, p: int,
     families += _budget_terms(costs, n, p, bound_seg + 1)
     return AllocationProblem(
         gp_problem=_compile(families, *_boxes(costs, n, p, last)), graph=g,
-        infected=infected, costs=costs, mode=costs.mode,
-        lambda_cap=lambda_cap, epsilon=epsilon, p=p, **fields)
+        infected=infected, costs=costs, lambda_cap=lambda_cap,
+        epsilon=epsilon, p=p, **fields)
 
 
 def _blocks(x: np.ndarray, n: int, p: int) -> list:
@@ -427,16 +432,16 @@ def build_problem1(g: Graph, infected, costs: CostModel,
                                np.ones(n), own, lambda_cap, epsilon)
 
 
-def build_problem2(g: Graph, infected, costs: CostModel,
-                   fits: Sequence[MonomialBound], p: int, delta,
+def build_problem2(g: Graph, infected, costs: CostModel, p: int, delta,
                    lambda_cap: Optional[float] = None,
                    epsilon: float = DEFAULT_EPSILON) -> AllocationProblem:
     """Assemble the isolation-mode allocation GP for the Erlang family.
 
     Each node has one removal law Erlang(p, gamma_i) with -DPi = p/gamma
-    identical across phases, so `fits` carries one monomial bound per
-    node, reused for every phase. Per phase column (j, m) the
-    certificate row inequality is
+    identical across phases, so one monomial bound kappa_j x^alpha_j <=
+    x + delta_j over x = p/gamma on `costs.gamma_box` serves every phase
+    of node j; it is fitted once per distinct delta. Per phase column
+    (j, m) the certificate row inequality is
 
         (sum_i v_{i,1} J_ii a_ij beta_i + (p/gamma_j) v_{j,m+1}
          + delta_j + eps) / (kappa_j (p/gamma_j)^alpha_j v_{j,m}) <= 1
@@ -448,13 +453,13 @@ def build_problem2(g: Graph, infected, costs: CostModel,
     if costs.mode != "isolation":
         raise ValueError("isolation-mode cost model required")
     n = g.node_count
-    if len(fits) != n:
-        raise ValueError(f"need one monomial fit per node, got {len(fits)}")
     delta = np.broadcast_to(np.asarray(delta, float), (n,)).copy()
-    if np.any(delta < 0):
-        raise ValueError("delta must be nonnegative")
-    kappa = np.array([f.kappa for f in fits])
-    alpha = np.array([f.alpha for f in fits])
+    if not np.all((delta >= 0) & (delta < math.inf)):
+        raise ValueError("delta must be finite and nonnegative")
+    values, which = np.unique(delta, return_inverse=True)
+    x_range = (p / costs.gamma_box[1], p / costs.gamma_box[0])
+    fits = [fit_monomial_bound(d, x_range) for d in values.tolist()]
+    kappa, alpha = np.array([(f.kappa, f.alpha) for f in fits])[which].T
     cols = np.arange(n * p)
     node = cols // p
     last = cols % p == p - 1
@@ -465,8 +470,7 @@ def build_problem2(g: Graph, infected, costs: CostModel,
            (recovers, np.log(delta[recovers // p]), [])]
     return _allocation_problem(g, infected, costs, p,
                                np.log(kappa) + alpha * math.log(p), -alpha,
-                               own, lambda_cap, epsilon, delta_fixed=delta,
-                               fits=tuple(fits))
+                               own, lambda_cap, epsilon, delta_fixed=delta)
 
 
 def allocation_params(infected, mode: str, beta, second, delta_fixed=None,
@@ -499,7 +503,8 @@ def solve_allocation(prob: AllocationProblem,
     else:
         lambda_bar = prob.lambda_cap
     sys = bound_mod.build_sir_system(prob.graph, allocation_params(
-        prob.infected, prob.mode, beta, second, prob.delta_fixed, prob.p))
+        prob.infected, prob.costs.mode, beta, second, prob.delta_fixed,
+        prob.p))
     if not bound_mod.verify_certificate(sys, v, lambda_bar,
                                         slack=prob.epsilon / 2):
         raise CertificateError("solver output failed certificate validation")
@@ -507,12 +512,10 @@ def solve_allocation(prob: AllocationProblem,
     if not lb <= lambda_bar + 10 * max(tol, 1e-9) * (1 + abs(lambda_bar)):
         raise CertificateError(
             f"recomputed bound {lb} exceeds certified level {lambda_bar}")
-    total = prob.costs.total_cost(beta, second)
-    return Allocation(mode=prob.mode, beta=beta,
-                      delta=second if prob.mode == "plain" else None,
-                      gamma=second if prob.mode == "isolation" else None,
-                      total_cost=total, lambda_bar=lambda_bar,
-                      certificate_v=v, strategy="optimized")
+    return Allocation(mode=prob.costs.mode, beta=beta, second=second,
+                      total_cost=prob.costs.total_cost(beta, second),
+                      lambda_bar=lambda_bar, certificate_v=v,
+                      strategy="optimized")
 
 
 def _certify(g: Graph, infected, costs: CostModel, beta, second,
@@ -529,33 +532,21 @@ def _certify(g: Graph, infected, costs: CostModel, beta, second,
         v, lambda_bar = cert
         lambda_bar = max(0.0, lambda_bar)
     return Allocation(mode=costs.mode, beta=np.asarray(beta, float),
-                      delta=np.asarray(second, float)
-                      if costs.mode == "plain" else None,
-                      gamma=np.asarray(second, float)
-                      if costs.mode == "isolation" else None,
+                      second=np.asarray(second, float),
                       total_cost=costs.total_cost(beta, second),
                       lambda_bar=lambda_bar, certificate_v=v,
                       strategy=strategy)
 
 
 def baseline_uniform(g: Graph, infected, costs: CostModel,
-                     budget: Optional[float] = None,
                      delta_fixed=None, p: int = 1) -> Allocation:
     """Spend the budget equally per node, split equally between the two
     resource types; rates follow by inverting the cost curves. Spending
     saturates at the expensive ends when the budget exceeds 2n."""
     n = g.node_count
-    budget = costs.budget if budget is None else budget
-    spend = min(1.0, max(0.0, budget / (2.0 * n)))
-    # invert f(beta) = spend
-    beta = np.full(n, costs.c1 / (spend - costs.c2))
-    beta = np.clip(beta, costs.beta_box[0], costs.beta_box[1])
-    if costs.mode == "plain":
-        second = np.full(n, (spend - costs.c4) / costs.c3)
-        second = np.clip(second, costs.delta_box[0], costs.delta_box[1])
-    else:
-        second = np.full(n, costs.c5 / (spend - costs.c6))
-        second = np.clip(second, costs.gamma_box[0], costs.gamma_box[1])
+    spend = min(1.0, max(0.0, costs.budget / (2.0 * n)))
+    beta, second = (np.full(n, curve.rate_at(spend))
+                    for curve in costs._curves)
     return _certify(g, infected, costs, beta, second,
                     delta_fixed=delta_fixed, p=p, strategy="uniform")
 
@@ -587,16 +578,24 @@ def baseline_sis_spectral(g: Graph, infected, costs: CostModel,
     return _certify(g, infected, costs, beta, delta, strategy="sis_spectral")
 
 
+def baselines(prob: AllocationProblem, tol: float = 1e-7) -> list:
+    """The designs an optimized allocation is compared with: uniform
+    spending and, in plain mode, the SIS spectral design."""
+    designs = [baseline_uniform(prob.graph, prob.infected, prob.costs,
+                                delta_fixed=prob.delta_fixed, p=prob.p)]
+    if prob.costs.mode == "plain":
+        designs.append(baseline_sis_spectral(prob.graph, prob.infected,
+                                             prob.costs, tol=tol))
+    return designs
+
+
 def allocation_csv_rows(alloc: Allocation, g: Graph,
                         costs: CostModel) -> list:
     """Rows (node, degree, prevention_cost, correction_cost) matching
     the scatter-plot data layout; the correction column carries the
-    isolation cost in isolation mode."""
+    second rate's cost, the isolation cost in isolation mode."""
     degs = degrees(g)
     prev = costs.prevention_cost(alloc.beta)
-    if alloc.mode == "plain":
-        corr = costs.correction_cost(alloc.delta)
-    else:
-        corr = costs.isolation_cost(alloc.gamma)
+    corr = costs.second_cost(alloc.second)
     return [(i, int(degs[i]), float(prev[i]), float(corr[i]))
             for i in range(g.node_count)]

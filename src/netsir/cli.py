@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 infeasible model, 3 validation failure (also
 an optimized allocation whose solve did not converge or whose
 certificate failed re-verification), 4 config or I/O error (also a
 malformed graph file, a mistyped config field, a seed of 2**128 or
-more, replicas of 2**40 or more, a malformed rate, a misordered or
+more, replicas of 2**40 or more, a malformed or non-finite rate (also a
+gamma whose Erlang phase rate overflows), a misordered or
 non-positive rate box, a malformed initially infected set, an initially
 infected node outside the graph and a run that runs out of memory).
 
@@ -193,17 +194,17 @@ def _rates(cfg: ExperimentConfig, g: Graph) -> EpidemicParams:
     n = g.node_count
     infected = _infected_set(cfg, g)
     beta, delta = _per_node(cfg, "beta", n), _per_node(cfg, "delta", n)
-    isolation = None
+    gamma = None
     if cfg.mode == "isolation":
         if cfg.gamma is None:
             raise ConfigError("isolation mode needs 'gamma'")
         gamma = _per_node(cfg, "gamma", n)
         if not np.all(gamma > 0):
             raise ConfigError(f"gamma must be positive, got {cfg.gamma!r}")
-        isolation = erlang_laws(cfg.erlang_shape, gamma)
     try:
-        return EpidemicParams.build(n, beta, delta, infected,
-                                    isolation=isolation)
+        return EpidemicParams.build(
+            n, beta, delta, infected, isolation=None if gamma is None
+            else erlang_laws(cfg.erlang_shape, gamma))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -234,17 +235,13 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 def _cost_model(cfg: ExperimentConfig) -> allocator.CostModel:
     if cfg.beta_box is None or cfg.budget is None:
         raise ConfigError("optimization needs 'beta_box' and 'budget'")
-    if cfg.mode == "plain":
-        if cfg.delta_box is None:
-            raise ConfigError("plain mode needs 'delta_box'")
-        boxes = {"delta_box": tuple(cfg.delta_box)}
-    else:
-        if cfg.gamma_box is None:
-            raise ConfigError("isolation mode needs 'gamma_box'")
-        boxes = {"gamma_box": tuple(cfg.gamma_box)}
+    name = "delta_box" if cfg.mode == "plain" else "gamma_box"
+    if getattr(cfg, name) is None:
+        raise ConfigError(f"{cfg.mode} mode needs '{name}'")
     try:
         return allocator.CostModel(beta_box=tuple(cfg.beta_box),
-                                   budget=float(cfg.budget), **boxes)
+                                   budget=float(cfg.budget),
+                                   **{name: tuple(getattr(cfg, name))})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -259,16 +256,10 @@ def _build_allocation_problem(cfg: ExperimentConfig, g: Graph,
     if cfg.delta is None:
         raise ConfigError("isolation optimization needs fixed 'delta'")
     delta = _per_node(cfg, "delta", g.node_count)
-    if not np.all(delta >= 0):
-        raise ConfigError(f"delta must be nonnegative, got {cfg.delta!r}")
-    p = cfg.erlang_shape
-    x_lo, x_hi = p / cfg.gamma_box[1], p / cfg.gamma_box[0]
-    # one fit per distinct delta: a scalar delta needs a single fit
-    values, which = np.unique(delta, return_inverse=True)
-    fits = [allocator.fit_monomial_bound(d, (x_lo, x_hi))
-            for d in values.tolist()]
-    fits = [fits[k] for k in which]
-    return allocator.build_problem2(g, infected, costs, fits, p=p,
+    if not np.all((delta >= 0) & (delta < math.inf)):
+        raise ConfigError(
+            f"delta must be finite and nonnegative, got {cfg.delta!r}")
+    return allocator.build_problem2(g, infected, costs, p=cfg.erlang_shape,
                                     delta=delta, lambda_cap=cfg.lambda_cap,
                                     epsilon=cfg.epsilon)
 
@@ -359,28 +350,17 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     g = _load_graph(cfg)
     infected = _infected_set(cfg, g)
     prob = _build_allocation_problem(cfg, g, infected)
-    costs = prob.costs
     allocations = [allocator.solve_allocation(prob, tol=cfg.solver_tol),
-                   allocator.baseline_uniform(g, infected, costs,
-                                              delta_fixed=prob.delta_fixed,
-                                              p=prob.p)]
-    if cfg.mode == "plain":
-        allocations.append(allocator.baseline_sis_spectral(
-            g, infected, costs, tol=cfg.solver_tol))
-    results = []
-    for alloc in allocations:
+                   *allocator.baselines(prob, tol=cfg.solver_tol)]
+    rows = []
+    for alloc in allocations:   # the optimized allocation comes first
         params = allocator.allocation_params(
-            infected, alloc.mode, alloc.beta,
-            alloc.delta if alloc.mode == "plain" else alloc.gamma,
+            infected, alloc.mode, alloc.beta, alloc.second,
             prob.delta_fixed, prob.p)
         est = simulator.estimate_lambda(g, params, cfg.replicas, cfg.seed)
-        results.append((alloc.strategy, est.mean, est.std_error))
-    lam_opt = results[0][1]
-    rows = []
-    for strategy, mean, se in results:
-        improvement = 0.0 if strategy == "optimized" or mean <= 0 \
-            else (mean - lam_opt) / mean
-        rows.append((strategy, mean, se, improvement))
+        improvement = 0.0 if not rows or est.mean <= 0 \
+            else (est.mean - rows[0][1]) / est.mean
+        rows.append((alloc.strategy, est.mean, est.std_error, improvement))
     out = _out_dir(cfg)
     _write_csv(out / "comparison.csv",
                ["strategy", "lambda_mean", "lambda_stderr",

@@ -35,6 +35,8 @@ class PhaseType:
             phi = np.zeros(p)
             phi[0] = 1.0
         phi = np.array(phi, dtype=float)
+        if not np.all(np.isfinite(pi)):
+            raise ValueError("Pi must be finite")
         off = pi - np.diag(np.diag(pi))
         if np.any(off < 0):
             raise ValueError("Pi must be Metzler (off-diagonal >= 0)")

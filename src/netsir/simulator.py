@@ -81,7 +81,8 @@ class EpidemicParams:
     is the one-phase law Pi = 0. Each layer folds the natural recovery
     rate delta_i in itself, as Pi_i - delta_i I.
 
-    beta must be positive, and so must delta in plain SIR. Under
+    beta must be finite and positive, and so must delta in plain SIR
+    (delta is finite in every mode). Under
     isolation laws delta may be zero (removal by isolation only), as
     each law is absorbing on its own: `PhaseType` requires an
     invertible Pi.
@@ -101,9 +102,11 @@ class EpidemicParams:
         object.__setattr__(self, "initially_infected",
                            frozenset(int(i) for i in self.initially_infected))
         recovers = delta > 0 if self.isolation is None else delta >= 0
-        if not (np.all(beta > 0) and np.all(recovers)):
-            raise ValueError("beta and delta must be strictly positive "
-                             "(delta may be zero under isolation laws)")
+        if not (np.all((beta > 0) & (beta < np.inf))
+                and np.all(recovers & (delta < np.inf))):
+            raise ValueError("beta and delta must be finite and strictly "
+                             "positive (delta may be zero under isolation "
+                             "laws)")
         if beta.shape != delta.shape or beta.ndim != 1:
             raise ValueError("beta and delta must be equal-length vectors")
         if not self.initially_infected:

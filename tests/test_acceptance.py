@@ -203,7 +203,7 @@ def test_criterion_6_monomial_fit_validity(rng):
         delta = float(rng.uniform(0.0, 2.0))
         lo = float(rng.uniform(0.05, 4.0))
         hi = lo * float(rng.uniform(1.0, 40.0))
-        fit = fit_monomial_bound(delta, (lo, hi), grid_size=10_000)
+        fit = fit_monomial_bound(delta, (lo, hi))
         xs = np.linspace(lo, hi, 10_000)
         vals = fit.kappa * xs ** fit.alpha
         assert np.all(vals <= xs + delta)

@@ -20,13 +20,13 @@ class TestCostModel:
         c = PLAIN_COSTS
         assert c.prevention_cost(0.05) == pytest.approx(1.0)
         assert c.prevention_cost(0.5) == pytest.approx(0.0)
-        assert c.correction_cost(1.0) == pytest.approx(1.0)
-        assert c.correction_cost(0.2) == pytest.approx(0.0)
+        assert c.second_cost(1.0) == pytest.approx(1.0)
+        assert c.second_cost(0.2) == pytest.approx(0.0)
 
     def test_isolation_ends(self):
         c = CostModel(beta_box=(0.1, 0.2), gamma_box=(0.5, 4.0), budget=1.0)
-        assert c.isolation_cost(0.5) == pytest.approx(1.0)
-        assert c.isolation_cost(4.0) == pytest.approx(0.0)
+        assert c.second_cost(0.5) == pytest.approx(1.0)
+        assert c.second_cost(4.0) == pytest.approx(0.0)
 
     def test_mode_exclusivity(self):
         with pytest.raises(ValueError):
@@ -196,38 +196,30 @@ class TestProblem2:
     ISO_COSTS = CostModel(beta_box=(0.05, 0.5), gamma_box=(0.5, 4.0),
                           budget=2.0)
 
-    def fits_for(self, delta, p, n):
-        x_lo, x_hi = p / self.ISO_COSTS.gamma_box[1], \
-            p / self.ISO_COSTS.gamma_box[0]
-        return [fit_monomial_bound(delta, (x_lo, x_hi)) for _ in range(n)]
-
     def test_p1_delta_zero_matches_problem1_correspondence(self):
-        # with delta = 0 the unit fit is exact, and Problem 2 with p = 1
-        # is Problem 1 under delta' = 1/gamma with affine-translated cost
-        fits = [allocator.MonomialBound(kappa=1.0, alpha=1.0, x_lo=0.25,
-                                        x_hi=2.0) for _ in range(2)]
-        prob2 = build_problem2(TWO_NODE, {0}, self.ISO_COSTS, fits, p=1,
-                               delta=0.0)
+        # with delta = 0 the fit is the unit monomial up to its 1e-12
+        # shave, and Problem 2 with p = 1 is Problem 1 under
+        # delta' = 1/gamma with the same cost
+        prob2 = build_problem2(TWO_NODE, {0}, self.ISO_COSTS, p=1, delta=0.0)
         a2 = solve_allocation(prob2)
-        # corresponding plain problem: delta' = 1/gamma in [1/4, 2],
-        # correction cost c5*delta' + c6 matches h(gamma) exactly
+        # corresponding plain problem: delta' = 1/gamma in [1/4, 2]
         c = self.ISO_COSTS
         corr = CostModel(beta_box=c.beta_box, delta_box=(0.25, 2.0),
                          budget=c.budget)
-        # budgets align because the normalizations coincide:
-        # h(gamma) = c5/gamma + c6 = c5*delta' + c6 and
-        # corr cost = delta'-normalized with identical end values
-        assert corr.c3 == pytest.approx(c.c5)
-        assert corr.c4 == pytest.approx(c.c6)
+        # budgets align because the two normalized curves coincide: the
+        # inverse curve on gamma is the linear curve on delta' = 1/gamma
+        gamma = np.linspace(0.5, 4.0, 15)
+        np.testing.assert_allclose(corr.second_cost(1.0 / gamma),
+                                   c.second_cost(gamma), rtol=1e-12,
+                                   atol=1e-15)
         a1 = solve_allocation(build_problem1(TWO_NODE, {0}, corr))
         assert a2.lambda_bar == pytest.approx(a1.lambda_bar, abs=1e-6)
         assert np.allclose(1.0 / a2.gamma, a1.delta, rtol=1e-3)
 
     def test_p1_with_positive_delta_is_conservative(self):
         delta = 0.3
-        fits = self.fits_for(delta, 1, 2)
         a2 = solve_allocation(build_problem2(TWO_NODE, {0}, self.ISO_COSTS,
-                                             fits, p=1, delta=delta))
+                                             p=1, delta=delta))
         # reference: plain problem over the merged rate delta + 1/gamma
         c = self.ISO_COSTS
         corr = CostModel(beta_box=c.beta_box,
@@ -236,18 +228,12 @@ class TestProblem2:
         assert a2.lambda_bar >= a1.lambda_bar - 1e-6
 
     def test_solvable_with_phases(self):
-        fits = self.fits_for(0.1, 2, 2)
         alloc = solve_allocation(build_problem2(TWO_NODE, {0}, self.ISO_COSTS,
-                                                fits, p=2, delta=0.1))
+                                                p=2, delta=0.1))
         assert alloc.mode == "isolation"
         assert np.all(alloc.gamma >= 0.5 - 1e-9)
         assert np.all(alloc.gamma <= 4.0 + 1e-9)
         assert alloc.total_cost <= self.ISO_COSTS.budget + 1e-8
-
-    def test_missing_fits_rejected(self):
-        with pytest.raises(ValueError):
-            build_problem2(TWO_NODE, {0}, self.ISO_COSTS,
-                           self.fits_for(0.1, 2, 1), p=2, delta=0.1)
 
 
 class TestAllocationInvariants:
@@ -327,6 +313,12 @@ class TestBaselines:
         assert alloc.mode == "isolation"
         assert alloc.gamma is not None
         assert alloc.is_certified
+        # budget n: half a unit of each resource per node, so inverting
+        # the gamma curve must land on cost budget / (2n) per node
+        assert alloc.total_cost == pytest.approx(costs.budget, abs=1e-9)
+        np.testing.assert_allclose(costs.second_cost(alloc.second),
+                                   costs.budget / (2 * TWO_NODE.node_count),
+                                   rtol=1e-12)
 
     def test_uncertifiable_baseline_reports_unbounded(self):
         # strong contagion, weak cure: the comparison matrix is unstable
@@ -434,7 +426,7 @@ class TestCompiledRows:
                     fits = [fit_monomial_bound(d, x_range) for d in delta]
                     kappa = np.array([f.kappa for f in fits])
                     alpha = np.array([f.alpha for f in fits])
-                    prob = build_problem2(g, infected, costs, fits, p=p,
+                    prob = build_problem2(g, infected, costs, p=p,
                                           delta=delta)
                     eps = prob.epsilon
 

@@ -126,6 +126,38 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, mode, field, literal, start", [
+        ("validate", "plain", "beta", "1e400",
+         "beta and delta must be finite"),
+        ("validate", "plain", "delta", "1e400",
+         "beta and delta must be finite"),
+        ("bound", "isolation", "gamma", "1e400", "Pi must be invertible"),
+        ("validate", "isolation", "gamma", "1e400", "Pi must be invertible"),
+        ("bound", "isolation", "gamma", "1e-320", "Pi must be finite"),
+        ("validate", "isolation", "gamma", "1e-320", "Pi must be finite"),
+        ("optimize", "isolation", "delta", "1e400", "delta must be finite"),
+    ], ids=["beta-inf", "delta-inf", "gamma-inf-bound", "gamma-inf-validate",
+            "gamma-tiny-bound", "gamma-tiny-validate",
+            "optimize-delta-inf"])
+    def test_non_finite_rate_is_exit_4(self, tmp_path, capsys, command, mode,
+                                       field, literal, start):
+        """A rate written as 1e400 reads as inf, and a gamma of 1e-320
+        makes the Erlang phase rate p/gamma overflow: each is refused
+        with one error line."""
+        graph = tmp_path / "path.txt"
+        graph.write_text("0 1\n1 2\n2 3\n")
+        doc = {"graph": str(graph), "initially_infected": [0],
+               "mode": mode, "beta": 0.2, "delta": 0.5, "gamma": 2.0,
+               "erlang_shape": 2, "beta_box": [0.05, 0.5],
+               "gamma_box": [0.5, 4.0], "budget": 4.0, "replicas": 100,
+               "out_dir": str(tmp_path / "out")}
+        doc[field] = "<rate>"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc).replace('"<rate>"', literal))
+        assert main([command, "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {start}") and err.count("\n") == 1
+
     def test_out_of_memory_is_exit_4(self, sim_config, capsys,
                                      monkeypatch):
         def exhausted(*args):

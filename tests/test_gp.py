@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import gp_front as front
 from gp_front import GpProblem, Monomial, Posynomial, variable
-from netsir import (CostModel, build_problem2, fit_monomial_bound, gp,
-                    load_edge_list)
+from netsir import CostModel, build_problem2, gp, load_edge_list
 
 
 def simple_box(*names, lo=0.01, hi=100.0):
@@ -280,9 +279,7 @@ def test_scatter_matches_sparse_reference_on_social68(rng):
         g.node_count, size=4, replace=False))
     costs = CostModel(beta_box=(0.00266, 0.0133), gamma_box=(2.0, 20.0),
                       budget=68.0)
-    fits = [fit_monomial_bound(0.05, (2 / 20.0, 2 / 2.0))] * g.node_count
-    lcp = build_problem2(g, infected, costs, fits, p=2,
-                         delta=0.05).gp_problem
+    lcp = build_problem2(g, infected, costs, p=2, delta=0.05).gp_problem
     z0 = lcp.center_point()
     for system, center in ((lcp.system, z0),
                            (lcp.system.phase1(), np.append(z0, 1.0))):
