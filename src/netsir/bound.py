@@ -23,7 +23,13 @@ that checks on its own. The sparse LU of M decides only when Krylov
 fails: when GMRES reaches its iteration cap or its v does not check,
 the LU solves for v and the same check applies. GMRES cannot prove that
 M is not Hurwitz, so every "unbounded" answer comes from the LU. Small
-systems, where the LU is measured to be cheaper, go to it directly.
+systems go to the LU directly.
+
+The GMRES is this module's own `_krylov`, so a solve costs its
+matrix-vector products and a few small BLAS calls a step: one
+preallocated basis, classical Gram-Schmidt twice, Givens rotations on
+the Hessenberg columns and the true residual at each cycle end (Saad &
+Schultz, SIAM J. Sci. Stat. Comput. 7, 1986).
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .graph import Graph
 from .phase_type import PhaseType
@@ -48,21 +55,25 @@ DEFAULT_SLACK = 1e-6
 # 6000-edge graph its LU has about a seventh of the nonzeros that
 # SuperLU's default COLAMD leaves, and factors about ten times faster.
 _ORDERING = "MMD_AT_PLUS_A"
-# Restarted GMRES, unpreconditioned: a Krylov basis of _RESTART vectors
-# and at most _CYCLES restarts before the LU decides. On the plain system
-# of a seeded 2000-node, 6000-edge graph with 10 infected nodes, the
-# certificate took 12, 22, 27 and 29 iterations at 0.5, 0.9, 0.99 and
-# 0.999 of the epidemic threshold, and the tighter value solve 21, 36, 44
-# and 48; at 10^5 nodes and 0.999 they took 35 and 67. The cap bounds
-# the work wasted on a system that is not Hurwitz before the LU says so.
+# Restarted GMRES, unpreconditioned (`_krylov`): a basis of _RESTART + 1
+# rows, allocated once a solve, and at most _CYCLES cycles before the LU
+# decides. On the plain system of a seeded 2000-node, 6000-edge graph
+# with 10 infected nodes, the certificate took 12, 22, 27 and 29
+# iterations at 0.5, 0.9, 0.99 and 0.999 of the epidemic threshold, and
+# the tighter value solve 21, 36, 44 and 48; at 10^5 nodes and 0.999
+# they took 35 and 67. The cap bounds the work wasted on a system that
+# is not Hurwitz before the LU says so.
 _RESTART = 50
 _CYCLES = 3
-# Below this many unknowns the LU is the cheaper solver, and certification
-# goes to it directly. GMRES costs 4-20 ms from 100 to 2000 unknowns,
-# mostly per-iteration overhead, while the LU grows with its fill: on
-# random graphs with 3n edges it took 1-2 ms at n = 100 and 200, 5 ms at
-# 400 and 17-21 ms at 800, and 5 ms at the 600 unknowns of Erlang(3) on
-# 200 nodes against 25 ms at 1200.
+# Below this many unknowns certification goes to the LU directly. On
+# seeded random graphs with 3n edges, delta = 1 and 0.5 or 0.9 of the
+# threshold, the whole of `lambda_bound` took 1.2-1.6 ms on the Krylov
+# path at 100 unknowns against 0.8 ms on the LU path, 1.3-1.9 against
+# 1.7-1.8 ms at 200, 1.4-2.3 against 4 ms at 400, 1.2-2.1 against 18 ms
+# at 1000 and 1.8-3.3 against 91-106 ms at 2000; with Erlang(3) laws,
+# 1.5 against 1.2 ms at 300 unknowns and 1.8 against 3.4 ms at 600. The
+# crossover is near 200 unknowns. The threshold stays at 1000: lowering
+# it would move the last digits of every bound between the two.
 _KRYLOV_MIN_DIM = 1000
 # The value solve stops once the certificate's error bound on the value,
 # ||v||_2 ||r||_2, is at most this times 1 + v^T initial.
@@ -146,11 +157,61 @@ def isolation_system_from(g: Graph, infected, delta,
 
 
 def _krylov(a, b: np.ndarray, atol: float) -> Optional[np.ndarray]:
-    """x with ||b - a x||_2 <= atol from restarted GMRES, or None when the
-    iteration cap is reached first."""
-    x, info = spla.gmres(a, b, rtol=0.0, atol=atol, restart=_RESTART,
-                         maxiter=_CYCLES)
-    return x if info == 0 else None
+    """x with ||b - a x||_2 <= atol from restarted GMRES, or None when
+    _CYCLES cycles end above atol (Saad, Iterative Methods for Sparse
+    Linear Systems, 2nd ed., ch. 6).
+
+    The first cycle starts from x = 0, each later one from the last x,
+    all on one basis of _RESTART + 1 rows. A step orthogonalizes a v_j
+    against the basis by classical Gram-Schmidt applied twice, then
+    Givens rotations turn the new Hessenberg column into a column of the
+    triangle R and give the residual estimate |g_{j+1}|; the cycle stops
+    once that is at most atol. The cycle's step solves R y = g, and the
+    true residual is recomputed at its end: only that one is trusted."""
+    n = b.shape[0]
+    basis = np.empty((_RESTART + 1, n))
+    tri = np.zeros((_RESTART, _RESTART))
+    x = np.zeros(n)
+    r, res = b, float(np.linalg.norm(b))
+    for _ in range(_CYCLES):
+        if res <= atol:
+            return x
+        np.divide(r, res, out=basis[0])
+        g = [res] + [0.0] * _RESTART
+        rotations = []
+        k = 0
+        for j in range(_RESTART):
+            w = a @ basis[j]
+            done = basis[:j + 1]
+            first = done @ w
+            w -= first @ done
+            second = done @ w
+            w -= second @ done
+            col = (first + second).tolist()
+            h = float(np.linalg.norm(w))
+            if h:   # zero when the Krylov space is exhausted; the
+                # estimate below is then exactly zero and the cycle stops
+                np.divide(w, h, out=basis[j + 1])
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
+                                      c * col[i + 1] - s * col[i])
+            rho = math.hypot(col[j], h)
+            if rho == 0.0:      # R singular: end on the first j columns
+                break
+            c, s = col[j] / rho, h / rho
+            rotations.append((c, s))
+            col[j] = rho
+            tri[:j + 1, j] = col
+            g[j], g[j + 1] = c * g[j], -s * g[j]
+            k = j + 1
+            if abs(g[k]) <= atol:
+                break
+        if k:
+            x += solve_triangular(tri[:k, :k], g[:k],
+                                  check_finite=False) @ basis[:k]
+            r = b - a @ x
+            res = float(np.linalg.norm(r))
+    return x if res <= atol else None
 
 
 def _factor(sys: ComparisonSystem):

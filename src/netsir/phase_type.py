@@ -96,13 +96,16 @@ def erlang_laws(p: int, means) -> tuple:
 def phase_type(laws) -> np.ndarray:
     """The generators of a sequence of removal laws, stacked (n, p, p).
     The laws must share one phase count and start in phase 1 (phi = u1),
-    as every layer enters a new infection in phase 1."""
-    if len({law.p for law in laws}) != 1:
+    as every layer enters a new infection in phase 1. Each distinct law
+    object is checked and stacked once, then indexed per node."""
+    distinct = {}       # law -> its row among the distinct laws
+    which = [distinct.setdefault(law, len(distinct)) for law in laws]
+    if len({law.p for law in distinct}) != 1:
         raise ValueError("isolation laws must share one phase count")
-    phis = np.stack([law.phi for law in laws])
+    phis = np.stack([law.phi for law in distinct])
     if np.any(phis[:, 0] != 1.0) or np.any(phis[:, 1:]):
         raise ValueError("isolation laws must start in phase 1 (phi = u1)")
-    return np.stack([law.Pi for law in laws])
+    return np.stack([law.Pi for law in distinct])[which]
 
 
 def min_with_exponential(y: PhaseType, delta: float) -> PhaseType:

@@ -368,6 +368,73 @@ class TestSparseProperties:
             is_hurwitz_metzler(sys_.matrix.toarray())
 
 
+@st.composite
+def krylov_systems(draw):
+    """(matrix, b, atol, closes): random nonsymmetric systems of at most
+    60 unknowns, and systems whose Krylov space closes within a few
+    steps (closes is True): a diagonal matrix with at most five distinct
+    entries, b a multiple of a unit eigenvector, or b = 0."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "diagonal", "eigenvector",
+                                 "zero"]))
+    a = rng.standard_normal((n, n)) / math.sqrt(n) \
+        + draw(st.floats(-3.0, 3.0)) * np.eye(n)
+    b = rng.standard_normal(n)
+    if kind == "diagonal":
+        values = rng.uniform(0.5, 3.0, size=5) * rng.choice([-1.0, 1.0], 5)
+        a = np.diag(rng.choice(values, size=n))
+    elif kind == "eigenvector":
+        i = int(rng.integers(n))
+        a[:, i] = 0.0
+        a[i, i] = rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])
+        b = np.zeros(n)
+        b[i] = rng.uniform(-5.0, 5.0) or 1.0
+    elif kind == "zero":
+        b = np.zeros(n)
+    rel = 10.0 ** draw(st.floats(-15.0 if kind == "random" else -10.0,
+                                 -2.0))
+    return (sp.csr_array(a), b, rel * max(float(np.linalg.norm(b)), 1.0),
+            kind != "random")
+
+
+class TestKrylovKernel:
+    """The restarted GMRES kernel on its own: whatever it returns meets
+    its tolerance, measured here from the returned x."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(krylov_systems())
+    def test_returned_x_meets_atol(self, case):
+        m, b, atol, closes = case
+        x = netsir.bound._krylov(m, b, atol)
+        if closes:
+            assert x is not None
+        if x is not None:
+            assert np.linalg.norm(b - m @ x) <= atol
+        if not b.any():
+            assert x is not None and not x.any()
+
+    def test_singular_system_is_none(self):
+        # the first Hessenberg column is zero, so R is singular from the
+        # start; the kernel gives up and, on 1000 unknowns, the LU answers
+        assert netsir.bound._krylov(sp.csr_array((3, 3)), np.ones(3),
+                                    1e-8) is None
+        assert is_hurwitz_metzler(sp.csr_array((1000, 1000)),
+                                  tol=0.0) is False
+
+    def test_two_passes_converge_on_a_graded_non_normal_matrix(self):
+        # upper bidiagonal with diagonal 1 ... 1e10: one classical
+        # Gram-Schmidt pass loses the basis's orthogonality here and the
+        # kernel does not reach 1e-4 in three cycles; two passes reach
+        # 1e-8 within the second cycle
+        d = np.logspace(0, 10, 50)
+        m = sp.csr_array(np.diag(d) + np.diag(d[:-1] / 2, 1))
+        b = np.ones(50)
+        atol = 1e-8 * np.linalg.norm(b)
+        x = netsir.bound._krylov(m, b, atol)
+        assert x is not None and np.linalg.norm(b - m @ x) <= atol
+
+
 def sparse2k(seed=2000):
     """A seeded random graph with 2000 nodes, 6000 distinct edges and 10
     random infected nodes (the shape of the certify-sparse2k benchmark),
@@ -458,6 +525,22 @@ class TestKrylovCertification:
         ref = float(-sys_.weight_row @ np.linalg.solve(dense, sys_.initial))
         assert lb == pytest.approx(max(0.0, ref - sys_.sigma_I0), rel=1e-10,
                                    abs=1e-10 * sys_.sigma_I0)
+
+    def test_capped_krylov_falls_back_to_one_lu(self, graph, lu_calls,
+                                                monkeypatch):
+        # two steps and one cycle cannot reach the certificate's
+        # tolerance, so the LU alone both certifies and gives the value
+        sys_ = self.system(graph, "plain", 0.5)
+        monkeypatch.setattr(netsir.bound, "_RESTART", 2)
+        monkeypatch.setattr(netsir.bound, "_CYCLES", 1)
+        rhs = -(sys_.weight_row + 1e-6)
+        assert netsir.bound._krylov(sys_.matrix.T, rhs, 2.5e-7) is None
+        lb = lambda_bound(sys_)
+        assert lu_calls == [sys_.matrix.shape]
+        x = _SPLU(sys_.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A") \
+            .solve(sys_.initial)
+        ref = float(-sys_.weight_row @ x) - sys_.sigma_I0
+        assert lb == pytest.approx(ref, rel=1e-10)
 
     def test_supercritical_unbounded_from_one_lu(self, graph, lu_calls):
         sys_ = self.system(graph, "plain", 1.5)

@@ -1,11 +1,29 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import netsir.phase_type
-from netsir import allocator, gp, simulator
+from netsir import allocator, cli, gp, simulator
 from netsir.cli import ConfigError, ExperimentConfig, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(*args):
+    """Run `python *args` in a fresh interpreter that imports this
+    checkout's netsir."""
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 @pytest.fixture
@@ -295,6 +313,39 @@ class TestBound:
                 "out_dir": str(tmp_path / "out")}))
             assert main(["bound", "--config", str(cfg)]) == 0
             assert calls == built
+
+
+    def test_refused_call_then_bound_matches_fresh_process(
+            self, tmp_path):
+        """The parser is built once per process; a call it refuses leaves
+        it as it was, so the next call writes what a fresh process does."""
+        graph = tmp_path / "path.txt"
+        graph.write_text("0 1\n1 2\n2 3\n0 2\n")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "graph": str(graph), "initially_infected": [1],
+            "mode": "isolation", "beta": 0.3, "delta": 0.2, "gamma": 1.5,
+            "erlang_shape": 2}))
+        with pytest.raises(SystemExit) as refused:
+            main(["bound", "--mode", "sideways", "--config", str(cfg)])
+        assert refused.value.code == 2
+        assert main(["bound", "--config", str(cfg),
+                     "--out", str(tmp_path / "here")]) == 0
+        assert cli._parser() is cli._parser()
+        fresh_python("-m", "netsir.cli", "bound", "--config", str(cfg),
+                     "--out", str(tmp_path / "fresh"))
+        assert (tmp_path / "here" / "bound.json").read_bytes() \
+            == (tmp_path / "fresh" / "bound.json").read_bytes()
+
+
+def test_cli_import_loads_no_heavy_scipy():
+    """`import netsir.cli` is all a command's start-up pays for; none of
+    these scipy subpackages loads with it."""
+    loaded = fresh_python("-c", "import sys, netsir.cli; "
+                          "print(' '.join(sorted(sys.modules)))").split()
+    heavy = {"scipy.optimize", "scipy.stats", "scipy.integrate",
+             "scipy.interpolate"}
+    assert "netsir.cli" in loaded and heavy.isdisjoint(loaded)
 
 
 class TestValidate:

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from netsir import (ErlangSpec, PhaseType, cdf, erlang, exit_rates, mean,
                     min_with_exponential, sample)
-from netsir.phase_type import absorbing_walk, walk_table
+from netsir.phase_type import absorbing_walk, phase_type, walk_table
 from netsir.simulator import replica_rng
 from conftest import ks_statistic
 
@@ -43,6 +43,30 @@ class TestConstruction:
     def test_positive_row_sum_rejected(self):
         with pytest.raises(ValueError):
             PhaseType(Pi=np.array([[-1.0, 2.0], [0.0, -1.0]]))
+
+
+class TestStack:
+    """`phase_type` stacks each distinct law object once and indexes it
+    per node; repeated objects give the per-law stack and are refused
+    alike."""
+
+    def test_repeated_laws_give_the_per_law_stack(self):
+        a, b = erlang(ErlangSpec(3, 1.0)), erlang(ErlangSpec(3, 2.5))
+        laws = (a, b, a, a, b, erlang(ErlangSpec(3, 1.0)))
+        stack = phase_type(laws)
+        assert stack.shape == (6, 3, 3)
+        assert np.array_equal(stack, np.stack([law.Pi for law in laws]))
+
+    def test_mixed_phase_counts_refused(self):
+        two, three = erlang(ErlangSpec(2, 1.0)), erlang(ErlangSpec(3, 1.0))
+        with pytest.raises(ValueError, match="one phase count"):
+            phase_type((two, two, three, two))
+
+    def test_phi_other_than_u1_refused(self):
+        good = erlang(ErlangSpec(2, 1.0))
+        late = PhaseType(Pi=good.Pi, phi=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="phase 1"):
+            phase_type((good, good, late, good, late))
 
 
 class TestMinWithExponential:
