@@ -22,8 +22,8 @@ synthesis margin, so a "bounded" answer always carries a certificate
 that checks on its own. The sparse LU of M decides only when Krylov
 fails: when GMRES reaches its iteration cap or its v does not check,
 the LU solves for v and the same check applies. GMRES cannot prove that
-M is not Hurwitz, so every "unbounded" answer comes from the LU. Small
-systems go to the LU directly.
+M is not Hurwitz, so every "unbounded" answer comes from the LU. Every
+system, whatever its size, takes this one path.
 
 The GMRES is this module's own `_krylov`, so a solve costs its
 matrix-vector products and a few small BLAS calls a step: one
@@ -49,11 +49,11 @@ from .simulator import EpidemicParams
 
 UNBOUNDED = math.inf
 DEFAULT_SLACK = 1e-6
-# Fill-reducing column ordering of the LU, which runs only on small
-# systems and when the Krylov solve fails: minimum degree on the
-# structure of M^T + M. On the Erlang(3) system of a 2000-node,
-# 6000-edge graph its LU has about a seventh of the nonzeros that
-# SuperLU's default COLAMD leaves, and factors about ten times faster.
+# Fill-reducing column ordering of the LU, which runs only when the
+# Krylov solve fails: minimum degree on the structure of M^T + M. On
+# the Erlang(3) system of a 2000-node, 6000-edge graph its LU has about
+# a seventh of the nonzeros that SuperLU's default COLAMD leaves, and
+# factors about ten times faster.
 _ORDERING = "MMD_AT_PLUS_A"
 # Restarted GMRES, unpreconditioned (`_krylov`): a basis of _RESTART + 1
 # rows, allocated once a solve, and at most _CYCLES cycles before the LU
@@ -65,16 +65,6 @@ _ORDERING = "MMD_AT_PLUS_A"
 # is not Hurwitz before the LU says so.
 _RESTART = 50
 _CYCLES = 3
-# Below this many unknowns certification goes to the LU directly. On
-# seeded random graphs with 3n edges, delta = 1 and 0.5 or 0.9 of the
-# threshold, the whole of `lambda_bound` took 1.2-1.6 ms on the Krylov
-# path at 100 unknowns against 0.8 ms on the LU path, 1.3-1.9 against
-# 1.7-1.8 ms at 200, 1.4-2.3 against 4 ms at 400, 1.2-2.1 against 18 ms
-# at 1000 and 1.8-3.3 against 91-106 ms at 2000; with Erlang(3) laws,
-# 1.5 against 1.2 ms at 300 unknowns and 1.8 against 3.4 ms at 600. The
-# crossover is near 200 unknowns. The threshold stays at 1000: lowering
-# it would move the last digits of every bound between the two.
-_KRYLOV_MIN_DIM = 1000
 # The value solve stops once the certificate's error bound on the value,
 # ||v||_2 ||r||_2, is at most this times 1 + v^T initial.
 _VALUE_RTOL = 1e-13
@@ -124,13 +114,12 @@ def build_sir_system(g: Graph, params: EpidemicParams) -> ComparisonSystem:
     """The comparison system of `params` checked against the graph:
     oplus_i (Pi'_i)^T + (J B A) kron (u1 1^T) with Pi'_i = Pi_i -
     delta_i I, weight row -Pi'_i 1 and initial u1 per infected node,
-    from the (n, p, p) generator stack of the removal laws (p = 1 and
-    Pi = 0 in plain SIR)."""
+    from the folded (n, p, p) stack `params.folded` (p = 1 and Pi = 0
+    in plain SIR)."""
     params.validate_for(g)
-    generators, delta = params.generators, params.delta
-    n, p, _ = generators.shape
+    folded = params.folded
+    n, p, _ = folded.shape
     infected = params.initially_infected
-    folded = generators - delta[:, None, None] * np.eye(p)
     blocks = sp.bsr_array((folded.transpose(0, 2, 1), np.arange(n),
                            np.arange(n + 1)), shape=(n * p, n * p))
     u1_ones = np.zeros((p, p))
@@ -235,15 +224,13 @@ def _checked_lambda_bar(sys: ComparisonSystem, v: Optional[np.ndarray],
 def _certify(sys: ComparisonSystem, margin: float):
     """(v, lambda_bar, lu) with v solving v^T M = -(weight_row + margin)
     and passing `verify_certificate` at margin/2, or None when M is not
-    Hurwitz. v comes from GMRES, with lu None, when it checks; otherwise,
-    and below _KRYLOV_MIN_DIM unknowns, from the LU, which alone can
-    answer None."""
+    Hurwitz. v comes from GMRES, with lu None, when it checks; otherwise
+    from the LU, which alone can answer None."""
     rhs = -(sys.weight_row + margin)
-    if sys.dim >= _KRYLOV_MIN_DIM:
-        v = _krylov(sys.matrix.T, rhs, atol=margin / 4)
-        lam = _checked_lambda_bar(sys, v, margin)
-        if lam is not None:
-            return v, lam, None
+    v = _krylov(sys.matrix.T, rhs, atol=margin / 4)
+    lam = _checked_lambda_bar(sys, v, margin)
+    if lam is not None:
+        return v, lam, None
     lu = _factor(sys)
     if lu is None:
         return None
@@ -255,7 +242,7 @@ def _certify(sys: ComparisonSystem, margin: float):
 def is_hurwitz_metzler(m, tol: float = 1e-10) -> bool:
     """True iff the Metzler matrix (dense or sparse) has spectral
     abscissa < -tol, decided by certifying m + tol I: solve, then check,
-    with the LU deciding on small systems and when Krylov fails."""
+    with the LU deciding when Krylov fails."""
     m = sp.csr_array(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
@@ -325,8 +312,7 @@ def certificate_for(sys: ComparisonSystem,
     """Construct (v, lambda_bar) witnessing the bound for a Hurwitz
     system: v solves v^T M = -(weight_row + margin) and lambda_bar is
     v^T initial - sigma_I0 + margin. v is solved by GMRES, or by the LU
-    on small systems and when Krylov fails, and passes
-    `verify_certificate` at margin/2 either way. Returns None when not
-    Hurwitz."""
+    when Krylov fails, and passes `verify_certificate` at margin/2
+    either way. Returns None when not Hurwitz."""
     cert = _certify(sys, margin)
     return None if cert is None else cert[:2]

@@ -113,6 +113,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config must be a JSON object, got {doc!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         extra = set(doc) - known
         if extra:

@@ -52,7 +52,7 @@ def _build_chain(g: Graph, params: EpidemicParams):
             f"(p+2)^n = {state_count(n, p)} exceeds cap {STATE_CAP}")
     place = (p + 2) ** np.arange(n, dtype=np.int64)
     adj = g.adjacency_matrix()
-    folded = params.generators - params.delta[:, None, None] * np.eye(p)
+    folded = params.folded
     # jump[i, l, t]: rate from phase l to phase t < p, or to removal at t = p
     jump = np.concatenate([folded * (1.0 - np.eye(p)),
                            -folded.sum(axis=2, keepdims=True)], axis=2)

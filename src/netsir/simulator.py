@@ -78,8 +78,9 @@ class EpidemicParams:
     `isolation`, when present, holds one removal-time law per node
     (all with the same phase count, all starting in phase 1).
     `generators` is their validated (n, p, p) stack of Pi_i; plain SIR
-    is the one-phase law Pi = 0. Each layer folds the natural recovery
-    rate delta_i in itself, as Pi_i - delta_i I.
+    is the one-phase law Pi = 0. `folded` is the same stack with the
+    natural recovery rate folded in, Pi_i - delta_i I, computed here
+    once for every layer.
 
     beta must be finite and positive, and so must delta in plain SIR
     (delta is finite in every mode). Under
@@ -93,6 +94,7 @@ class EpidemicParams:
     initially_infected: frozenset
     isolation: Optional[tuple] = None
     generators: np.ndarray = field(init=False, repr=False)
+    folded: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
@@ -120,6 +122,9 @@ class EpidemicParams:
                 raise ValueError("need one isolation law per node")
             generators = phase_type(iso)
         object.__setattr__(self, "generators", generators)
+        p = generators.shape[1]
+        object.__setattr__(self, "folded",
+                           generators - delta[:, None, None] * np.eye(p))
 
     @classmethod
     def build(cls, n: int, beta, delta, infected, isolation=None):
@@ -218,7 +223,7 @@ def _layout(g: Graph, params: EpidemicParams) -> _Layout:
         # exits split into recovery (delta_i) and isolation (-Pi_i 1)
         exits = np.stack([np.repeat(delta[:, None], p, axis=1),
                           -gens.sum(axis=2)], axis=2)
-        walk = walk_table(gens - delta[:, None, None] * np.eye(p), exits)
+        walk = walk_table(params.folded, exits)
         budget = 2 * p
     return _Layout(src=src, dst=dst, beta_dst=params.beta[dst],
                    delta=params.delta, walk=walk, budget=budget,

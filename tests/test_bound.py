@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -416,7 +417,7 @@ class TestKrylovKernel:
 
     def test_singular_system_is_none(self):
         # the first Hessenberg column is zero, so R is singular from the
-        # start; the kernel gives up and, on 1000 unknowns, the LU answers
+        # start; the kernel gives up and the LU answers
         assert netsir.bound._krylov(sp.csr_array((3, 3)), np.ones(3),
                                     1e-8) is None
         assert is_hurwitz_metzler(sp.csr_array((1000, 1000)),
@@ -433,6 +434,17 @@ class TestKrylovKernel:
         atol = 1e-8 * np.linalg.norm(b)
         x = netsir.bound._krylov(m, b, atol)
         assert x is not None and np.linalg.norm(b - m @ x) <= atol
+
+
+def social68(seed=68):
+    """The bundled 68-node graph with 3 seeded random infected nodes,
+    with its spectral radius."""
+    g = load_edge_list((resources.files("netsir") / "data"
+                        / "social68.txt").read_text())
+    rng = np.random.default_rng(seed)
+    infected = [int(i) for i in rng.choice(g.node_count, size=3,
+                                           replace=False)]
+    return g, infected, spectral_radius(g)
 
 
 def sparse2k(seed=2000):
@@ -455,13 +467,17 @@ _SPLU = spla.splu
 
 
 class TestKrylovCertification:
-    """Certification solves by GMRES, then checks; the LU runs only when
-    Krylov fails, and it alone answers "unbounded". Counting LU calls
-    guards the fast path without a timing assertion."""
+    """Certification solves by GMRES, then checks, at every size; the LU
+    runs only when Krylov fails, and it alone answers "unbounded".
+    Counting LU calls guards the fast path without a timing assertion."""
 
     @pytest.fixture(scope="class")
     def graph(self):
         return sparse2k()
+
+    @pytest.fixture(scope="class")
+    def small_graph(self):
+        return social68()
 
     @pytest.fixture
     def lu_calls(self, monkeypatch):
@@ -481,7 +497,7 @@ class TestKrylovCertification:
         if mode == "plain":
             return build_sir_system(g, EpidemicParams.build(
                 g.node_count, level / rho, 1.0, infected))
-        law = erlang(ErlangSpec(3, 1.0))
+        law = erlang(ErlangSpec(int(mode[-1]), 1.0))
         period = mean(min_with_exponential(law, 1.0))
         return build_sir_system(g, EpidemicParams.build(
             g.node_count, level / (rho * period), 1.0, infected,
@@ -491,7 +507,18 @@ class TestKrylovCertification:
                                              ("erlang3", 0.5)])
     def test_subcritical_certified_without_lu(self, graph, lu_calls, mode,
                                               level):
-        sys_ = self.system(graph, mode, level)
+        self.certified_without_lu(self.system(graph, mode, level), lu_calls)
+
+    @pytest.mark.parametrize("mode, level", [("plain", 0.5), ("plain", 0.999),
+                                             ("erlang2", 0.5),
+                                             ("erlang2", 0.999)])
+    def test_social68_subcritical_certified_without_lu(self, small_graph,
+                                                       lu_calls, mode, level):
+        self.certified_without_lu(self.system(small_graph, mode, level),
+                                  lu_calls)
+
+    @staticmethod
+    def certified_without_lu(sys_, lu_calls):
         lb = lambda_bound(sys_)
         v, lam = certificate_for(sys_, margin=1e-6)
         assert lu_calls == []
@@ -504,11 +531,11 @@ class TestKrylovCertification:
 
     @_PROPERTY
     @given(small_systems())
-    def test_krylov_path_on_small_systems(self, sys_):
-        # small systems go to the LU directly; forcing the Krylov path
-        # on them checks it against a dense reference
+    def test_lu_fallback_on_small_systems(self, sys_):
+        # with no GMRES cycle `_krylov` returns None, so the LU alone
+        # certifies and gives the value, checked against a dense reference
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(netsir.bound, "_KRYLOV_MIN_DIM", 0)
+            mp.setattr(netsir.bound, "_CYCLES", 0)
             lb = lambda_bound(sys_)
             cert = certificate_for(sys_, margin=1e-6)
             hurwitz = is_hurwitz_metzler(sys_.matrix)
@@ -543,7 +570,16 @@ class TestKrylovCertification:
         assert lb == pytest.approx(ref, rel=1e-10)
 
     def test_supercritical_unbounded_from_one_lu(self, graph, lu_calls):
-        sys_ = self.system(graph, "plain", 1.5)
+        self.unbounded_from_one_lu(self.system(graph, "plain", 1.5), lu_calls)
+
+    @pytest.mark.parametrize("mode", ["plain", "erlang2"])
+    def test_social68_supercritical_unbounded_from_one_lu(self, small_graph,
+                                                         lu_calls, mode):
+        self.unbounded_from_one_lu(self.system(small_graph, mode, 1.5),
+                                   lu_calls)
+
+    @staticmethod
+    def unbounded_from_one_lu(sys_, lu_calls):
         assert lambda_bound(sys_) is UNBOUNDED
         assert lu_calls == [sys_.matrix.shape]
         assert certificate_for(sys_) is None

@@ -72,6 +72,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"mode": "plain"})
 
+    @pytest.mark.parametrize("doc", ["5", "null", '["graph"]', '"graph"'])
+    def test_non_object_config_is_exit_4(self, tmp_path, capsys, doc):
+        config = tmp_path / "config.json"
+        config.write_text(doc)
+        assert main(["validate", "--config", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: config must be a JSON object, got ") \
+            and err.count("\n") == 1
+
     def test_string_replicas_is_exit_4(self, sim_config, capsys):
         doc = json.loads(sim_config.read_text())
         sim_config.write_text(json.dumps(dict(doc, replicas="10")))
