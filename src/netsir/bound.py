@@ -263,24 +263,24 @@ def lambda_bound(sys: ComparisonSystem) -> float:
     value v^T x0 - sigma_I(0) + margin itself. Mx = x0 is solved by
     GMRES to an error that the certificate bounds: 0 <= -w^T M^{-1} <=
     v^T entrywise, so the value is off by at most ||v||_2 ||r||_2 for
-    residual r. The LU solves it when it gave the certificate or when
-    GMRES stalls. The value is taken in flux form, -(1^T M + w)^T x +
-    1^T x0 - sigma_I(0): 1^T M + w is the transmission column sum, so
-    nothing cancels against sigma_I(0)."""
+    residual r. The LU solves it only when it gave the certificate.
+    When GMRES gave the certificate but misses its value target, the
+    result is the certified value v^T x0 - sigma_I(0) + margin that
+    `certificate_for` returns: an upper bound that has been checked, and
+    no system of any size is factored for the value. The value is taken
+    in flux form, -(1^T M + w)^T x + 1^T x0 - sigma_I(0): 1^T M + w is
+    the transmission column sum, so nothing cancels against
+    sigma_I(0)."""
     cert = _certify(sys, DEFAULT_SLACK)
     if cert is None:
         return UNBOUNDED
-    v, _, lu = cert
-    x = None
+    v, lam, lu = cert
     if lu is None:
         err = _VALUE_RTOL * (1.0 + float(v @ sys.initial))
         x = _krylov(sys.matrix, sys.initial, atol=err / np.linalg.norm(v))
-    if x is None:
-        if lu is None:
-            lu = _factor(sys)
-        if lu is None:
-            raise ArithmeticError(
-                "singular factor of a Hurwitz comparison matrix")
+        if x is None:
+            return lam
+    else:
         x = lu.solve(sys.initial)
     flux = np.ones(sys.dim) @ sys.matrix + sys.weight_row
     val = float(-flux @ x) + (float(sys.initial.sum()) - sys.sigma_I0)

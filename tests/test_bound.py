@@ -569,6 +569,23 @@ class TestKrylovCertification:
         ref = float(-sys_.weight_row @ x) - sys_.sigma_I0
         assert lb == pytest.approx(ref, rel=1e-10)
 
+    def test_value_miss_returns_the_certified_value(self, graph,
+                                                    monkeypatch):
+        # GMRES certifies, then misses a value target no solve can meet:
+        # the certified value comes back and nothing is factored
+        sys_ = self.system(graph, "plain", 0.9)
+        x = _SPLU(sys_.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A") \
+            .solve(sys_.initial)
+        ref = float(-sys_.weight_row @ x) - sys_.sigma_I0
+
+        def no_factor(sys):
+            raise AssertionError("the value solve factored M")
+        monkeypatch.setattr(netsir.bound, "_VALUE_RTOL", 1e-30)
+        monkeypatch.setattr(netsir.bound, "_factor", no_factor)
+        lb = lambda_bound(sys_)
+        assert lb == certificate_for(sys_)[1]
+        assert lb >= ref
+
     def test_supercritical_unbounded_from_one_lu(self, graph, lu_calls):
         self.unbounded_from_one_lu(self.system(graph, "plain", 1.5), lu_calls)
 

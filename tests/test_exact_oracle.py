@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
+import netsir.exact_oracle
 from netsir import (EpidemicParams, ErlangSpec, Graph, StateSpaceTooLarge,
                     erlang, exact_lambda, exact_removed_series, load_edge_list,
                     state_count)
@@ -78,9 +80,13 @@ class TestExactLambda:
         assert exact_lambda(TWO_NODE, p_iso) == pytest.approx(
             exact_lambda(TWO_NODE, p_plain), abs=1e-10)
 
-    def test_cap_enforced(self):
-        g = Graph(node_count=14, edges=frozenset({(0, 1)}))
-        params = EpidemicParams.build(14, 0.1, 0.1, [0])
+    @pytest.mark.parametrize("n, shape", [(14, None), (10, 2)],
+                             ids=["plain14", "erlang2-10"])
+    def test_cap_enforced(self, n, shape):
+        # 3^14 and 4^10 product states are both above STATE_CAP
+        g = Graph(node_count=n, edges=frozenset({(0, 1)}))
+        iso = None if shape is None else (erlang(ErlangSpec(shape, 1.0)),) * n
+        params = EpidemicParams.build(n, 0.1, 0.1, [0], isolation=iso)
         tracemalloc.start()
         try:
             with pytest.raises(StateSpaceTooLarge):
@@ -88,7 +94,7 @@ class TestExactLambda:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # refused before the 3^14-entry (38 MB) state index is allocated
+        # refused before anything sized by the state space is allocated
         assert peak < 1_000_000
 
     def test_single_node(self):
@@ -147,6 +153,82 @@ def test_chain_matches_per_state_reference(instance):
     assert triples == {(states[a], states[b], r)
                        for a, b, r in zip(ref_rows, ref_cols, ref_rates)}
     # the reference clamps nothing: its roundoff may leave -1e-16 at zero
+    assert exact_lambda(g, params) == pytest.approx(
+        reference_lambda(g, params), rel=1e-12, abs=1e-13)
+
+
+class TestLuCalls:
+    """Only a law with a backward phase move sends the oracle to the
+    sparse LU; plain and Erlang chains are swept level by level."""
+
+    @pytest.fixture
+    def lu_calls(self, monkeypatch):
+        calls = []
+        splu = spla.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(args[0].shape)
+            return splu(*args, **kwargs)
+        monkeypatch.setattr(netsir.exact_oracle.spla, "splu", counting_splu)
+        return calls
+
+    def test_ring10_plain(self, lu_calls):
+        g = load_edge_list("".join(f"{i} {(i + 1) % 10}\n" for i in range(10)))
+        exact_lambda(g, EpidemicParams.build(10, 0.6, 0.4, [0]))
+        assert lu_calls == []
+
+    def test_path8_erlang2(self, lu_calls):
+        g = load_edge_list("".join(f"{i} {i + 1}\n" for i in range(7)))
+        iso = (erlang(ErlangSpec(2, 2.0)),) * 8
+        exact_lambda(g, EpidemicParams.build(8, 0.6, 0.4, [0], isolation=iso))
+        assert lu_calls == []
+
+    def test_backward_move_takes_one_lu(self, lu_calls):
+        # the law of test_node_relabelling, on the same graph
+        rng = np.random.default_rng(5)
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]
+        beta, delta = rng.uniform(0.2, 1.0, 6), rng.uniform(0.1, 0.5, 6)
+        laws = []
+        for mean in rng.uniform(0.5, 3.0, 6):
+            pi = erlang(ErlangSpec(2, mean)).Pi.copy()
+            pi[1, 0] = 0.9 * 2 / mean
+            laws.append(PhaseType(Pi=pi))
+        params = EpidemicParams(beta=beta, delta=delta,
+                                initially_infected={0, 3},
+                                isolation=tuple(laws))
+        exact_lambda(Graph(node_count=6, edges=frozenset(edges)), params)
+        assert len(lu_calls) == 1
+
+
+@st.composite
+def acyclic_instances(draw, max_nodes=5):
+    """Removal laws with a random upper-triangular Pi: forward moves
+    that may skip phases, and exits from any phase."""
+    n = draw(st.integers(1, max_nodes))
+    p = draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    infected = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    rates = st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n)
+    rate = st.one_of(st.just(0.0), st.floats(0.1, 3.0))
+    laws = []
+    for _ in range(n):
+        ahead = np.triu(np.reshape(draw(st.lists(
+            rate, min_size=p * p, max_size=p * p)), (p, p)), 1)
+        exits = np.array(draw(st.lists(rate, min_size=p, max_size=p)))
+        exits[ahead.sum(axis=1) + exits == 0.0] = 1.0   # every phase left
+        laws.append(PhaseType(Pi=ahead - np.diag(ahead.sum(axis=1) + exits)))
+    delta = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return (Graph(node_count=n, edges=frozenset(edges)),
+            EpidemicParams(beta=np.array(draw(rates)), delta=np.array(delta),
+                           initially_infected=frozenset(infected),
+                           isolation=tuple(laws)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(acyclic_instances())
+def test_sweep_matches_reference_on_acyclic_laws(instance):
+    g, params = instance
     assert exact_lambda(g, params) == pytest.approx(
         reference_lambda(g, params), rel=1e-12, abs=1e-13)
 
