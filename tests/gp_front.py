@@ -244,6 +244,32 @@ def solve(problem: GpProblem, tol: float = 1e-7,
         sol, point=dict(zip(lowered.names, x.tolist())), x=x)
 
 
+def random_gp(seed: int) -> GpProblem:
+    """A seeded GP over four variables: a posynomial objective, one to
+    four posynomial constraints, a monomial equality when seed % 3 == 0,
+    and boxes [0.01..0.1, 10..100]. About one in seven is infeasible."""
+    rng = np.random.default_rng(seed)
+    names = ["a", "b", "c", "d"]
+
+    def posy(scale):
+        return Posynomial(tuple(
+            Monomial(float(rng.uniform(0.1, 2.0)) * scale,
+                     {n: float(rng.uniform(-2, 2)) for n in names})
+            for _ in range(int(rng.integers(1, 4)))))
+    objective = posy(1.0)
+    cons = tuple(posy(float(rng.uniform(0.05, 1.0)))
+                 for _ in range(int(rng.integers(1, 5))))
+    eq = ()
+    if seed % 3 == 0:
+        i, j = rng.choice(4, size=2, replace=False)
+        eq = (Monomial(float(rng.uniform(0.5, 2.0)),
+                       {names[i]: 1.0, names[j]: -1.0}),)
+    box = {n: (float(rng.uniform(0.01, 0.1)), float(rng.uniform(10, 100)))
+           for n in names}
+    return GpProblem(objective=objective, ineq_constraints=cons,
+                     eq_constraints=eq, box=box)
+
+
 def segment_value_grad(system: gp.StackedLse, k: int, y: np.ndarray):
     """Value and gradient of segment k of a compiled system at y."""
     vals, w = system.lse(y)

@@ -15,6 +15,21 @@ TWO_NODE = load_edge_list("0 1")
 PLAIN_COSTS = CostModel(beta_box=(0.05, 0.5), delta_box=(0.2, 1.0), budget=2.0)
 
 
+@pytest.fixture(autouse=True)
+def certified_gap_within_tol(monkeypatch):
+    """Every 'optimal' solve in this module proves, by weak duality, an
+    optimality gap of at most its tol."""
+    solve = gp.solve_compiled
+
+    def checked(problem, tol=1e-7, max_newton=500):
+        sol = solve(problem, tol, max_newton)
+        if sol.status == "optimal":
+            gap = gp.certified_gap(problem, sol)[1]
+            assert 0 <= gap <= tol, (gap, tol, sol.newton_iters)
+        return sol
+    monkeypatch.setattr(gp, "solve_compiled", checked)
+
+
 class TestCostModel:
     def test_normalized_ends(self):
         c = PLAIN_COSTS
@@ -158,6 +173,57 @@ class TestProblem1:
         assert sol.status == "optimal"
         assert abs(sol.point["t"] - len(infected) - 1.950556) <= 1e-4
         assert sol.newton_iters <= 150
+
+    @staticmethod
+    def social68_problems():
+        """The plain and Erlang(2) GPs of the optimize-social68 configs."""
+        from importlib import resources
+        g = load_edge_list((resources.files("netsir") / "data"
+                            / "social68.txt").read_text())
+        infected = frozenset(int(i) for i in np.random.default_rng(
+            2024).choice(g.node_count, size=4, replace=False))
+        plain = CostModel(beta_box=(0.00266, 0.0133), delta_box=(0.05, 0.1),
+                          budget=68.0)
+        iso = CostModel(beta_box=(0.00266, 0.0133), gamma_box=(2.0, 20.0),
+                        budget=68.0)
+        return (build_problem1(g, infected, plain).gp_problem,
+                build_problem2(g, infected, iso, p=2, delta=0.05).gp_problem)
+
+    def test_social68_certified_bound_below_reference(self):
+        """The weak-duality bound on t lies below the SLSQP optimum of
+        perfbench/reference_optimum.py, and within tol of the solve."""
+        lcp = self.social68_problems()[0]
+        sol = gp.solve_compiled(lcp, tol=1e-6)
+        lower, gap = gp.certified_gap(lcp, sol)
+        assert math.exp(lower) - 4 <= 1.950556
+        assert 0 <= gap <= 1e-6
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["plain", "erlang2"])
+    def test_social68_newton_steps(self, which):
+        """Curvature-corrected steps: each optimize-social68 solve takes
+        at most 25 Newton steps over both phases."""
+        sol = gp.solve_compiled(self.social68_problems()[which], tol=1e-6)
+        assert sol.status == "optimal"
+        assert sol.newton_iters <= 25
+
+    def test_random_250_node_newton_steps(self):
+        """A seeded 250-node graph with 750 edges, plain mode, budget n:
+        at most 30 Newton steps."""
+        n = 250
+        rng = np.random.default_rng(250)
+        edges = set()
+        while len(edges) < 3 * n:
+            i, j = (int(x) for x in rng.integers(0, n, 2))
+            if i != j:
+                edges.add((min(i, j), max(i, j)))
+        g = Graph(node_count=n, edges=frozenset(edges))
+        infected = frozenset(int(i) for i in rng.choice(n, 4, replace=False))
+        costs = CostModel(beta_box=(0.00266, 0.0133), delta_box=(0.05, 0.1),
+                          budget=float(n))
+        sol = gp.solve_compiled(build_problem1(g, infected, costs).gp_problem,
+                                tol=1e-6)
+        assert sol.status == "optimal"
+        assert sol.newton_iters <= 30
 
     def test_one_solve_per_allocation_at_the_requested_tol(self,
                                                            monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from importlib import resources
 
@@ -366,3 +367,80 @@ def test_transform_soundness_random_posynomials(seed):
     point = {n: math.exp(y[i]) for i, n in enumerate(lcp.variables)}
     assert math.exp(lcp.system.values(y)[0]) == pytest.approx(
         front.evaluate(Posynomial(terms), point), rel=1e-10)
+
+
+AM_GM = GpProblem(objective=variable("x") + variable("y"),
+                  ineq_constraints=(Monomial(1.0, {"x": -1.0, "y": -1.0}),),
+                  box=simple_box("x", "y"))
+
+
+def test_certified_bound_at_any_point_and_multipliers(rng):
+    """Weak duality needs no solve: at random points, most of them
+    infeasible, with random positive multipliers (so r != 0), the bound
+    stays below the AM-GM optimum 2 of criterion 5."""
+    lcp = front.lower(AM_GM).lcp
+    m = len(lcp.system.starts) - 1
+    for _ in range(200):
+        sol = gp.GpSolution(point={}, objective_value=math.nan,
+                            status="max_iter", kkt_residual=math.nan,
+                            x=np.exp(rng.uniform(-4.0, 4.0, size=2)),
+                            lam=10.0 ** rng.uniform(-3.0, 2.0, size=m))
+        lower, gap = gp.certified_gap(lcp, sol)
+        assert lower <= math.log(2.0)
+        assert gap >= 0
+
+
+def test_certified_gap_of_the_am_gm_optimum():
+    lcp = front.lower(AM_GM).lcp
+    sol = gp.solve_compiled(lcp, tol=1e-8)
+    assert sol.status == "optimal"
+    lower, gap = gp.certified_gap(lcp, sol)
+    assert 2.0 * (1.0 - 1e-8) <= math.exp(lower) <= 2.0
+    assert 0 <= gap <= 1e-8
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_random_gps_solve_to_a_verified_answer(seed):
+    """gp_front.random_gp: every answer at the default step cap is
+    'optimal' or 'infeasible'. An optimal point meets tol, satisfies
+    every row, and is no worse than any sampled feasible point, and its
+    certified lower bound is no better than those points."""
+    tol = 1e-7
+    prob = front.random_gp(seed)
+    sol = front.solve(prob, tol=tol)
+    assert sol.status in ("optimal", "infeasible")
+    if sol.status == "infeasible":
+        return
+    assert sol.kkt_residual <= tol and sol.gap <= tol
+    for c in prob.ineq_constraints:
+        assert front.evaluate(c, sol.point) <= 1.0 + 1e-12
+    for mono in prob.eq_constraints:
+        assert front.evaluate(mono, sol.point) == pytest.approx(1.0,
+                                                                rel=1e-9)
+    for name, (lo, hi) in prob.box.items():
+        assert lo * (1 - 1e-12) <= sol.point[name] <= hi * (1 + 1e-12)
+    lowered = front.lower(prob)
+    lower, _ = gp.certified_gap(lowered.lcp, dataclasses.replace(
+        sol, x=np.array([sol.point[v] for v in lowered.lcp.variables])))
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        z = rng.uniform(np.log(lowered.lcp.lo), np.log(lowered.lcp.hi))
+        point = dict(zip(lowered.names,
+                         np.exp(lowered.y0 + lowered.basis @ z).tolist()))
+        if all(front.evaluate(c, point) <= 1.0 - 1e-9
+               for c in prob.ineq_constraints) and all(
+                lo * (1 + 1e-9) <= point[k] <= hi * (1 - 1e-9)
+                for k, (lo, hi) in prob.box.items()):
+            value = front.evaluate(prob.objective, point)
+            assert sol.objective_value <= value * (1 + 1e-6)
+            assert math.exp(lower) <= value * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("seed", [788, 830, 1445, 2748])
+def test_line_search_falls_back_to_the_newton_direction(seed):
+    """On these random_gp seeds, at some iterate no step along the
+    curvature-corrected direction reduces the residual; the plain Newton
+    direction takes over, and the solve still ends with an answer."""
+    sol = front.solve(front.random_gp(seed), tol=1e-7)
+    assert sol.status in ("optimal", "infeasible")
