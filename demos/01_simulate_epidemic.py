@@ -1,8 +1,9 @@
 """Simulate the networked SIR process on the bundled 68-node graph.
 
-Runs one full trajectory, prints the epidemic curve at a few event
+Records one full trajectory, prints the epidemic curve at a few event
 times, then estimates the expected number of accumulated infections
-by Monte Carlo.
+by Monte Carlo. The trajectory is replica 0 of that Monte Carlo run:
+`simulate_sir` takes the run's seed and a replica index.
 """
 
 from importlib import resources
@@ -10,7 +11,6 @@ from importlib import resources
 import numpy as np
 
 from netsir import EpidemicParams, estimate_lambda, load_edge_list, simulate_sir
-from netsir.simulator import replica_rng
 
 g = load_edge_list((resources.files("netsir") / "data" / "social68.txt").read_text())
 print(f"graph: {g.node_count} nodes, {g.edge_count} edges")
@@ -18,7 +18,7 @@ print(f"graph: {g.node_count} nodes, {g.edge_count} edges")
 params = EpidemicParams.build(
     g.node_count, beta=0.0133, delta=0.05, infected=[0, 5, 17, 42])
 
-outcome = simulate_sir(g, params, replica_rng(seed=1, replica=0))
+outcome = simulate_sir(g, params, seed=1, replica=0)
 print(f"\none trajectory: {outcome.final_removed} nodes ever infected, "
       f"{outcome.infections_after_t0} after t=0, "
       f"{len(outcome.event_log)} events")

@@ -7,9 +7,8 @@ from .graph import (Graph, EdgeListParseError, GraphValidationError,
 from .phase_type import (PhaseType, ErlangSpec, erlang, min_with_exponential,
                          cdf, exit_rates, sample, mean)
 from .simulator import (EpidemicParams, SimOutcome, LambdaEstimate,
-                        replica_rng, row_length, simulate_sir,
-                        simulate_sir_isolation, replica_infections,
-                        estimate_lambda)
+                        simulate_sir, simulate_sir_isolation,
+                        replica_infections, estimate_lambda)
 from .exact_oracle import (StateSpaceTooLarge, state_count, exact_lambda,
                            exact_removed_series)
 from .bound import (ComparisonSystem, UNBOUNDED, build_sir_system,

@@ -41,7 +41,6 @@ from .graph import Graph, degrees
 from .phase_type import erlang_laws
 from .simulator import EpidemicParams
 
-DEFAULT_EPSILON = 1e-6
 _WIDE_BOX = (1e-8, 1e8)
 _FIT_GRID = 10_000   # points on which a monomial fit re-verifies itself
 
@@ -239,7 +238,6 @@ class AllocationProblem:
     infected: frozenset
     costs: CostModel
     lambda_cap: Optional[float]    # None means minimize lambda_bar
-    epsilon: float
     p: int = 1
     delta_fixed: Optional[np.ndarray] = None
 
@@ -310,7 +308,7 @@ def _compile(families, lo, hi, names) -> gp.LogConvexProblem:
 
 def _certificate_rows(g: Graph, transmit: np.ndarray, p: int,
                       den_logc: np.ndarray, den_exp: np.ndarray,
-                      own: list, epsilon: float) -> list:
+                      own: list) -> list:
     """Term families of segments 1..n*p, one per certificate column
     c = j*p + m:
 
@@ -318,8 +316,9 @@ def _certificate_rows(g: Graph, transmit: np.ndarray, p: int,
          + the own terms of c + eps)
             / (exp(den_logc_j) v_c x_j^den_exp_j) <= 1
 
-    with x the second rate block. `own` lists each family of a
-    problem's own terms as (columns c, log-coefficients, entries)."""
+    with x the second rate block and eps the certificate margin
+    `bound.DEFAULT_SLACK`. `own` lists each family of a problem's own
+    terms as (columns c, log-coefficients, entries)."""
     n = g.node_count
     a = g.adjacency_sparse()   # symmetric: row j lists j's neighbours
     j = np.repeat(np.arange(n), np.diff(a.indptr))
@@ -328,7 +327,8 @@ def _certificate_rows(g: Graph, transmit: np.ndarray, p: int,
     c = (j * p + np.arange(p)[:, None]).ravel()   # every phase of j
     i = np.tile(i, p)
     families = [(c, 0.0, [(i * p, 1.0), (n * p + i, 1.0)]),
-                (np.arange(n * p), math.log(epsilon), [])] + own
+                (np.arange(n * p), math.log(bound_mod.DEFAULT_SLACK),
+                 [])] + own
     return [(1 + col, logc - den_logc[col // p],
              entries + [(col, -1.0), (n * p + n + col // p,
                                       -den_exp[col // p])])
@@ -362,7 +362,7 @@ def _boxes(costs: CostModel, n: int, p: int, last: dict) -> tuple:
 
 def _allocation_problem(g: Graph, infected, costs: CostModel, p: int,
                         den_logc, den_exp, own: list,
-                        lambda_cap: Optional[float], epsilon: float,
+                        lambda_cap: Optional[float],
                         **fields) -> AllocationProblem:
     """Problems 1 and 2: the certificate rows, the bound row
 
@@ -378,8 +378,7 @@ def _allocation_problem(g: Graph, infected, costs: CostModel, p: int,
     n = g.node_count
     transmit = np.ones(n, dtype=bool)
     transmit[list(infected)] = False   # J_ii = 0
-    families = _certificate_rows(g, transmit, p, den_logc, den_exp, own,
-                                 epsilon)
+    families = _certificate_rows(g, transmit, p, den_logc, den_exp, own)
     bound_seg = 1 + n * p
     heads = np.array(sorted(infected)) * p
     if lambda_cap is None:
@@ -394,12 +393,12 @@ def _allocation_problem(g: Graph, infected, costs: CostModel, p: int,
         families += _budget_terms(costs, n, p, 0)
     families += [(np.full(len(heads), bound_seg), scale,
                   [(heads, 1.0)] + per_t),
-                 (bound_seg, math.log(epsilon) + scale, per_t)]
+                 (bound_seg, math.log(bound_mod.DEFAULT_SLACK) + scale, per_t)]
     families += _budget_terms(costs, n, p, bound_seg + 1)
     return AllocationProblem(
         gp_problem=_compile(families, *_boxes(costs, n, p, last)), graph=g,
-        infected=infected, costs=costs, lambda_cap=lambda_cap,
-        epsilon=epsilon, p=p, **fields)
+        infected=infected, costs=costs, lambda_cap=lambda_cap, p=p,
+        **fields)
 
 
 def _blocks(x: np.ndarray, n: int, p: int) -> list:
@@ -408,8 +407,7 @@ def _blocks(x: np.ndarray, n: int, p: int) -> list:
 
 
 def build_problem1(g: Graph, infected, costs: CostModel,
-                   lambda_cap: Optional[float] = None,
-                   epsilon: float = DEFAULT_EPSILON) -> AllocationProblem:
+                   lambda_cap: Optional[float] = None) -> AllocationProblem:
     """Assemble the plain-mode allocation GP.
 
     Variables are the certificate entries v_i and the rates beta_i,
@@ -429,12 +427,11 @@ def build_problem1(g: Graph, infected, costs: CostModel,
     nodes = np.arange(n)
     own = [(nodes, 0.0, [(2 * n + nodes, 1.0)])]    # delta_j
     return _allocation_problem(g, infected, costs, 1, np.zeros(n),
-                               np.ones(n), own, lambda_cap, epsilon)
+                               np.ones(n), own, lambda_cap)
 
 
 def build_problem2(g: Graph, infected, costs: CostModel, p: int, delta,
-                   lambda_cap: Optional[float] = None,
-                   epsilon: float = DEFAULT_EPSILON) -> AllocationProblem:
+                   lambda_cap: Optional[float] = None) -> AllocationProblem:
     """Assemble the isolation-mode allocation GP for the Erlang family.
 
     Each node has one removal law Erlang(p, gamma_i) with -DPi = p/gamma
@@ -470,7 +467,7 @@ def build_problem2(g: Graph, infected, costs: CostModel, p: int, delta,
            (recovers, np.log(delta[recovers // p]), [])]
     return _allocation_problem(g, infected, costs, p,
                                np.log(kappa) + alpha * math.log(p), -alpha,
-                               own, lambda_cap, epsilon, delta_fixed=delta)
+                               own, lambda_cap, delta_fixed=delta)
 
 
 def allocation_params(infected, mode: str, beta, second, delta_fixed=None,
@@ -487,7 +484,7 @@ def allocation_params(infected, mode: str, beta, second, delta_fixed=None,
 def solve_allocation(prob: AllocationProblem,
                      tol: float = 1e-7) -> Allocation:
     """Solve the assembled GP and re-verify the result: the extracted
-    certificate must pass with slack epsilon/2 and the recomputed
+    certificate must pass with half the margin eps and the recomputed
     linear-solve bound must not exceed the reported lambda_bar."""
     sol = gp.solve_compiled(prob.gp_problem, tol=tol)
     if sol.status == "infeasible":
@@ -506,7 +503,7 @@ def solve_allocation(prob: AllocationProblem,
         prob.infected, prob.costs.mode, beta, second, prob.delta_fixed,
         prob.p))
     if not bound_mod.verify_certificate(sys, v, lambda_bar,
-                                        slack=prob.epsilon / 2):
+                                        slack=bound_mod.DEFAULT_SLACK / 2):
         raise CertificateError("solver output failed certificate validation")
     lb = bound_mod.lambda_bound(sys)
     if not lb <= lambda_bar + 10 * max(tol, 1e-9) * (1 + abs(lambda_bar)):
@@ -525,7 +522,7 @@ def _certify(g: Graph, infected, costs: CostModel, beta, second,
     certificate when the comparison system is Hurwitz."""
     sys = bound_mod.build_sir_system(g, allocation_params(
         infected, costs.mode, beta, second, delta_fixed, p))
-    cert = bound_mod.certificate_for(sys, margin=DEFAULT_EPSILON)
+    cert = bound_mod.certificate_for(sys)
     if cert is None:
         lambda_bar, v = bound_mod.UNBOUNDED, None
     else:
@@ -564,7 +561,7 @@ def baseline_sis_spectral(g: Graph, infected, costs: CostModel,
     s = 3 * n
     own = [(nodes, 0.0, [(s, 1.0), (nodes, 1.0)])]    # s v_j
     families = _certificate_rows(g, np.ones(n, dtype=bool), 1, np.zeros(n),
-                                 np.ones(n), own, DEFAULT_EPSILON)
+                                 np.ones(n), own)
     families += _budget_terms(costs, n, 1, n + 1)
     families.append((0, 0.0, [(s, -1.0)]))
     sol = gp.solve_compiled(

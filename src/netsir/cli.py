@@ -73,7 +73,6 @@ class ExperimentConfig:
     lambda_cap: Optional[float] = None
     replicas: int = 10_000
     seed: int = 0
-    epsilon: float = 1e-6
     solver_tol: float = 1e-6
     out_dir: str = "results"
 
@@ -92,7 +91,7 @@ class ExperimentConfig:
         if self.replicas >= 2 ** 40:    # 8 TiB of int64 results
             raise ConfigError(
                 f"replicas must be < 2**40, got {self.replicas}")
-        for name in ("budget", "lambda_cap", "epsilon", "solver_tol"):
+        for name in ("budget", "lambda_cap", "solver_tol"):
             value = getattr(self, name)
             if value is None and name in ("budget", "lambda_cap"):
                 continue
@@ -254,8 +253,7 @@ def _build_allocation_problem(cfg: ExperimentConfig, g: Graph,
     costs = _cost_model(cfg)
     if cfg.mode == "plain":
         return allocator.build_problem1(g, infected, costs,
-                                        lambda_cap=cfg.lambda_cap,
-                                        epsilon=cfg.epsilon)
+                                        lambda_cap=cfg.lambda_cap)
     if cfg.delta is None:
         raise ConfigError("isolation optimization needs fixed 'delta'")
     delta = _per_node(cfg, "delta", g.node_count)
@@ -263,16 +261,14 @@ def _build_allocation_problem(cfg: ExperimentConfig, g: Graph,
         raise ConfigError(
             f"delta must be finite and nonnegative, got {cfg.delta!r}")
     return allocator.build_problem2(g, infected, costs, p=cfg.erlang_shape,
-                                    delta=delta, lambda_cap=cfg.lambda_cap,
-                                    epsilon=cfg.epsilon)
+                                    delta=delta, lambda_cap=cfg.lambda_cap)
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     g = _load_graph(cfg)
     params = _rates(cfg, g)
     out = _out_dir(cfg)
-    outcome = simulator.simulate_sir(g, params,
-                                     simulator.replica_rng(cfg.seed, 0))
+    outcome = simulator.simulate_sir(g, params, cfg.seed)
     _write_csv(out / "counts.csv", ["t", "sigma_S", "sigma_I", "sigma_R"],
                [tuple(row) for row in outcome.counts_series])
     est = simulator.estimate_lambda(g, params, cfg.replicas, cfg.seed)

@@ -17,17 +17,18 @@ initially infected through open edges: one breadth-first search over a
 chunk of replicas gives their final sizes, and one Dijkstra run gives a
 record run's event times.
 
-Replica r reads one row of K = `row_length(g, params)` uniforms: a
-budget for each node's phase walk (two uniforms a step, p steps, which
-a law without cycles never outruns; one uniform, the period, in plain
-SIR), one uniform per directed edge, and padding up to a multiple of 4.
-The row is Philox(key=seed) advanced by r*K/4 blocks. A walk that
-outruns its budget, as on a law with cycles, reads a further budget
-from level l = 1, 2, ...: a row of the node budgets alone, padded to a
-multiple of 4 uniforms, in the same layout on Philox(key=seed) jumped
-by 2^128 l. So replica r depends on (seed, r) alone, whatever the
-chunking: a chunk of replicas opens its own streams and draws each
-level it needs for all its walks in one call.
+Replica r reads one row of K uniforms: a budget for each node's phase
+walk (two uniforms a step, p steps, which a law without cycles never
+outruns; one uniform, the period, in plain SIR), one uniform per
+directed edge, and padding up to a multiple of 4. The row is
+Philox(key=seed) advanced by r*K/4 blocks. A walk that outruns its
+budget, as on a law with cycles, reads a further budget from level
+l = 1, 2, ...: a row of the node budgets alone, padded to a multiple of
+4 uniforms, in the same layout on Philox(key=seed) jumped by 2^128 l.
+So replica r depends on (seed, r) alone, whatever the chunking: a chunk
+of replicas opens its own streams and draws each level it needs for all
+its walks in one call. A record run of replica r opens the same
+streams, so it is that replica of the Monte Carlo run.
 
 The chunks run on a thread pool with one thread for each CPU the
 process may use. There is no setting for it: a chunk shares nothing
@@ -41,10 +42,10 @@ from __future__ import annotations
 
 import collections
 import itertools
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -168,27 +169,16 @@ class LambdaEstimate:
 
 def _stream(seed: int, r0: int, k: int, level: int = 0):
     """Philox(key=seed) jumped by 2^128 level, advanced past r0 rows of
-    k uniforms."""
+    k uniforms. seed and r0 must be integers, r0 >= 0: Philox would
+    truncate a float key and step back on a negative advance."""
+    seed, r0 = operator.index(seed), operator.index(r0)
+    if r0 < 0:
+        raise ValueError(f"replica must be >= 0, got {r0}")
     bg = np.random.Philox(key=seed)
     if level:
         bg = bg.jumped(level)
     bg.advance(r0 * (k // 4))
     return np.random.Generator(bg)
-
-
-def replica_rng(seed: int, replica: int = 0,
-                k: Optional[int] = None) -> np.random.Generator:
-    """Stream (seed, replica) for rows of `k` uniforms: Philox keyed by
-    seed, advanced by replica*k/4 blocks. Replica 0 needs no k.
-
-    With k = row_length(g, params), its first k uniforms are the row of
-    Monte Carlo replica `replica`, so a record run on it reproduces
-    that replica, unless a walk outruns its budget: the record run then
-    reads on in this stream, the replica in its budget levels.
-    """
-    if replica and (k is None or k % 4):
-        raise ValueError("replica > 0 needs a row length k, a multiple of 4")
-    return _stream(seed, replica, k or 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,29 +221,24 @@ def _layout(g: Graph, params: EpidemicParams) -> _Layout:
                    infected0=np.array(sorted(params.initially_infected)))
 
 
-def row_length(g: Graph, params: EpidemicParams) -> int:
-    """K, the number of uniforms in one replica's row."""
-    return _layout(g, params).k
-
-
 def _budget(lay: _Layout, u: np.ndarray) -> np.ndarray:
     """The walk budgets at the head of rows u, one row per walk."""
     return u[:, :lay.n * lay.budget].reshape(-1, lay.budget)
 
 
-def _levels(lay: _Layout, seed: int, r0: int, r1: int):
-    """`more` for the walks of replicas r0..r1-1: their budgets of
-    level 1, 2, ..."""
-    width = -(-lay.n * lay.budget // 4) * 4
-    level = itertools.count(1)
-    return lambda: _budget(lay, _stream(seed, r0, width, next(level)).random(
-        (r1 - r0, width)))
-
-
-def _draw(lay: _Layout, u: np.ndarray, more):
+def _draw(lay: _Layout, seed: int, r0: int, r1: int):
     """Periods T (R, n), exit kinds (0 recover, 1 isolate) and edge
-    delays E (R, edges) from rows u (R, K)."""
-    r, n, nb = len(u), lay.n, lay.n * lay.budget
+    delays E (R, edges) of replicas r0..r1-1 of the run with `seed`."""
+    r, n, nb = r1 - r0, lay.n, lay.n * lay.budget
+    u = _stream(seed, r0, lay.k).random((r, lay.k))
+    width = -(-nb // 4) * 4
+    level = itertools.count(1)
+
+    def more():
+        """The walks' budgets of level 1, 2, ..."""
+        return _budget(lay, _stream(seed, r0, width, next(level)).random(
+            (r, width)))
+
     if lay.walk is None:
         periods = -np.log1p(-u[:, :n]) / lay.delta
         kind = np.zeros((r, n), dtype=np.intp)
@@ -295,19 +280,17 @@ def _final_sizes(lay: _Layout, periods, delays) -> np.ndarray:
     return np.bincount(order[1:] // n, minlength=r)
 
 
-def simulate_sir(g: Graph, params: EpidemicParams, rng) -> SimOutcome:
-    """One exact realization of the SIR process under the removal laws
-    of `params` (plain SIR without them); runs until no node is
-    infected. `rng` is a Generator, or an integer seed for replica 0 of
-    that seed's Monte Carlo run."""
+def simulate_sir(g: Graph, params: EpidemicParams, seed: int,
+                 replica: int = 0) -> SimOutcome:
+    """Replica `replica` of the Monte Carlo run with `seed`, recorded:
+    one exact realization of the SIR process under the removal laws of
+    `params` (plain SIR without them), run until no node is infected.
+    It reads that replica's row and budget levels, so its
+    infections_after_t0 is `replica_infections(g, params, R, seed)`
+    at `replica`, for any R > replica."""
     lay = _layout(g, params)
     n, k0 = lay.n, len(lay.infected0)
-    if isinstance(rng, np.random.Generator):
-        u, more = rng.random((1, lay.k)), partial(rng.random, (n, lay.budget))
-    else:
-        u = _stream(int(rng), 0, lay.k).random((1, lay.k))
-        more = _levels(lay, int(rng), 0, 1)
-    (periods,), (kind,), (delays,) = _draw(lay, u, more)
+    (periods,), (kind,), (delays,) = _draw(lay, seed, replica, replica + 1)
     live = delays < periods[lay.src]
     infected = csgraph.dijkstra(
         _open_graph(n, lay.src[live], lay.dst[live], delays[live]),
@@ -355,9 +338,7 @@ def replica_infections(g: Graph, params: EpidemicParams, replicas: int,
 
     def chunk(r0: int):
         r1 = min(replicas, r0 + rows)
-        periods, _, delays = _draw(
-            lay, _stream(seed, r0, lay.k).random((r1 - r0, lay.k)),
-            _levels(lay, seed, r0, r1))
+        periods, _, delays = _draw(lay, seed, r0, r1)
         out[r0:r1] = _final_sizes(lay, periods, delays)
 
     # chunks write disjoint slices of out. At most two chunks a thread

@@ -18,7 +18,6 @@ from netsir import (CostModel, EpidemicParams, ErlangSpec, Graph, cdf,
                     lambda_bound, load_edge_list, sample, solve_allocation,
                     verify_certificate)
 from netsir import gp
-from netsir.simulator import replica_rng
 from netsir.cli import main
 from conftest import ks_statistic, random_graph
 import gp_front as front
@@ -131,7 +130,7 @@ def test_criterion_4_lemma2_law_check(p):
     y = erlang(ErlangSpec(p, 1.2))
     from netsir import min_with_exponential
     law = min_with_exponential(y, delta)
-    gen = replica_rng(500 + p, 0)
+    gen = np.random.Generator(np.random.Philox(key=500 + p))
     ys, _ = sample(y, gen, size=n)
     xs = gen.exponential(1.0 / delta, size=n)
     zs = np.sort(np.minimum(ys, xs))

@@ -9,7 +9,7 @@ from netsir import (AllocationInfeasible, BudgetModelError, CostModel,
                     build_sir_system, exact_lambda, fit_monomial_bound,
                     lambda_bound, load_edge_list, solve_allocation,
                     verify_certificate)
-from netsir import allocator, gp
+from netsir import allocator, bound, gp
 
 TWO_NODE = load_edge_list("0 1")
 PLAIN_COSTS = CostModel(beta_box=(0.05, 0.5), delta_box=(0.2, 1.0), budget=2.0)
@@ -310,7 +310,7 @@ class TestAllocationInvariants:
             TWO_NODE, EpidemicParams(beta=alloc.beta, delta=alloc.delta,
                                      initially_infected=frozenset({0})))
         assert verify_certificate(sys_, alloc.certificate_v, alloc.lambda_bar,
-                                  slack=prob.epsilon / 2)
+                                  slack=bound.DEFAULT_SLACK / 2)
         assert lambda_bound(sys_) <= alloc.lambda_bar + 1e-6
 
     def test_rates_inside_boxes(self):
@@ -463,7 +463,7 @@ class TestCompiledRows:
             unmasked[list(infected)] = 0.0
             for cap in (None, 0.5):
                 prob = build_problem1(g, infected, costs, lambda_cap=cap)
-                eps = prob.epsilon
+                eps = bound.DEFAULT_SLACK
 
                 def expected(x):
                     v, beta, delta = (np.array([x[f"{k}_{i}"]
@@ -494,7 +494,7 @@ class TestCompiledRows:
                     alpha = np.array([f.alpha for f in fits])
                     prob = build_problem2(g, infected, costs, p=p,
                                           delta=delta)
-                    eps = prob.epsilon
+                    eps = bound.DEFAULT_SLACK
 
                     def expected(x):
                         v = np.array([[x[f"v_{i}_{m}"]
@@ -531,7 +531,7 @@ class TestCompiledRows:
             def expected(x):
                 v, beta, delta = (np.array([x[f"{k}_{i}"] for i in range(n)])
                                   for k in ("v", "beta", "delta"))
-                eps = allocator.DEFAULT_EPSILON
+                eps = bound.DEFAULT_SLACK
                 cert = ((v * beta) @ a + x["s"] * v + eps) / (v * delta)
                 return 1.0 / x["s"], [*cert,
                                       self.spend(costs, beta, delta, n)]

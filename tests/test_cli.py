@@ -64,6 +64,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"graph": "g.txt", "bogus": 1})
 
+    def test_epsilon_is_not_a_field(self, tmp_path, capsys):
+        # the certificate margin is bound.DEFAULT_SLACK, not a setting
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"graph": "g.txt", "epsilon": 1e-6}))
+        assert main(["optimize", "--config", str(config)]) == 4
+        assert "unknown config fields: ['epsilon']" in capsys.readouterr().err
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"graph": "g.txt", "mode": "sideways"})

@@ -5,11 +5,15 @@ import scipy.linalg
 from netsir import (ErlangSpec, PhaseType, cdf, erlang, exit_rates, mean,
                     min_with_exponential, sample)
 from netsir.phase_type import absorbing_walk, phase_type, walk_table
-from netsir.simulator import replica_rng
 from conftest import ks_statistic
 
 # jumps 1 -> 2 and back: a law whose walks have no step bound
 BACKWARD = PhaseType(Pi=np.array([[-2.0, 1.0], [1.5, -3.0]]))
+
+
+def philox(seed):
+    """A Generator on Philox(key=seed)."""
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 class TestConstruction:
@@ -135,7 +139,7 @@ class TestSampling:
     N = 100_000
 
     def _samples(self, d, seed=5):
-        return sample(d, replica_rng(seed, 0), size=self.N)[0]
+        return sample(d, philox(seed), size=self.N)[0]
 
     def test_exponential_sample_mean(self):
         gamma = 2.0
@@ -193,12 +197,12 @@ def test_exit_rates_identity_exact():
 class TestWalks:
     def test_scalar_form_is_one_walk(self):
         d = erlang(ErlangSpec(3, 1.0))
-        x = sample(d, replica_rng(4, 0))
-        ts, _ = sample(d, replica_rng(4, 0), size=1)
+        x = sample(d, philox(4))
+        ts, _ = sample(d, philox(4), size=1)
         assert isinstance(x, float) and x == ts[0]
 
     def test_erlang_exits_from_its_last_phase(self):
-        _, phases = sample(erlang(ErlangSpec(3, 1.0)), replica_rng(6, 0),
+        _, phases = sample(erlang(ErlangSpec(3, 1.0)), philox(6),
                            size=1000)
         assert np.all(phases == 2)
 
@@ -206,7 +210,7 @@ class TestWalks:
         # phase 1 exits or moves on w.p. 1/2 each, and so does phase 2,
         # moving back to phase 1; x = P(exit from phase 1) solves
         # x = 1/2 + x/4, so x = 2/3
-        _, phases = sample(BACKWARD, replica_rng(8, 0), size=100_000)
+        _, phases = sample(BACKWARD, philox(8), size=100_000)
         share = np.mean(phases == 0)
         assert abs(share - 2 / 3) < 4 * np.sqrt(2 / 9 / 100_000)
 
@@ -215,7 +219,7 @@ class TestWalks:
         # splitting one sequence of pairs anywhere gives the same walks
         hold, cum = walk_table(BACKWARD.Pi[None],
                                exit_rates(BACKWARD)[None, :, None])
-        pairs = replica_rng(10, 0).random((50, 80))
+        pairs = philox(10).random((50, 80))
         zeros = np.zeros(50, dtype=np.intp)   # law 0, from phase 1
 
         def walks(width):

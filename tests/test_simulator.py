@@ -9,9 +9,8 @@ from hypothesis import given, settings
 
 from netsir import (EpidemicParams, ErlangSpec, Graph, PhaseType, erlang,
                     estimate_lambda, exact_lambda, exact_removed_series,
-                    load_edge_list, replica_infections, row_length,
-                    simulate_sir, simulate_sir_isolation, simulator)
-from netsir.simulator import replica_rng
+                    load_edge_list, replica_infections, simulate_sir,
+                    simulate_sir_isolation, simulator)
 from conftest import small_instances
 
 TWO_NODE = load_edge_list("0 1")
@@ -73,7 +72,7 @@ class TestSingleRun:
         g = Graph(node_count=5, edges=frozenset())
         params = EpidemicParams.build(5, 0.3, 0.4, [2])
         for seed in range(20):
-            out = simulate_sir(g, params, replica_rng(seed, 0))
+            out = simulate_sir(g, params, seed)
             assert out.infections_after_t0 == 0
             assert out.final_removed == 1
 
@@ -87,7 +86,7 @@ class TestSingleRun:
         g = star_graph(6)
         params = EpidemicParams.build(7, 0.8, 0.3, [0])
         for seed in range(10):
-            out = simulate_sir(g, params, replica_rng(seed, 0))
+            out = simulate_sir(g, params, seed)
             rows = out.counts_series
             assert np.all(rows[:, 1] + rows[:, 2] + rows[:, 3] == 7)
             assert np.all(np.diff(rows[:, 1]) <= 0)   # sigma_S nonincreasing
@@ -98,8 +97,8 @@ class TestSingleRun:
     def test_determinism(self):
         g = star_graph(4)
         params = EpidemicParams.build(5, 0.5, 0.2, [0])
-        a = simulate_sir(g, params, replica_rng(11, 0))
-        b = simulate_sir(g, params, replica_rng(11, 0))
+        a = simulate_sir(g, params, 11)
+        b = simulate_sir(g, params, 11)
         assert a.event_log == b.event_log
         assert np.array_equal(a.counts_series, b.counts_series)
 
@@ -178,18 +177,46 @@ class TestEstimateLambda:
 
 
 class TestStreams:
-    @MODES
-    def test_record_run_consumes_the_replica_stream(self, isolated):
-        # a recorded run on stream (seed, r) is replica r of the Monte
-        # Carlo run; the star is big enough to refill the uniform buffer
+    @pytest.mark.parametrize("law", [None, erlang(ErlangSpec(2, 1.0)),
+                                     RETURNING],
+                             ids=["plain", "erlang2", "cyclic"])
+    def test_record_run_consumes_the_replica_stream(self, law, monkeypatch):
+        # a record run of (seed, r) is replica r of the Monte Carlo run,
+        # also where walks on the law with cycles outrun their budget
+        # and read levels
         g = star_graph(40)
-        params = build_params(41, 1.0, 0.2, [0], isolated)
+        laws = None if law is None else (law,) * 41
+        params = EpidemicParams.build(41, 1.0, 0.2, [0], isolation=laws)
         xs = replica_infections(g, params, 40, seed=13)
         assert len(set(xs.tolist())) > 5
+        levels = []
+        stream = simulator._stream
+
+        def recorded(seed, r0, k, level=0):
+            levels.append(level)
+            return stream(seed, r0, k, level)
+
+        monkeypatch.setattr(simulator, "_stream", recorded)
         for r in (0, 1, 7, 23, 39):
-            out = simulate_sir(g, params,
-                               replica_rng(13, r, row_length(g, params)))
+            out = simulate_sir(g, params, 13, r)
             assert out.infections_after_t0 == xs[r]
+        assert (max(levels) > 0) == (law is RETURNING)
+
+    def test_integer_like_indices_open_the_same_stream(self):
+        a = simulate_sir(TWO_NODE, RACE_P, np.int64(5), np.uint8(2))
+        assert a.event_log == simulate_sir(TWO_NODE, RACE_P, 5, 2).event_log
+
+    def test_float_indices_refused(self):
+        # Philox would truncate the key: seed 1.5 would run as seed 1
+        with pytest.raises(TypeError):
+            estimate_lambda(TWO_NODE, RACE_P, 1000, 1.5)
+        with pytest.raises(TypeError):
+            simulate_sir(TWO_NODE, RACE_P, 1, 2.0)
+
+    def test_negative_replica_refused(self):
+        # Philox would step its counter back into other replicas' rows
+        with pytest.raises(ValueError, match="replica must be >= 0"):
+            simulate_sir(TWO_NODE, RACE_P, 1, -1)
 
     @MODES
     @pytest.mark.parametrize("g", [star_graph(6), path_graph(7)],
@@ -199,7 +226,7 @@ class TestStreams:
         params = build_params(n, 0.8, 0.3, [0, n - 1], isolated)
         kinds = {"recover", "isolate"} if isolated else {"recover"}
         for seed in range(20):
-            out = simulate_sir(g, params, replica_rng(seed, 0))
+            out = simulate_sir(g, params, seed)
             status = ["S"] * n
             for i in params.initially_infected:
                 status[i] = "I"
@@ -230,10 +257,9 @@ class TestRecordRuns:
     def test_removed_series_matches_exact(self, isolated):
         g = path_graph(3)
         params = build_params(3, 0.8, 0.5, [0], isolated)
-        k = row_length(g, params)
         removed = np.empty((self.RUNS, len(self.TIMES)))
         for r in range(self.RUNS):
-            rows = simulate_sir(g, params, replica_rng(17, r, k)).counts_series
+            rows = simulate_sir(g, params, 17, r).counts_series
             at = np.searchsorted(rows[:, 0], self.TIMES, side="right") - 1
             removed[r] = rows[at, 3]
         exact = exact_removed_series(g, params, self.TIMES)
@@ -299,8 +325,8 @@ class TestIsolationModel:
         iso = tuple(erlang(ErlangSpec(3, 1.0)) for _ in range(4))
         g = star_graph(3)
         params = EpidemicParams.build(4, 0.6, 0.2, [0], isolation=iso)
-        a = simulate_sir_isolation(g, params, replica_rng(2, 0))
-        b = simulate_sir_isolation(g, params, replica_rng(2, 0))
+        a = simulate_sir_isolation(g, params, 2)
+        b = simulate_sir_isolation(g, params, 2)
         assert a.event_log == b.event_log
 
 
