@@ -31,19 +31,23 @@ its walks in one call. A record run of replica r opens the same
 streams, so it is that replica of the Monte Carlo run.
 
 The chunks run on a thread pool with one thread for each CPU the
-process may use. There is no setting for it: a chunk shares nothing
-mutable and writes only its own replicas' results, so the output does
-not depend on the thread count. Most of a chunk's time goes to numpy
-calls that release the GIL: the Philox fill, the logarithms, the
-comparisons and the gathers.
+process may use. There is no setting for it. Each thread allocates its
+buffers once and takes chunks in turn until none is left, so a thread
+on a slower core takes fewer; the edges' global node ids are shared
+read-only. A chunk writes only its own replicas' results, so the output
+does not depend on the thread count. The Philox fill, the logarithms,
+the gathers, the comparison and the nonzero scan release the GIL. The
+sparse-matrix set-up, the bincounts and csgraph's breadth-first search
+hold it: about a quarter of a plain social68 chunk (0.25 of 1.05 ms for
+104 replicas, on one core).
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -68,7 +72,7 @@ def _cpu_count() -> int:
 
 
 _WORKERS = _cpu_count()   # threads that run chunks of replicas
-_CHUNK = 1 << 16          # uniforms drawn per chunk of replicas (512 KB)
+_CHUNK = 1 << 16          # uniforms a chunk draws (512 KB; see _Buffers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +191,7 @@ class _Layout:
 
     src: np.ndarray         # directed edges src -> dst, sorted by (src, dst)
     dst: np.ndarray
-    beta_dst: np.ndarray
+    rate: np.ndarray        # delta (plain SIR), beta_dst, then 1s (pad)
     delta: np.ndarray
     walk: Optional[tuple]   # walk_table of the folded laws; None in plain SIR
     budget: int             # uniforms per node
@@ -215,9 +219,12 @@ def _layout(g: Graph, params: EpidemicParams) -> _Layout:
                           -gens.sum(axis=2)], axis=2)
         walk = walk_table(params.folded, exits)
         budget = 2 * p
-    return _Layout(src=src, dst=dst, beta_dst=params.beta[dst],
-                   delta=params.delta, walk=walk, budget=budget,
-                   k=-(-(n * budget + len(src)) // 4) * 4,
+    nb = n * budget
+    k = -(-(nb + len(src)) // 4) * 4
+    rate = np.concatenate([params.delta if walk is None else [],
+                           params.beta[dst], np.ones(k - nb - len(src))])
+    return _Layout(src=src, dst=dst, rate=rate, delta=params.delta,
+                   walk=walk, budget=budget, k=k,
                    infected0=np.array(sorted(params.initially_infected)))
 
 
@@ -226,11 +233,13 @@ def _budget(lay: _Layout, u: np.ndarray) -> np.ndarray:
     return u[:, :lay.n * lay.budget].reshape(-1, lay.budget)
 
 
-def _draw(lay: _Layout, seed: int, r0: int, r1: int):
+def _draw(lay: _Layout, seed: int, r0: int, u: np.ndarray):
     """Periods T (R, n), exit kinds (0 recover, 1 isolate) and edge
-    delays E (R, edges) of replicas r0..r1-1 of the run with `seed`."""
-    r, n, nb = r1 - r0, lay.n, lay.n * lay.budget
-    u = _stream(seed, r0, lay.k).random((r, lay.k))
+    delays E (R, edges) of replicas r0..r0+R-1 of the run with `seed`,
+    whose rows are read into u (R, k). The delays, and plain SIR's
+    periods, are views of u, computed in place."""
+    r, n, nb = len(u), lay.n, lay.n * lay.budget
+    _stream(seed, r0, lay.k).random(out=u)
     width = -(-nb // 4) * 4
     level = itertools.count(1)
 
@@ -240,15 +249,17 @@ def _draw(lay: _Layout, seed: int, r0: int, r1: int):
             (r, width)))
 
     if lay.walk is None:
-        periods = -np.log1p(-u[:, :n]) / lay.delta
+        periods = u[:, :n]
         kind = np.zeros((r, n), dtype=np.intp)
     else:
         t, _, kind = absorbing_walk(*lay.walk, np.tile(np.arange(n), r),
                                     np.zeros(r * n, np.intp),
                                     _budget(lay, u), more)
         periods, kind = t.reshape(r, n), kind.reshape(r, n)
-    delays = -np.log1p(-u[:, nb:nb + len(lay.src)]) / lay.beta_dst
-    return periods, kind, delays
+    # -log1p(-u) / rate in place, bit for bit (in plain SIR, whole rows)
+    x = u[:, lay.k - len(lay.rate):]
+    np.divide(np.log1p(np.negative(x, out=x), out=x), -lay.rate, out=x)
+    return periods, kind, u[:, nb:nb + len(lay.src)]
 
 
 def _open_graph(size: int, rows, cols, data) -> sp.csr_matrix:
@@ -262,21 +273,56 @@ def _open_graph(size: int, rows, cols, data) -> sp.csr_matrix:
                          shape=(size, size))
 
 
-def _final_sizes(lay: _Layout, periods, delays) -> np.ndarray:
+def _ids(lay: _Layout, rows: int):
+    """Global ids in a chunk of up to `rows` replicas, where node i of
+    replica q is q*n + i: each edge's source (intp, which bincount
+    counts uncast) and destination, and the initially infected nodes
+    (int32, the index type csgraph takes). Read-only: threads share
+    them."""
+    ids = np.arange(rows)[:, None] * lay.n
+    return (ids + lay.src, (ids + lay.dst).astype(np.int32),
+            (ids + lay.infected0).astype(np.int32).ravel())
+
+
+class _Buffers:
+    """What one thread reuses for every chunk it takes, of up to as many
+    replicas as `ids` has rows: the rows of uniforms, the gathered
+    periods T[:, src], the open-edge mask and the CSR of the open edges,
+    with the shared `_ids`. On social68, at 2^16 uniforms a chunk, they
+    hold 1.3 MB a thread and the `_ids` 0.7 MB a call."""
+
+    def __init__(self, lay: _Layout, ids: tuple):
+        self.src, self.dst, self.seeds = ids
+        self.u = np.empty((len(self.dst), lay.k))
+        self.t = np.empty(self.dst.shape)
+        self.open = np.empty(self.dst.shape, dtype=bool)
+        self.cols = np.empty(self.dst.size + self.seeds.size, np.int32)
+        self.indptr = np.zeros(len(self.dst) * lay.n + 2, np.int32)
+
+
+def _final_sizes(lay: _Layout, periods, delays, buf: _Buffers) -> np.ndarray:
     """Nodes ever infected in each replica: breadth-first search of the
-    chunk's open edges from a super-source wired to every replica's
-    initially infected nodes."""
+    chunk's open edges from a super-source, node R*n, wired to every
+    replica's initially infected nodes. The open edges' flat indices in
+    the mask pick their global ids from the tables of `buf`. The takes
+    run in mode "wrap", as their indices are in range: in mode "raise"
+    numpy buffers `out`."""
     r, n = periods.shape
-    rep, edge = np.divmod(np.flatnonzero(delays < periods[:, lay.src]),
-                          len(lay.src))
-    source = r * n
-    seeds = (np.arange(r)[:, None] * n + lay.infected0).ravel()
-    rows = np.concatenate([rep * n + lay.src[edge],
-                           np.full(len(seeds), source)])
-    cols = np.concatenate([rep * n + lay.dst[edge], seeds])
-    order = csgraph.breadth_first_order(
-        _open_graph(source + 1, rows, cols, np.ones(len(cols))), source,
-        directed=True, return_predecessors=False)
+    source, mask = r * n, buf.open[:r]
+    np.less(delays, np.take(periods, lay.src, axis=1, out=buf.t[:r],
+                            mode="wrap"), out=mask)
+    edge = np.flatnonzero(mask)
+    cols = buf.cols[:len(edge) + r * len(lay.infected0)]
+    np.take(buf.dst, edge, out=cols[:len(edge)], mode="wrap")
+    cols[len(edge):] = buf.seeds[:len(cols) - len(edge)]
+    indptr = buf.indptr[:source + 2]
+    np.cumsum(np.bincount(buf.src.take(edge), minlength=source),
+              out=indptr[1:-1])
+    indptr[-1] = len(cols)
+    order = csgraph.breadth_first_order(   # reads no edge weights
+        sp.csr_matrix((np.broadcast_to(1.0, len(cols)), cols, indptr),
+                      shape=(source + 1, source + 1)),
+        source, directed=True, return_predecessors=False)
     return np.bincount(order[1:] // n, minlength=r)
 
 
@@ -290,7 +336,8 @@ def simulate_sir(g: Graph, params: EpidemicParams, seed: int,
     at `replica`, for any R > replica."""
     lay = _layout(g, params)
     n, k0 = lay.n, len(lay.infected0)
-    (periods,), (kind,), (delays,) = _draw(lay, seed, replica, replica + 1)
+    (periods,), (kind,), (delays,) = _draw(lay, seed, replica,
+                                           np.empty((1, lay.k)))
     live = delays < periods[lay.src]
     infected = csgraph.dijkstra(
         _open_graph(n, lay.src[live], lay.dst[live], delays[live]),
@@ -333,24 +380,27 @@ def replica_infections(g: Graph, params: EpidemicParams, replicas: int,
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     lay = _layout(g, params)
-    rows = max(1, _CHUNK // lay.k)
+    rows = min(max(1, _CHUNK // lay.k), -(-replicas // _WORKERS))
+    ids = _ids(lay, rows)
     out = np.empty(replicas, dtype=np.int64)
+    chunks, lock = iter(range(0, replicas, rows)), threading.Lock()
 
-    def chunk(r0: int):
-        r1 = min(replicas, r0 + rows)
-        periods, _, delays = _draw(lay, seed, r0, r1)
-        out[r0:r1] = _final_sizes(lay, periods, delays)
+    def take():
+        with lock:
+            return next(chunks, None)
 
-    # chunks write disjoint slices of out. At most two chunks a thread
-    # are submitted ahead, so the queue does not grow with the replica
-    # count; a chunk's error is raised here once those have finished
+    def work():
+        """Chunks taken in turn until none is left, through one set of
+        buffers: a thread that finds its core slower takes fewer."""
+        buf = _Buffers(lay, ids)
+        for c0 in iter(take, None):
+            c1 = min(replicas, c0 + rows)
+            periods, _, delays = _draw(lay, seed, c0, buf.u[:c1 - c0])
+            out[c0:c1] = _final_sizes(lay, periods, delays, buf)
+
+    # chunks write disjoint slices of out; an error surfaces once all end
     with ThreadPoolExecutor(_WORKERS) as pool:
-        queued = collections.deque()
-        for r0 in range(0, replicas, rows):
-            if len(queued) == 2 * _WORKERS:
-                queued.popleft().result()
-            queued.append(pool.submit(chunk, r0))
-        for done in queued:
+        for done in [pool.submit(work) for _ in range(_WORKERS)]:
             done.result()
     return out - len(lay.infected0)
 

@@ -5,13 +5,15 @@ import threading
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from netsir import (EpidemicParams, ErlangSpec, Graph, PhaseType, erlang,
                     estimate_lambda, exact_lambda, exact_removed_series,
                     load_edge_list, replica_infections, simulate_sir,
                     simulate_sir_isolation, simulator)
 from conftest import small_instances
+from simulator_reference import (reference_final_sizes,
+                                 reference_replica_infections)
 
 TWO_NODE = load_edge_list("0 1")
 RACE_P = EpidemicParams.build(2, 0.2, 0.5, [0])  # P(transmit) = 0.2/0.7
@@ -152,6 +154,24 @@ class TestEstimateLambda:
         assert simulate_sir_isolation(g, params, 6).infections_after_t0 \
             == a[0]
 
+    def test_chunks_keep_their_own_results(self, monkeypatch,
+                                           fast_switching):
+        """Eighty calls of 20 chunks of 600 replicas at three threads,
+        each equal to the one-thread result. numpy hands the interpreter
+        lock over while it copies a chunk's final sizes into the
+        result, so a buffer of final sizes shared by the chunks failed
+        between one call in ten and one in five here."""
+        g = star_graph(40)
+        params = build_params(41, 0.2, 0.5, [0], False)
+        monkeypatch.setattr(simulator, "_WORKERS", 1)
+        want = replica_infections(g, params, 12_000, 5)
+        monkeypatch.setattr(simulator, "_WORKERS", 3)
+        monkeypatch.setattr(simulator, "_CHUNK",
+                            600 * simulator._layout(g, params).k)
+        for _ in range(80):
+            got = replica_infections(g, params, 12_000, 5)
+            assert np.array_equal(got, want)
+
     def test_chunk_error_reaches_the_caller(self, monkeypatch):
         """An error in one chunk is raised by the call, and no thread of
         the pool outlives it."""
@@ -274,6 +294,74 @@ def test_monte_carlo_within_4se_of_exact(instance):
     exact = exact_lambda(g, params)
     est = estimate_lambda(g, params, replicas=20_000, seed=8)
     assert abs(est.mean - exact) <= 4 * max(est.std_error, 1e-12)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A graph of up to 6 nodes where only the first `linked` may have
+    edges (none when linked < 2: the edgeless graph), with per-node
+    rates, plain or Erlang(2) isolation laws, and buffers sized for
+    chunks of `rows` replicas that then hold a last chunk of `r`."""
+    n = draw(st.integers(1, 6))
+    linked = draw(st.integers(0, n))
+    pairs = [(i, j) for i in range(linked) for j in range(i + 1, linked)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    rates = st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n)
+    laws = (tuple(erlang(ErlangSpec(2, 1.0)) for _ in range(n))
+            if draw(st.booleans()) else None)
+    params = EpidemicParams(
+        beta=np.array(draw(rates)), delta=np.array(draw(rates)),
+        initially_infected=draw(st.sets(st.integers(0, n - 1),
+                                        min_size=1)),
+        isolation=laws)
+    rows = draw(st.integers(1, 6))
+    return (Graph(node_count=n, edges=frozenset(edges)), params, rows,
+            draw(st.integers(1, rows)))
+
+
+EDGELESS_ERLANG = build_params(3, 0.5, 0.5, [1], True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kernel_cases(), st.integers(0, 2**32 - 1))
+@example((Graph(node_count=3, edges=frozenset()), EDGELESS_ERLANG, 4, 1), 7)
+@example((Graph(node_count=4, edges=frozenset({(0, 1), (1, 2)})),
+          build_params(4, 2.0, 0.3, [0], False), 1, 1), 8)
+def test_final_sizes_match_the_reference(case, seed):
+    """The kernel against the divmod and _open_graph path it replaced,
+    bit for bit: a full chunk, then a last chunk of r replicas through
+    the same buffers, which still hold the full chunk's values."""
+    g, params, rows, r = case
+    lay = simulator._layout(g, params)
+    buf = simulator._Buffers(lay, simulator._ids(lay, rows))
+    for r0, size in ((0, rows), (rows, r)):
+        periods, _, delays = simulator._draw(lay, seed, r0,
+                                             np.empty((size, lay.k)))
+        want = reference_final_sizes(lay, periods, delays)
+        got = simulator._final_sizes(lay, periods, delays, buf)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("law", [None, erlang(ErlangSpec(2, 1.0)),
+                                 RETURNING],
+                         ids=["plain", "erlang2", "cyclic"])
+def test_replicas_match_the_reference(law, monkeypatch, fast_switching):
+    """Whole runs against one replica at a time through the reference
+    kernel: node 7 has no edges, and calls of 1 and 60 replicas run in
+    chunks of 1, 100 and 2^16 uniforms on 1 to 3 threads."""
+    g = Graph(node_count=8, edges=frozenset(
+        {(0, 1), (0, 2), (1, 3), (3, 4), (4, 5), (2, 6)}))
+    params = EpidemicParams.build(8, 0.9, 0.4, [0, 5],
+                                  isolation=None if law is None
+                                  else (law,) * 8)
+    want = reference_replica_infections(g, params, 60, 31)
+    assert len(set(want.tolist())) > 2
+    for workers, chunk in itertools.product(WORKERS, [1, 100, CHUNK]):
+        monkeypatch.setattr(simulator, "_WORKERS", workers)
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        for replicas in (1, 60):
+            got = replica_infections(g, params, replicas, 31)
+            assert np.array_equal(got, want[:replicas]), (workers, chunk)
 
 
 class TestIsolationModel:
