@@ -28,7 +28,7 @@ assert exact <= bound_val
 assert abs(est.mean - exact) <= 4 * est.std_error
 
 # the same guarantee as an explicit positive certificate vector
-v, lam_bar = certificate_for(sys_, margin=1e-6)
+v, lam_bar = certificate_for(sys_)
 print(f"\ncertificate v = {np.round(v, 4)} witnesses lambda <= {lam_bar:.6f}")
 print("verifies:", verify_certificate(sys_, v, lam_bar, slack=5e-7))
 

@@ -6,9 +6,11 @@ per-node infection and recovery rates under prevention/correction cost
 curves; with isolation the recovery rates are fixed and the Erlang mean
 of each node's removal law is tuned instead, with the diagonal decay
 handled through a monomial under-estimator kappa * x^alpha <= x + delta
-that `build_problem2` fits once per distinct delta. Baselines (uniform
-spending and an SIS-style spectral design that ignores initial
-conditions) are provided for comparison.
+that `build_problem2` fits once per distinct delta: the tangent to
+x + delta whose two end gaps on the range are equal, which is the
+minimax fit, found by bisection on the point of tangency. Baselines
+(uniform spending and an SIS-style spectral design that ignores
+initial conditions) are provided for comparison.
 
 The GPs are built as arrays, in the compiled form gp.LogConvexProblem,
 over the column blocks [v | beta | delta or gamma | t or s]. Problems 1
@@ -163,67 +165,50 @@ class MonomialBound:
     x_hi: float
 
 
-def _tightest_kappa(alpha: float, delta: float, x_lo: float,
-                    x_hi: float) -> float:
-    """min over the range of (x + delta) / x^alpha, attained either at
-    the interior stationary point alpha*delta/(1-alpha) or an end."""
-    candidates = [x_lo, x_hi]
-    if alpha < 1.0:
-        x_star = alpha * delta / (1.0 - alpha)
-        if x_lo < x_star < x_hi:
-            candidates.append(x_star)
-    return min((x + delta) * x ** (-alpha) for x in candidates)
-
-
-def _max_gap(alpha: float, kappa: float, delta: float, x_lo: float,
-             x_hi: float) -> float:
-    # (x + delta) - kappa x^alpha is convex in x, so ends suffice
-    return max((x + delta) - kappa * x ** alpha for x in (x_lo, x_hi))
-
-
 def fit_monomial_bound(delta: float, x_range) -> MonomialBound:
-    """Fit kappa * x^alpha <= x + delta on x_range, minimizing the
-    worst-case slack by golden-section search over alpha in (0, 1],
-    with the tightest kappa per alpha in closed form. The result is
-    re-verified on a grid of _FIT_GRID points.
+    """Fit kappa * x^alpha <= x + delta on x_range with the least
+    worst-case gap (x + delta) - kappa * x^alpha.
+
+    log(x + delta) is convex in log x, so the monomial tangent to
+    x + delta at t, with alpha = t / (t + delta) and kappa = (t + delta)
+    * t^-alpha, lies below it for every x > 0 (Boyd, Kim, Vandenberghe &
+    Hassibi, "A tutorial on geometric programming", Optim. Eng. 8, 2007,
+    section 8). The best fit is such a tangent with t in the range: a
+    monomial below x + delta that touches it only at an end is beaten by
+    the tangent there, and one that touches it nowhere by a larger kappa.
+    The gap is convex in x, so its maximum over the range is at an end.
+    Along the tangents, d/dt log(kappa x^alpha) = delta log(x/t) /
+    (t + delta)^2, so as t rises the gap at x_lo rises from 0 and the gap
+    at x_hi falls to 0: the minimax fit is the one tangent whose two end
+    gaps are equal. Bisection on t finds it, until the midpoint equals an
+    end in floating point. delta = 0 gives kappa = alpha = 1, and a
+    one-point range the tangent there. The result is re-verified on a
+    grid of _FIT_GRID points.
     """
     x_lo, x_hi = float(x_range[0]), float(x_range[1])
-    if not (0 < x_lo <= x_hi):
-        raise ValueError("x_range must satisfy 0 < lo <= hi")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    if x_lo == x_hi:
-        alpha = 1.0
-        kappa = (x_lo + delta) / x_lo
-    else:
-        def objective(alpha):
-            return _max_gap(alpha, _tightest_kappa(alpha, delta, x_lo, x_hi),
-                            delta, x_lo, x_hi)
+    if not (0 < x_lo <= x_hi < math.inf):
+        raise ValueError("x_range must satisfy 0 < lo <= hi < inf")
+    if not 0 <= delta < math.inf:
+        raise ValueError("delta must be finite and nonnegative")
 
-        lo, hi = 1e-6, 1.0
-        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        fc, fd = objective(c), objective(d)
-        for _ in range(200):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - inv_phi * (b - a)
-                fc = objective(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + inv_phi * (b - a)
-                fd = objective(d)
-            if b - a < 1e-12:
-                break
-        alpha = 0.5 * (a + b)
-        if objective(1.0) <= objective(alpha):
-            alpha = 1.0  # never do worse than the exponent-one fit
-        kappa = _tightest_kappa(alpha, delta, x_lo, x_hi)
+    def tangent(t):
+        alpha = t / (t + delta)
+        return (t + delta) / t ** alpha, alpha
+
+    lo, hi = x_lo, x_hi
+    t = 0.5 * (lo + hi)
+    while lo < t < hi:
+        kappa, alpha = tangent(t)
+        if (x_lo + delta - kappa * x_lo ** alpha
+                < x_hi + delta - kappa * x_hi ** alpha):
+            lo = t
+        else:
+            hi = t
+        t = 0.5 * (lo + hi)
+    kappa, alpha = tangent(t)
     kappa *= 1.0 - 1e-12  # shave so the grid check is roundoff-proof
     xs = np.linspace(x_lo, x_hi, _FIT_GRID)
-    if np.any(kappa * xs ** alpha > xs + delta):
+    if not np.all(kappa * xs ** alpha <= xs + delta):   # NaN fails too
         raise RuntimeError("monomial fit failed its own grid verification")
     return MonomialBound(kappa=kappa, alpha=alpha, x_lo=x_lo, x_hi=x_hi)
 

@@ -307,12 +307,12 @@ def verify_certificate(sys: ComparisonSystem, v: np.ndarray,
     return float(v @ sys.initial) <= lambda_bar + sys.sigma_I0 - slack
 
 
-def certificate_for(sys: ComparisonSystem,
-                    margin: float = DEFAULT_SLACK) -> Optional[tuple]:
+def certificate_for(sys: ComparisonSystem) -> Optional[tuple]:
     """Construct (v, lambda_bar) witnessing the bound for a Hurwitz
     system: v solves v^T M = -(weight_row + margin) and lambda_bar is
-    v^T initial - sigma_I0 + margin. v is solved by GMRES, or by the LU
-    when Krylov fails, and passes `verify_certificate` at margin/2
-    either way. Returns None when not Hurwitz."""
-    cert = _certify(sys, margin)
+    v^T initial - sigma_I0 + margin, with margin DEFAULT_SLACK. v is
+    solved by GMRES, or by the LU when Krylov fails, and passes
+    `verify_certificate` at margin/2 either way. Returns None when not
+    Hurwitz."""
+    cert = _certify(sys, DEFAULT_SLACK)
     return None if cert is None else cert[:2]

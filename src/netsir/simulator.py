@@ -384,21 +384,27 @@ def replica_infections(g: Graph, params: EpidemicParams, replicas: int,
     ids = _ids(lay, rows)
     out = np.empty(replicas, dtype=np.int64)
     chunks, lock = iter(range(0, replicas, rows)), threading.Lock()
+    failed = []   # once a chunk raises, no thread takes another
 
     def take():
         with lock:
-            return next(chunks, None)
+            return None if failed else next(chunks, None)
 
     def work():
         """Chunks taken in turn until none is left, through one set of
         buffers: a thread that finds its core slower takes fewer."""
-        buf = _Buffers(lay, ids)
-        for c0 in iter(take, None):
-            c1 = min(replicas, c0 + rows)
-            periods, _, delays = _draw(lay, seed, c0, buf.u[:c1 - c0])
-            out[c0:c1] = _final_sizes(lay, periods, delays, buf)
+        try:
+            buf = _Buffers(lay, ids)
+            for c0 in iter(take, None):
+                c1 = min(replicas, c0 + rows)
+                periods, _, delays = _draw(lay, seed, c0, buf.u[:c1 - c0])
+                out[c0:c1] = _final_sizes(lay, periods, delays, buf)
+        except BaseException:
+            failed.append(True)
+            raise
 
-    # chunks write disjoint slices of out; an error surfaces once all end
+    # chunks write disjoint slices of out; an error surfaces once the
+    # chunks in flight end
     with ThreadPoolExecutor(_WORKERS) as pool:
         for done in [pool.submit(work) for _ in range(_WORKERS)]:
             done.result()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netsir import (AllocationInfeasible, BudgetModelError, CostModel,
                     EpidemicParams, Graph, baseline_sis_spectral,
@@ -103,6 +104,43 @@ class TestMonomialFit:
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
             fit_monomial_bound(0.1, (2.0, 1.0))
+
+    @pytest.mark.parametrize("delta, x_range", [
+        (math.nan, (0.1, 1.0)), (math.inf, (0.1, 1.0)),
+        (0.1, (0.1, math.inf)), (0.1, (math.nan, 1.0))])
+    def test_non_finite_input_rejected(self, delta, x_range):
+        """Not a NaN fit that the grid check would let through."""
+        with pytest.raises(ValueError):
+            fit_monomial_bound(delta, x_range)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(st.just(0.0),
+                     st.floats(-4.0, 2.0).map(lambda e: 10 ** e)),
+           st.floats(-3.0, 1.0), st.floats(0.0, 3.0))
+    def test_fit_is_the_equal_gap_tangent(self, delta, log_lo, log_ratio):
+        """The fit holds on the grid, its two end gaps agree, and no
+        tangent kappa x^alpha, alpha = t/(t + delta), at 400 points t of
+        the range has a smaller worst end gap, up to rounding."""
+        x_lo = 10 ** log_lo
+        x_hi = x_lo * 10 ** log_ratio
+        fit = fit_monomial_bound(delta, (x_lo, x_hi))
+        xs = np.linspace(x_lo, x_hi, 10_000)
+        assert np.all(fit.kappa * xs ** fit.alpha <= xs + delta)
+        ends = np.array([[x_lo], [x_hi]])
+        rounding = 4e-12 * (x_hi + delta)
+        gap_lo, gap_hi = (ends + delta - fit.kappa * ends ** fit.alpha)[:, 0]
+        assert abs(gap_lo - gap_hi) <= rounding
+        ts = np.linspace(x_lo, x_hi, 400)
+        alphas = ts / (ts + delta)
+        kappas = (ts + delta) / ts ** alphas
+        tangent_gaps = ends + delta - kappas * ends ** alphas
+        assert max(gap_lo, gap_hi) <= tangent_gaps.max(axis=0).min() + rounding
+
+    def test_optimize_social68_isolation_instance(self):
+        """Erlang(2), delta 0.05, gamma box [2, 20]: x = 2/gamma on
+        [0.1, 1]."""
+        fit = fit_monomial_bound(0.05, (2 / 20, 2 / 2))
+        assert fit.alpha == pytest.approx(0.90331660119840, rel=1e-12)
 
 
 class TestProblem1:

@@ -289,7 +289,7 @@ class TestCertificates:
         while done < 15:
             g, params = random_instance(rng, int(rng.integers(2, 5)))
             sys_ = build_sir_system(g, params)
-            cert = certificate_for(sys_, margin=1e-6)
+            cert = certificate_for(sys_)
             if cert is None:
                 continue
             v, lam = cert
@@ -341,7 +341,7 @@ class TestSparseProperties:
     @given(small_systems())
     def test_finite_bound_carries_verifying_certificate(self, sys_):
         lb = lambda_bound(sys_)
-        cert = certificate_for(sys_, margin=1e-6)
+        cert = certificate_for(sys_)
         assert math.isfinite(lb) == (cert is not None)
         if cert is not None:
             v, lam = cert
@@ -520,7 +520,7 @@ class TestKrylovCertification:
     @staticmethod
     def certified_without_lu(sys_, lu_calls):
         lb = lambda_bound(sys_)
-        v, lam = certificate_for(sys_, margin=1e-6)
+        v, lam = certificate_for(sys_)
         assert lu_calls == []
         assert verify_certificate(sys_, v, lam, slack=5e-7)
         x = _SPLU(sys_.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A") \
@@ -537,7 +537,7 @@ class TestKrylovCertification:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(netsir.bound, "_CYCLES", 0)
             lb = lambda_bound(sys_)
-            cert = certificate_for(sys_, margin=1e-6)
+            cert = certificate_for(sys_)
             hurwitz = is_hurwitz_metzler(sys_.matrix)
         assert hurwitz == is_hurwitz_metzler(sys_.matrix)
         assert math.isfinite(lb) == (cert is not None)

@@ -191,6 +191,24 @@ class TestEstimateLambda:
             estimate_lambda(TWO_NODE, RACE_P, 100, seed=3)
         assert threading.active_count() == threads
 
+    def test_failing_chunk_stops_the_queue(self, monkeypatch):
+        """Once one chunk raises, no thread takes another: of 2000
+        one-replica chunks, only those already taken run after the
+        failing third, not every chunk left in the queue."""
+        calls = itertools.count(1)
+        final_sizes = simulator._final_sizes
+
+        def third_fails(*args):
+            if next(calls) == 3:
+                raise RuntimeError("chunk failed")
+            return final_sizes(*args)
+
+        monkeypatch.setattr(simulator, "_CHUNK", 1)
+        monkeypatch.setattr(simulator, "_final_sizes", third_fails)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            replica_infections(TWO_NODE, RACE_P, 2000, seed=3)
+        assert next(calls) - 1 <= 2 * simulator._WORKERS + 3
+
     def test_replica_streams_differ(self):
         xs = replica_infections(TWO_NODE, RACE_P, 4000, seed=0)
         assert 0 < xs.mean() < 1
