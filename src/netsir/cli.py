@@ -12,7 +12,8 @@ malformed graph file, a mistyped config field, a seed of 2**128 or
 more, replicas of 2**40 or more, a malformed or non-finite rate (also a
 gamma whose Erlang phase rate overflows), a misordered or
 non-positive rate box, a malformed initially infected set, an initially
-infected node outside the graph and a run that runs out of memory).
+infected node outside the graph, an erlang_shape too large for an array
+and a run that runs out of memory).
 
 Each command builds one `EpidemicParams`, plain or with isolation
 laws, and hands it to the one entry of each layer: `simulate_sir`,
@@ -260,8 +261,12 @@ def _build_allocation_problem(cfg: ExperimentConfig, g: Graph,
     if not np.all((delta >= 0) & (delta < math.inf)):
         raise ConfigError(
             f"delta must be finite and nonnegative, got {cfg.delta!r}")
-    return allocator.build_problem2(g, infected, costs, p=cfg.erlang_shape,
-                                    delta=delta, lambda_cap=cfg.lambda_cap)
+    try:
+        return allocator.build_problem2(g, infected, costs,
+                                        p=cfg.erlang_shape, delta=delta,
+                                        lambda_cap=cfg.lambda_cap)
+    except ValueError as exc:   # an erlang_shape too large for an array
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:

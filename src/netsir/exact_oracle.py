@@ -190,13 +190,17 @@ def _sweep_lambda(g: Graph, params: EpidemicParams, p: int) -> float:
             rate = climb[u - 1, row]
             f = np.flatnonzero(rate)
             sends.append((u, e[f], rate[f], u * place[j[f]]))
-        share = mass / np.bincount(np.concatenate([x[1] for x in sends]),
-                                   np.concatenate([x[2] for x in sends]),
-                                   minlength=len(codes))
+        out = np.bincount(np.concatenate([x[1] for x in sends]),
+                          np.concatenate([x[2] for x in sends]),
+                          minlength=len(codes))
+        # mass / out-rate overflows on a subnormal out-rate; scaled by a
+        # power of two, exactly, that state's rates keep their ratios
+        scale = np.where(out < np.finfo(float).tiny, 2.0 ** 600, 1.0)
+        share = mass / (out * scale)
         for u, src, rate, step in sends:
             if len(src):
                 pending[level + u].append((codes[src] + step,
-                                           share[src] * rate))
+                                           share[src] * (rate * scale[src])))
     return removed
 
 

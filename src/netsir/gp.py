@@ -443,10 +443,11 @@ def certified_gap(lcp: LogConvexProblem, sol: GpSolution):
     lower, vals, w, g, r = _lagrangian_bound(system, p, s, *box)
     f0 = vals[0]
     for _ in range(8):
-        h = system.hessian(w, g, s, -s)
-        h.flat[::n + 1] += 1e-10 * h.diagonal().max()
+        # cho_factor reads only the upper triangle
+        u = system.upper(w, g, s, -s)
+        u.flat[::n + 1] += 1e-10 * u.diagonal().max()
         try:
-            p = p - scipy.linalg.cho_solve(scipy.linalg.cho_factor(h), r)
+            p = p - scipy.linalg.cho_solve(scipy.linalg.cho_factor(u), r)
         except np.linalg.LinAlgError:
             break
         bound, vals, w, g, r = _lagrangian_bound(system, p, s, *box)

@@ -1,24 +1,26 @@
-"""Undirected simple graphs held as arrays: edge-list ingestion,
-adjacency access and spectral diagnostics.
+"""Undirected simple graphs held as arrays: edge-list ingestion and
+adjacency access.
 
 A `Graph` is its node count and its canonical edges, an (m, 2) int32
 array of pairs i < j, sorted and unique. Every adjacency view comes
 from one CSR matrix, built from those pairs on first use and cached:
-the neighbour lists, the dense matrix, the degrees and the spectral
-radius all read it. `load_edge_list` parses a whole edge-list text with
-array operations; only the first bad line of a malformed text is looked
-at in Python, to word its error.
+the neighbour lists, the dense matrix and the degrees all read it.
+`load_edge_list` hands a plain edge-list text (an optional header, then
+only digits, signs and blank space) to numpy's C reader, and reads any
+other text, or one that breaks a rule, line by line; both give the same
+graph, and the per-line reader words every error.
 """
 
 from __future__ import annotations
 
+import io
 import operator
 import re
+import warnings
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 # The CSR matrix indexes nodes in int32: at most 2**31 - 1 of them.
 MAX_NODES = 2 ** 31 - 1
@@ -146,16 +148,16 @@ class Graph:
         return a
 
 
-# Every line break str.splitlines knows; _BREAKS turns the others to "\n"
-_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-_BREAKS = str.maketrans(dict.fromkeys(_ENDS[1:], "\n"))
-_COMMENT = re.compile("#[^\n]*")
+_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"   # str.splitlines' breaks
+_COMMENT = re.compile(f"#[^{_ENDS}]*")
 _SPACES = re.compile("[ \t\x1f]+")      # what separates a line's fields
 _INTEGER = re.compile("[+-]?[0-9]+")
+# A plain text: blank lines, an optional header line, blank space, and
+# then only the bytes of _PLAIN
+_HEAD = re.compile("[ \t\n]*(?:n[ \t]+([+-]?[0-9]+)[ \t]*\n[ \t\n]*)?")
+_PLAIN = b"0123456789+- \t\n"
 _BIG = 10 ** 10     # more than any node count: magnitudes past it read as it
 _ECHO = 40          # the most characters of a token or line an error quotes
-_DIGIT = np.zeros(256, dtype=np.int64)  # a byte's value as a decimal digit
-_DIGIT[ord("0"):ord("9") + 1] = range(10)
 
 
 def load_edge_list(text) -> Graph:
@@ -165,124 +167,123 @@ def load_edge_list(text) -> Graph:
     each item is one line: its trailing line break is dropped, and any
     other line break in it is a character of that line. One "i j" pair
     per line, optional "n <count>" header fixing the node count, '#'
-    starts a comment. Fields are separated by ASCII spaces or tabs; a
-    node id or count is ASCII decimal digits with an optional sign.
-    Edges are deduplicated and symmetrized. The first bad line raises
-    `EdgeListParseError` with its number; an empty list without a
-    header, or a header too small for the edges, raises it at line 0.
+    starts a comment. Fields are separated by ASCII spaces, tabs or unit
+    separators (\\x1f); a node id or count is ASCII decimal digits with
+    an optional sign. Edges are deduplicated and symmetrized. The first
+    bad line raises `EdgeListParseError` with its number; an empty list
+    without a header, or a header too small for the edges, raises it at
+    line 0.
+
+    Two readers share that language. A plain text (past an optional
+    header, nothing outside its comments but ASCII digits, signs,
+    spaces, tabs and newlines) goes to numpy's C reader. A text that
+    reader refuses, or one with a pair that breaks a rule, goes on to
+    the per-line reader, which also reads every other text and words
+    each error.
     """
     if hasattr(text, "read"):
         text = text.read()
     if isinstance(text, str):
-        items = None
-        text = text.replace("\r\n", "\n").translate(_BREAKS)
+        lines, body = None, text.replace("\r\n", "\n")
     else:
         # an item is one line, so a "\n" inside it must not start another;
-        # as "\r" it is just a bad character, and errors quote the item
-        items = list(map(operator.methodcaller("rstrip", _ENDS), text))
-        text = "\n".join(map(operator.methodcaller("replace", "\n", "\r"),
-                             items))
-    text = _COMMENT.sub("", text)
-    # line k runs from just after ends[k - 1] to ends[k]: ends[0] = 0
-    # stands in for line 0, and the last line gets a newline too
-    buf = np.frombuffer(f"\n{text}\n".encode(errors="surrogatepass"),
-                        dtype=np.uint8)
-    ends = np.flatnonzero(buf == 10)
-    line, keyword, value, integer = _fields(buf, ends)
-    count = np.bincount(line, minlength=len(ends))
-    lines = np.flatnonzero(count)              # the lines that hold a field
-    first = (np.cumsum(count) - count)[lines]  # the first field of each
-    second = np.minimum(first + 1, len(value) - 1)
-    i, j = value[first], value[second]
-    fine = (count[lines] == 2) & integer[second] & (j >= 0)
-    header = keyword[first]
-    ok = fine & np.where(
-        header, (j >= 1) & (j <= MAX_NODES) & (np.arange(len(lines)) == 0),
-        integer[first] & (i >= 0) & (np.maximum(i, j) < MAX_NODES) & (i != j))
-    if not ok.all():
-        k = int(np.argmin(ok))
-        row = int(lines[k])
-        bad = buf[ends[row - 1] + 1:ends[row]].tobytes().decode(
-            errors="surrogatepass") if items is None else items[row - 1]
-        raise EdgeListParseError(_line_error(bad, k == 0), row)
-    i, j = i[~header], j[~header]
-    max_node = int(max(i.max(), j.max())) if len(i) else -1
-    if header.any():
-        n = int(value[second[0]])
-        if max_node >= n:
-            raise EdgeListParseError(f"edge references node {max_node} "
-                                     f"but header declares n={n}", 0)
-    elif max_node < 0:
-        raise EdgeListParseError("empty edge list and no 'n' header", 0)
-    else:
-        n = max_node + 1
+        # as "\r" it keeps the text from numpy's reader
+        lines = [line.rstrip(_ENDS) for line in text]
+        body = "\n".join(line.replace("\n", "\r") for line in lines)
+    return _graph(*(_read_plain(_COMMENT.sub("", body)) or _read_lines(
+        text.splitlines() if lines is None else lines)))
+
+
+def _read_plain(text: str):
+    """The header count (or None) and the (m, 2) int64 pairs of a
+    comment-free text, by numpy's reader; None unless the text is plain,
+    holds a pair and keeps every rule."""
+    head = _HEAD.match(text)
+    if not text.isascii() or head.end() == len(text):
+        return None
+    data = text.encode()
+    # numpy's reader splits fields on any Unicode space, so only a text
+    # of these bytes (and the header's "n") may reach it
+    if data.translate(None, _PLAIN) != (b"n" if head[1] else b""):
+        return None
+    n = head[1] and _integer(head[1])
+    if n is not None and not 1 <= n <= MAX_NODES:
+        return None
+    file = io.BytesIO(data)
+    file.seek(head.end())
+    with warnings.catch_warnings():
+        # older numpy (1.24 among them) reads an int64 overflow as a
+        # float, with this warning; as an error it sends the text on
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            pairs = np.loadtxt(file, dtype=np.int64, ndmin=2)
+        except (ValueError, DeprecationWarning):
+            return None
+    if pairs.shape[1] != 2 or pairs.min() < 0 or pairs.max() >= MAX_NODES \
+            or (pairs[:, 0] == pairs[:, 1]).any():
+        return None
+    return n, pairs
+
+
+def _read_lines(lines) -> tuple:
+    """The header count (or None) and the (m, 2) int64 pairs of a text,
+    one line at a time; the first bad line raises its error."""
+    n, pairs = None, []
+    for line_no, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip(" \t\x1f")
+        if not line:
+            continue
+        parts = _SPACES.split(line)
+        if parts[0] == "n":
+            count = _integer(parts[1]) if len(parts) == 2 else None
+            if pairs or n is not None:
+                error = "header 'n <count>' must come first"
+            elif len(parts) != 2:
+                error = "header must be 'n <count>'"
+            elif count is None:
+                error = f"bad node count {_clip(parts[1])!r}"
+            elif count < 1:
+                error = "node count must be positive"
+            elif count > MAX_NODES:
+                error = (f"node count {_clip(parts[1])} exceeds the limit "
+                         f"{MAX_NODES}")
+            else:
+                n = count
+                continue
+        else:
+            i, j = map(_integer, parts) if len(parts) == 2 else (None, None)
+            if len(parts) != 2:
+                error = f"expected 'i j', got {_clip(line)!r}"
+            elif i is None or j is None:
+                error = f"non-integer endpoint in {_clip(line)!r}"
+            elif i < 0 or j < 0:
+                error = "negative node index"
+            elif max(i, j) >= MAX_NODES:
+                error = (f"node index {_clip(parts[int(j > i)])} exceeds the "
+                         f"limit {MAX_NODES - 1}")
+            elif i == j:
+                error = f"self-loop at node {i}"
+            else:
+                pairs.append((i, j))
+                continue
+        raise EdgeListParseError(error, line_no)
+    return n, np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _graph(n, pairs: np.ndarray) -> Graph:
+    """The graph of checked pairs, on the header's n nodes or on one
+    past the largest id."""
+    top = int(pairs.max()) if len(pairs) else -1
+    if n is None:
+        if top < 0:
+            raise EdgeListParseError("empty edge list and no 'n' header", 0)
+        n = top + 1
+    elif top >= n:
+        raise EdgeListParseError(f"edge references node {top} but header "
+                                 f"declares n={n}", 0)
+    i, j = pairs.T
     return Graph(node_count=n,
                  edges=np.column_stack([np.minimum(i, j), np.maximum(i, j)]))
-
-
-def _fields(buf: np.ndarray, ends: np.ndarray):
-    """The fields of a comment-free text `buf`, one entry per field: its
-    line number, whether it is the header keyword "n", its int64 value
-    and whether it is an integer. A negative integer's value is -1, and
-    a value past _BIG reads as _BIG."""
-    solid = (buf != 10) & (buf != 32) & (buf != 9) & (buf != 31)
-    # buf starts and ends with a newline, so the changes alternate
-    change = np.flatnonzero(solid[1:] != solid[:-1]) + 1
-    start, stop = change.reshape(-1, 2).T
-    size = stop - start
-    # a field with a byte other than a digit is no integer, unless that
-    # byte is the leading sign of a longer field
-    other = np.flatnonzero(solid & (buf - np.uint8(48) >= 10))
-    field = np.searchsorted(start, other, side="right") - 1
-    sign = ((buf[other] == ord("+")) | (buf[other] == ord("-"))) \
-        & (other == start[field]) & (size[field] > 1)
-    integer = np.ones(len(start), dtype=bool)
-    integer[field[~sign]] = False
-    # the ten lowest places, units first, hold every value up to _BIG;
-    # the digits are read as int64, so no product wraps
-    value = np.zeros(len(start), dtype=np.int64)
-    for k in range(10):
-        d = _DIGIT[buf[np.maximum(stop - 1 - k, start)]]
-        value += np.where(size > k, d, 0) * 10 ** k
-    # a nonzero digit before those ten places
-    long = size > 10
-    cut = np.column_stack([start[long], stop[long] - 10]).ravel()
-    nonzero = buf - np.uint8(49) < 9
-    value[long] = np.where(
-        np.maximum.reduceat(nonzero, np.append(0, cut))[1::2], _BIG,
-        value[long])
-    value[(buf[start] == ord("-")) & (value > 0)] = -1
-    keyword = (size == 1) & (buf[start] == ord("n"))
-    return np.searchsorted(ends, start), keyword, value, integer
-
-
-def _line_error(line: str, first: bool) -> str:
-    """Why a line with at least one field is bad; `first` when no line
-    with a field comes before it."""
-    line = line.split("#", 1)[0].strip(" \t\x1f")
-    parts = _SPACES.split(line)
-    if parts[0] == "n":
-        if not first:
-            return "header 'n <count>' must come first"
-        if len(parts) != 2:
-            return "header must be 'n <count>'"
-        count = _integer(parts[1])
-        if count is None:
-            return f"bad node count {_clip(parts[1])!r}"
-        if count < 1:
-            return "node count must be positive"
-        return f"node count {_clip(parts[1])} exceeds the limit {MAX_NODES}"
-    if len(parts) != 2:
-        return f"expected 'i j', got {_clip(line)!r}"
-    i, j = map(_integer, parts)
-    if i is None or j is None:
-        return f"non-integer endpoint in {_clip(line)!r}"
-    if i < 0 or j < 0:
-        return "negative node index"
-    if max(i, j) >= MAX_NODES:
-        return (f"node index {_clip(parts[int(j > i)])} exceeds the limit "
-                f"{MAX_NODES - 1}")
-    return f"self-loop at node {i}"
 
 
 def _clip(text: str) -> str:
@@ -309,13 +310,3 @@ def dump_edge_list(g: Graph) -> str:
 
 def degrees(g: Graph) -> np.ndarray:
     return np.diff(g.adjacency_sparse().indptr).astype(int)
-
-
-def spectral_radius(g: Graph) -> float:
-    """Spectral radius of the adjacency matrix: its largest eigenvalue,
-    by ARPACK's Lanczos iteration from the uniform start vector. Returns
-    exactly 0.0 for edgeless graphs."""
-    if not g.edge_count:
-        return 0.0
-    return float(spla.eigsh(g.adjacency_sparse(), k=1, which="LA",
-                            v0=np.ones(g.node_count))[0][0])

@@ -256,9 +256,11 @@ def _draw(lay: _Layout, seed: int, r0: int, u: np.ndarray):
                                     np.zeros(r * n, np.intp),
                                     _budget(lay, u), more)
         periods, kind = t.reshape(r, n), kind.reshape(r, n)
-    # -log1p(-u) / rate in place, bit for bit (in plain SIR, whole rows)
+    # -log1p(-u) / rate in place, bit for bit (in plain SIR, whole rows);
+    # a delay past the float range is infinite, as it should be
     x = u[:, lay.k - len(lay.rate):]
-    np.divide(np.log1p(np.negative(x, out=x), out=x), -lay.rate, out=x)
+    with np.errstate(over="ignore"):
+        np.divide(np.log1p(np.negative(x, out=x), out=x), -lay.rate, out=x)
     return periods, kind, u[:, nb:nb + len(lay.src)]
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import strategies as st
 
 from netsir import EpidemicParams, ErlangSpec, Graph, PhaseType, erlang
@@ -12,6 +13,16 @@ def random_graph(rng: np.random.Generator, n: int, edge_prob: float = 0.6) -> Gr
             if rng.random() < edge_prob:
                 edges.add((i, j))
     return Graph(node_count=n, edges=frozenset(edges))
+
+
+def spectral_radius(g: Graph) -> float:
+    """Spectral radius of the adjacency matrix: its largest eigenvalue,
+    by ARPACK's Lanczos iteration from the uniform start vector. Returns
+    exactly 0.0 for edgeless graphs."""
+    if not g.edge_count:
+        return 0.0
+    return float(spla.eigsh(g.adjacency_sparse(), k=1, which="LA",
+                            v0=np.ones(g.node_count))[0][0])
 
 
 def random_instance(rng: np.random.Generator, n: int,

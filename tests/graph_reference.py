@@ -3,13 +3,14 @@
 `reference_load_edge_list` parses one line at a time in Python, with
 `str.split` and `int`. `reference_neighbor_lists` builds each node's
 sorted neighbour list one edge at a time. The tests hold
-`netsir.graph`, which parses the whole text with array operations and
-reads every adjacency view off one cached CSR matrix, against both.
+`netsir.graph`, which reads a plain text with numpy's reader and any
+other line by line, and reads every adjacency view off one cached CSR
+matrix, against both.
 
 The reference accepts what `int` accepts (`1_000`, non-ASCII digits)
 and splits fields on any Unicode whitespace; `netsir.graph` takes ASCII
-digits with an optional sign, separated by ASCII spaces or tabs, and at
-most 2**31 - 1 nodes. The tests compare the two on texts inside both.
+digits with an optional sign, separated by ASCII spaces, tabs or unit
+separators, and at most 2**31 - 1 nodes. The tests compare the two on texts inside both.
 Both cut a token or line that an error quotes to its first 40
 characters and an ellipsis.
 """

@@ -13,8 +13,8 @@ from netsir import (ComparisonSystem, EpidemicParams, ErlangSpec, Graph,
                     build_sir_system, certificate_for, erlang, exact_lambda,
                     is_hurwitz_metzler, isolation_system_from, lambda_bound,
                     load_edge_list, mean, min_with_exponential,
-                    spectral_radius, verify_certificate)
-from conftest import random_instance
+                    verify_certificate)
+from conftest import random_instance, spectral_radius
 
 TWO_NODE = load_edge_list("0 1")
 RACE_P = EpidemicParams.build(2, 0.2, 0.5, [0])
@@ -610,3 +610,11 @@ def test_comparison_system_validation():
     with pytest.raises(ValueError):
         ComparisonSystem(matrix=-np.eye(2), weight_row=np.ones(3),
                          initial=np.ones(2), sigma_I0=1)
+
+
+def test_huge_rates_are_unbounded_without_overflow_warnings():
+    """GMRES overflows on entries near the float range; that try fails
+    its checks quietly and the LU answers."""
+    sys_ = build_sir_system(load_edge_list("0 1\n1 2\n"),
+                            EpidemicParams.build(3, 1e300, 0.5, [0]))
+    assert lambda_bound(sys_) is UNBOUNDED

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import netsir.phase_type
 from netsir import allocator, cli, gp, simulator
@@ -488,3 +492,67 @@ class TestCompare:
                 .splitlines()
             strategies = [row.split(",")[0] for row in lines[1:]]
             assert strategies == ["optimized", "uniform"]
+
+
+_GRAPHS = st.one_of(
+    st.sampled_from([b"0 1\n", b"0 1\n1 2\n2 0\n", b"n 3\n0 1\n", b"n 1\n",
+                     b"0 1\r\n1 2\r\n", b"# a path\n0\x1f1\n1 2\n"]),
+    st.sampled_from([b"", b"# nothing\n", b"0 x\n", b"1 1\n", b"n 0\n",
+                     b"n 2\n0 5\n", b"0 1\n\xff\n", b"0 1 2\n",
+                     b"n 99999999999\n0 1\n", b"0 99999999999999999999\n",
+                     b"0\xc2\xa01\n"]))
+_BASE = {"initially_infected": [0], "beta": 0.2, "delta": 0.5,
+         "gamma": 2.0, "erlang_shape": 2, "beta_box": [0.05, 0.5],
+         "delta_box": [0.2, 1.0], "gamma_box": [0.5, 4.0], "budget": 2.0,
+         "replicas": 20, "seed": 1, "solver_tol": 1e-6}
+_MISSING = object()
+_JUNK = st.sampled_from([
+    _MISSING, None, "x", "", math.nan, math.inf, -math.inf, 0, 0.0, -1,
+    1e-320, 1e300, 2 ** 70, True, [], {}, [1.0], [math.nan, 1.0],
+    [1.0, 0.0], [0, 1, 2, 3], {"random": 1}, {"random": 2 ** 70},
+    {"random": 0, "seed": -1}])
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("command", ["optimize", "compare"])
+    def test_erlang_shape_past_any_array_is_exit_4(self, tmp_path,
+                                                   two_node_graph, capsys,
+                                                   command):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(dict(
+            _BASE, graph=str(two_node_graph), mode="isolation",
+            erlang_shape=2 ** 70, out_dir=str(tmp_path / "out"))))
+        assert main([command, "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(cli._COMMANDS)),
+           st.sampled_from(["plain", "isolation"]), _GRAPHS,
+           st.dictionaries(st.sampled_from(sorted(_BASE) + ["graph", "mode",
+                                                            "lambda_cap",
+                                                            "out_dir"]),
+                           _JUNK, max_size=2))
+    def test_any_config_exits_with_one_line(self, command, mode, graph,
+                                            junk):
+        """Malformed graphs and config values of the wrong type, NaN,
+        infinite, huge, zero or missing, over the five commands: every
+        run ends in a documented exit code with at most one line on
+        stderr, and nothing escapes as a traceback."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.txt"
+            path.write_bytes(graph)
+            doc = dict(_BASE, graph=str(path), mode=mode)
+            for field, value in junk.items():
+                doc[field] = value
+            doc = {k: v for k, v in doc.items() if v is not _MISSING}
+            cfg = Path(tmp) / "c.json"
+            cfg.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", str(cfg),
+                             "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3, 4), (code, err.getvalue())
+        assert err.getvalue().count("\n") <= 1, err.getvalue()
+        assert "Traceback" not in err.getvalue()

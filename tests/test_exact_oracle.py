@@ -259,3 +259,13 @@ class TestRemovedSeries:
     def test_decreasing_grid_rejected(self):
         with pytest.raises(ValueError):
             exact_removed_series(TWO_NODE, RACE_P, [1.0, 0.5])
+
+
+@pytest.mark.parametrize("delta", [1e-320, 1e-310])
+def test_subnormal_recovery_rate(delta):
+    """A state whose only moves are subnormal recoveries still passes on
+    its whole mass: infection wins every race, as at delta = 1e-300
+    (mass / out-rate used to overflow there and give inf)."""
+    g = load_edge_list("0 1\n1 2\n")
+    assert exact_lambda(g, EpidemicParams.build(3, 0.2, delta, [0])) == \
+        exact_lambda(g, EpidemicParams.build(3, 0.2, 1e-300, [0])) == 2.0

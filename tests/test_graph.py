@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netsir import (EdgeListParseError, Graph, GraphValidationError,
-                    degrees, dump_edge_list, load_edge_list, spectral_radius)
+                    degrees, dump_edge_list, load_edge_list)
 from netsir.graph import MAX_NODES
-from conftest import random_graph
+from conftest import random_graph, spectral_radius
 from graph_reference import reference_load_edge_list, reference_neighbor_lists
 
 
@@ -176,11 +177,15 @@ def edge_list_texts(draw):
 
 
 _FORMS = {"str": str, "file": io.StringIO,
-          "lines": lambda text: text.splitlines(keepends=True)}
+          "lines": lambda text: text.splitlines(keepends=True),
+          # numpy's reader takes no unit separator, so this form reads
+          # every text line by line
+          "unit-separator": lambda text: re.sub("[ \t]", "\x1f", text)}
 
 
 _DEFECTS = ["0 x", "x 1", "1.5 2", "0 0x1", "5", "1 2 3", "-1 2", "3 -04",
-            "3 3", "07 7", "n 5", "n x", "n 2.5", "n", "n 1 2", "n 0", "n -3"]
+            "3 3", "07 7", "n 5", "n x", "n 2.5", "n", "n 1 2", "n 0", "n -3",
+            "+-1 2", "1- 2", "0 --3", "+ 1"]
 
 
 @st.composite
@@ -196,7 +201,7 @@ def defective_lines(draw):
             data = [line.split("#")[0] for line in lines
                     if _has_field(line) and "n" not in line.split("#")[0]]
             top = max([int(tok) for tok in " ".join(data).split()
-                       if tok.lstrip("+-").isdigit()], default=0)
+                       if re.fullmatch("[+-]?[0-9]+", tok)], default=0)
             if top < 1:     # no edges to be too small for
                 lines.append("3 3")
                 continue
@@ -289,6 +294,20 @@ class TestParserAgainstReference:
             reference_load_edge_list, items) == (
             "error", f"line 2: expected 'i j', got {f'1 2{inner}2 3'!r}", 2)
 
+    @pytest.mark.parametrize("text", [
+        "0\v1\n", "0\f1\n", "0\x1c1\n", "0\r1\n", "0 1\r\r\n5\r\n",
+        "0 1 # c\r1 2\n", "0 1 # c\v1 2\n", "0 1 # c\u20281 2\n",
+        ["0 1\n", "1 2\n2 3\n"], "0 \ud800\n"],
+        ids=["vt", "ff", "fs", "cr", "cr-crlf", "comment-cr", "comment-vt",
+             "comment-ls", "item-break", "lone-surrogate"])
+    def test_near_plain_texts(self, text):
+        """Texts a character away from plain. numpy's reader takes \\v,
+        \\f and \\x1c for spaces, and a comment or a list item must end
+        at its own line's end, so each of these must end as the per-line
+        parser ends."""
+        assert _outcome(load_edge_list, text) == _outcome(
+            reference_load_edge_list, text)
+
     def test_byte_order_mark_is_not_a_digit(self):
         """A byte order mark left in a string is refused, as it was; the
         command line skips one at the start of a file."""
@@ -342,6 +361,18 @@ class TestNodeLimit:
     def test_endpoint_below_the_limit_parses(self):
         g = load_edge_list(f"0 {MAX_NODES - 1}\n")
         assert g.node_count == MAX_NODES
+
+    def test_twenty_digit_ids(self):
+        """A 20-digit id overflows int64, so numpy's reader refuses it
+        and the per-line reader words the error; zero-padded to 20
+        digits, an id is just its value."""
+        with pytest.raises(EdgeListParseError) as err:
+            load_edge_list("n 5\n0 1\n2 99999999999999999999\n")
+        assert err.value.line_no == 3
+        assert str(err.value) == (f"line 3: node index 99999999999999999999 "
+                                  f"exceeds the limit {MAX_NODES - 1}")
+        g = load_edge_list("n 5\n0 00000000000000000001\n")
+        assert g.node_count == 5 and g.edges == frozenset({(0, 1)})
 
 
 class TestArrays:

@@ -456,3 +456,13 @@ class TestParamsValidation:
         iso = (erlang(ErlangSpec(1, 1.0)), erlang(ErlangSpec(2, 1.0)))
         with pytest.raises(ValueError):
             EpidemicParams.build(2, 0.1, 0.5, [0], isolation=iso)
+
+
+def test_subnormal_recovery_rate_gives_infinite_periods():
+    """-log1p(-u) / delta overflows at a subnormal delta: the infectious
+    period is infinite, so infection wins every race, without a
+    warning."""
+    params = EpidemicParams.build(2, 0.2, 1e-320, [0])
+    est = estimate_lambda(load_edge_list("0 1\n"), params, replicas=500,
+                          seed=3)
+    assert est.mean == 1.0 and est.std_error == 0.0
