@@ -357,9 +357,6 @@ def _allocation_problem(g: Graph, infected, costs: CostModel, p: int,
     last column and the objective; under a cap, t is fixed at
     lambda_cap + sigma_I(0) and the spend is minimized, which picks a
     canonical feasible point."""
-    infected = frozenset(int(i) for i in infected)
-    if not infected:
-        raise ValueError("infected set must be non-empty")
     n = g.node_count
     transmit = np.ones(n, dtype=bool)
     transmit[list(infected)] = False   # J_ii = 0
@@ -386,6 +383,18 @@ def _allocation_problem(g: Graph, infected, costs: CostModel, p: int,
         **fields)
 
 
+def _checked_infected(g: Graph, infected) -> frozenset:
+    """The infected node ids, refused when none or when outside g,
+    before any array is built."""
+    infected = frozenset(int(i) for i in infected)
+    if not infected:
+        raise ValueError("infected set must be non-empty")
+    bad = sorted(i for i in infected if not 0 <= i < g.node_count)
+    if bad:
+        raise ValueError(f"initially infected nodes out of range: {bad}")
+    return infected
+
+
 def _blocks(x: np.ndarray, n: int, p: int) -> list:
     """The blocks [v | beta | delta or gamma | t or s] of a point."""
     return np.split(x, [n * p, n * p + n, n * p + 2 * n])
@@ -408,6 +417,7 @@ def build_problem1(g: Graph, infected, costs: CostModel,
     """
     if costs.mode != "plain":
         raise ValueError("plain-mode cost model required")
+    infected = _checked_infected(g, infected)
     n = g.node_count
     nodes = np.arange(n)
     own = [(nodes, 0.0, [(2 * n + nodes, 1.0)])]    # delta_j
@@ -434,6 +444,9 @@ def build_problem2(g: Graph, infected, costs: CostModel, p: int, delta,
     """
     if costs.mode != "isolation":
         raise ValueError("isolation-mode cost model required")
+    infected = _checked_infected(g, infected)
+    if not 1 <= p < 2 ** 31:    # a p x p generator of 2**65 B
+        raise ValueError(f"Erlang shape p must be in [1, 2**31), got {p}")
     n = g.node_count
     delta = np.broadcast_to(np.asarray(delta, float), (n,)).copy()
     if not np.all((delta >= 0) & (delta < math.inf)):

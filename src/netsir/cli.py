@@ -12,8 +12,9 @@ malformed graph file, a mistyped config field, a seed of 2**128 or
 more, replicas of 2**40 or more, a malformed or non-finite rate (also a
 gamma whose Erlang phase rate overflows), a misordered or
 non-positive rate box, a malformed initially infected set, an initially
-infected node outside the graph, an erlang_shape too large for an array
-and a run that runs out of memory).
+infected node outside the graph, an erlang_shape of 2**31 or more
+(refused by its field check, before any p x p generator is built) and
+a run that runs out of memory).
 
 Each command builds one `EpidemicParams`, plain or with isolation
 laws, and hands it to the one entry of each layer: `simulate_sir`,
@@ -92,6 +93,9 @@ class ExperimentConfig:
         if self.replicas >= 2 ** 40:    # 8 TiB of int64 results
             raise ConfigError(
                 f"replicas must be < 2**40, got {self.replicas}")
+        if self.erlang_shape >= 2 ** 31:    # a p x p generator of 2**65 B
+            raise ConfigError(
+                f"erlang_shape must be < 2**31, got {self.erlang_shape}")
         for name in ("budget", "lambda_cap", "solver_tol"):
             value = getattr(self, name)
             if value is None and name in ("budget", "lambda_cap"):
@@ -265,7 +269,7 @@ def _build_allocation_problem(cfg: ExperimentConfig, g: Graph,
         return allocator.build_problem2(g, infected, costs,
                                         p=cfg.erlang_shape, delta=delta,
                                         lambda_cap=cfg.lambda_cap)
-    except ValueError as exc:   # an erlang_shape too large for an array
+    except ValueError as exc:   # e.g. a gamma_box whose p/gamma overflows
         raise ConfigError(str(exc)) from exc
 
 

@@ -19,6 +19,8 @@ hitting system of the whole chain by a sparse LU. `_build_chain`
 assembles that chain one BFS frontier at a time: the whole frontier is
 decoded, its infection, phase-move and removal edges are emitted as
 arrays, and the successors not yet indexed become the next frontier.
+`_generator` sums them into the chain's generator Q once; the hitting
+system and `exact_removed_series` both read that Q.
 """
 
 from __future__ import annotations
@@ -106,6 +108,24 @@ def _build_chain(g: Graph, params: EpidemicParams):
     return (np.concatenate(codes), np.concatenate(digits),
             np.concatenate(rows), index[np.concatenate(succs)],
             np.concatenate(rates))
+
+
+def _generator(g: Graph, params: EpidemicParams):
+    """The generator Q of the chain that `_build_chain` explores, as a
+    CSC array with its diagonal (minus each state's out-rate).
+
+    Returns (q, codes, level, removed, transient): state k is the
+    integer codes[k] at level level[k] with removed[k] removed nodes,
+    and transient[k] when some node of it is infected.
+    """
+    codes, digits, rows, cols, rates = _build_chain(g, params)
+    p, m = params.generators.shape[1], len(codes)
+    diag = np.arange(m)
+    q = sp.csc_array((np.concatenate([rates, -np.bincount(rows, rates, m)]),
+                      (np.concatenate([rows, diag]),
+                       np.concatenate([cols, diag]))), shape=(m, m))
+    return (q, codes, digits.sum(axis=1), (digits == p + 1).sum(axis=1),
+            ((digits >= 1) & (digits <= p)).any(axis=1))
 
 
 def exact_lambda(g: Graph, params: EpidemicParams) -> float:
@@ -205,62 +225,38 @@ def _sweep_lambda(g: Graph, params: EpidemicParams, p: int) -> float:
 
 
 def _hitting_lambda(g: Graph, params: EpidemicParams) -> float:
-    """E[final removed] by sparse-LU solve of the hitting system of the
-    assembled chain."""
-    codes, digits, rows, cols, rates = _build_chain(g, params)
-    p = params.generators.shape[1]
-    m = len(codes)
-    removed = (digits == p + 1).sum(axis=1)
-    absorbing = ~((digits >= 1) & (digits <= p)).any(axis=1)
-    trans_idx = np.flatnonzero(~absorbing)
-    trans_idx = trans_idx[np.lexsort((codes[trans_idx],
-                                      digits[trans_idx].sum(axis=1)))]
-    k = len(trans_idx)
-    pos = -np.ones(m, dtype=int)
-    pos[trans_idx] = np.arange(k)
-
-    # only transient states have outgoing transitions
-    out_rate = np.bincount(rows, weights=rates, minlength=m)
-    # hitting expectation f: Q_TT f_T = -Q_TA f_A, f_A = removed count
-    to_abs = absorbing[cols]
-    rhs = -np.bincount(pos[rows[to_abs]],
-                       weights=rates[to_abs] * removed[cols[to_abs]],
-                       minlength=k)
-    tt = ~to_abs
-    on_diag = np.arange(k)
-    q_tt = sp.csc_array(
-        (np.concatenate([rates[tt], -out_rate[trans_idx]]),
-         (np.concatenate([pos[rows[tt]], on_diag]),
-          np.concatenate([pos[cols[tt]], on_diag]))), shape=(k, k))
+    """E[final removed] by sparse-LU solve of the hitting system
+    Q_TT f_T = -Q_TA f_A, f_A the removed counts, with Q_TT and Q_TA
+    sliced out of the generator's transient rows."""
+    q, codes, level, removed, transient = _generator(g, params)
+    trans = np.flatnonzero(transient)
+    trans = trans[np.lexsort((codes[trans], level[trans]))]
+    absorbing = np.flatnonzero(~transient)
+    q_t = q.tocsr()[trans]
     try:
-        f_t = spla.splu(q_tt, permc_spec="NATURAL").solve(rhs)
+        f_t = spla.splu(q_t[:, trans].tocsc(), permc_spec="NATURAL").solve(
+            -(q_t[:, absorbing] @ removed[absorbing]))
     except RuntimeError as exc:  # singular factorization
         raise ArithmeticError(f"hitting system solve failed: {exc}") from exc
-    return float(f_t[pos[0]])
+    # every other reachable state has a node at a higher code than the
+    # initial state's, so the initial state comes first
+    return float(f_t[0])
 
 
 def exact_removed_series(g: Graph, params: EpidemicParams,
                          t_grid) -> np.ndarray:
     """E[sigma_R(t)] on an increasing grid: the initial distribution is
-    carried from one grid point to the next by exp((t_k - t_{k-1}) Q^T)."""
+    carried from one grid point to the next by exp((t_k - t_{k-1}) Q^T),
+    Q the generator of `_generator`."""
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) < 0) or np.any(t_grid < 0):
         raise ValueError("t_grid must be nonnegative and increasing")
-    codes, digits, rows, cols, rates = _build_chain(g, params)
-    m = len(codes)
-    removed = (digits == params.generators.shape[1] + 1).sum(axis=1)
-    diag = np.arange(m)
-    q = sp.csc_array(
-        (np.concatenate([rates, -np.bincount(rows, weights=rates,
-                                             minlength=m)]),
-         (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
-        shape=(m, m))
-    qt = q.T
-    pi = np.zeros(m)
+    q, _, _, removed, _ = _generator(g, params)
+    pi = np.zeros(q.shape[0])
     pi[0] = 1.0
     out = np.empty(len(t_grid))
     for k, dt in enumerate(np.diff(t_grid, prepend=0.0)):
         if dt > 0.0:
-            pi = spla.expm_multiply(qt * dt, pi)
+            pi = spla.expm_multiply(q.T * dt, pi)
         out[k] = float(pi @ removed)
     return out

@@ -352,6 +352,8 @@ def solve_compiled(lcp: LogConvexProblem, tol: float = 1e-7,
     Phase I minimizes the largest constraint violation s over (y, s)
     and stops once s < 0; a converged s* whose lower bound s* - gap
     exceeds PHASE1_TOL proves infeasibility, with s* as kkt_residual.
+    It converges to min(tol, PHASE1_TOL), so a loose tol cannot end it
+    before either holds.
     Phase II runs the same loop on the problem itself. status is
     'optimal' once the dual residual |grad f0 + sum lam_k grad f_k|_inf
     (kkt_residual) and the surrogate duality gap -f^T lam (gap) are
@@ -370,8 +372,8 @@ def solve_compiled(lcp: LogConvexProblem, tol: float = 1e-7,
     if np.any(vals >= -1e-10):
         # phase I on (y, s), started with margin one
         ys, _, _, eta, steps1, status = _primal_dual(
-            system.phase1(), np.append(y, vals.max() + 1.0), tol,
-            max_newton, stop=lambda ys: ys[-1] < 0)
+            system.phase1(), np.append(y, vals.max() + 1.0),
+            min(tol, PHASE1_TOL), max_newton, stop=lambda ys: ys[-1] < 0)
         if status != "stopped":
             infeasible = status == "optimal" and ys[-1] - eta > PHASE1_TOL
             return GpSolution(point={}, objective_value=math.nan,

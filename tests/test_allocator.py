@@ -340,6 +340,19 @@ class TestProblem2:
         assert alloc.total_cost <= self.ISO_COSTS.budget + 1e-8
 
 
+@pytest.mark.parametrize("infected", [{5}, {-1}], ids=["5", "-1"])
+@pytest.mark.parametrize("mode", ["plain", "isolation"])
+def test_infected_outside_graph_refused(mode, infected):
+    g = load_edge_list("0 1\n1 2\n")
+    with pytest.raises(ValueError, match=r"^initially infected nodes out "
+                                         rf"of range: \[{min(infected)}\]$"):
+        if mode == "plain":
+            build_problem1(g, infected, PLAIN_COSTS)
+        else:
+            build_problem2(g, infected, TestProblem2.ISO_COSTS, p=2,
+                           delta=0.05)
+
+
 class TestAllocationInvariants:
     def test_certificate_and_bound_consistency(self):
         prob = build_problem1(TWO_NODE, {0}, PLAIN_COSTS)

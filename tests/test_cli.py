@@ -419,6 +419,13 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_loose_solver_tol_optimizes(self, tmp_path, two_node_graph):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(dict(
+            _BASE, graph=str(two_node_graph), solver_tol=10,
+            out_dir=str(tmp_path / "out"))))
+        assert main(["optimize", "--config", str(cfg)]) == 0
+
     def test_one_fit_per_distinct_delta(self, tmp_path, monkeypatch):
         """Isolation optimize fits the monomial decay bound once for a
         scalar delta, and once per distinct value of a delta vector."""
@@ -508,23 +515,26 @@ _BASE = {"initially_infected": [0], "beta": 0.2, "delta": 0.5,
 _MISSING = object()
 _JUNK = st.sampled_from([
     _MISSING, None, "x", "", math.nan, math.inf, -math.inf, 0, 0.0, -1,
-    1e-320, 1e300, 2 ** 70, True, [], {}, [1.0], [math.nan, 1.0],
+    1e-320, 1e300, 2 ** 62, 2 ** 70, True, [], {}, [1.0], [math.nan, 1.0],
     [1.0, 0.0], [0, 1, 2, 3], {"random": 1}, {"random": 2 ** 70},
     {"random": 0, "seed": -1}])
 
 
 class TestErrorContract:
-    @pytest.mark.parametrize("command", ["optimize", "compare"])
+    @pytest.mark.parametrize("command", ["optimize", "compare", "simulate",
+                                         "bound", "validate"])
     def test_erlang_shape_past_any_array_is_exit_4(self, tmp_path,
                                                    two_node_graph, capsys,
                                                    command):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(dict(
-            _BASE, graph=str(two_node_graph), mode="isolation",
-            erlang_shape=2 ** 70, out_dir=str(tmp_path / "out"))))
-        assert main([command, "--config", str(cfg)]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        for shape in (2 ** 62, 2 ** 70):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(dict(
+                _BASE, graph=str(two_node_graph), mode="isolation",
+                erlang_shape=shape, out_dir=str(tmp_path / "out"))))
+            assert main([command, "--config", str(cfg)]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "erlang_shape" in err
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(st.sampled_from(sorted(cli._COMMANDS)),

@@ -256,6 +256,25 @@ class TestRemovedSeries:
         assert out[-1] <= exact_lambda(g, params) + len(
             params.initially_infected) + 1e-6
 
+    def test_late_value_is_hitting_lambda_plus_initial(self):
+        """The series and the hitting system read one generator: on the
+        backward-move law of test_node_relabelling, E[sigma_R(200)]
+        equals exact_lambda + sigma_I(0), which the LU gives."""
+        rng = np.random.default_rng(5)
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]
+        beta, delta = rng.uniform(0.2, 1.0, 6), rng.uniform(0.1, 0.5, 6)
+        laws = []
+        for mean in rng.uniform(0.5, 3.0, 6):
+            pi = erlang(ErlangSpec(2, mean)).Pi.copy()
+            pi[1, 0] = 0.9 * 2 / mean
+            laws.append(PhaseType(Pi=pi))
+        g = Graph(node_count=6, edges=frozenset(edges))
+        params = EpidemicParams(beta=beta, delta=delta,
+                                initially_infected={0, 3},
+                                isolation=tuple(laws))
+        out = exact_removed_series(g, params, [200.0])
+        assert out[0] == pytest.approx(exact_lambda(g, params) + 2, abs=1e-8)
+
     def test_decreasing_grid_rejected(self):
         with pytest.raises(ValueError):
             exact_removed_series(TWO_NODE, RACE_P, [1.0, 0.5])

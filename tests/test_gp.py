@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import gp_front as front
 from gp_front import GpProblem, Monomial, Posynomial, variable
-from netsir import CostModel, build_problem2, gp, load_edge_list
+from netsir import (CostModel, build_problem1, build_problem2, gp,
+                    load_edge_list, solve_allocation)
 
 
 def simple_box(*names, lo=0.01, hi=100.0):
@@ -351,6 +352,15 @@ def test_step_cap_reports_max_iter():
     sol = front.solve(prob, tol=tol, max_newton=3)
     assert sol.status == "max_iter" and sol.newton_iters == 3
     assert sol.kkt_residual > tol or sol.gap > tol
+
+
+def test_loose_tol_still_solves():
+    """Phase I runs to PHASE1_TOL whatever the tol, so a loose tol
+    cannot end it before it has found a feasible point."""
+    prob = build_problem1(load_edge_list("0 1"), {0}, CostModel(
+        beta_box=(0.05, 0.5), delta_box=(0.2, 1.0), budget=2.0))
+    assert gp.solve_compiled(prob.gp_problem, tol=10.0).status == "optimal"
+    assert solve_allocation(prob, tol=10.0).is_certified
 
 
 @settings(max_examples=30, deadline=None)
