@@ -14,8 +14,8 @@ infected at the first-passage time t_j = min over open edges i -> j of
 t_i + E_ij and removed at t_j + T_j. This realizes the Markov process
 exactly, so the final removed set is the set reachable from the
 initially infected through open edges: one breadth-first search over a
-chunk of replicas gives their final sizes, and one Dijkstra run gives a
-record run's event times.
+block of replicas, one bit a replica, gives their final sizes, and one
+Dijkstra run gives a record run's event times.
 
 Replica r reads one row of K uniforms: a budget for each node's phase
 walk (two uniforms a step, p steps, which a law without cycles never
@@ -25,21 +25,30 @@ Philox(key=seed) advanced by r*K/4 blocks. A walk that outruns its
 budget, as on a law with cycles, reads a further budget from level
 l = 1, 2, ...: a row of the node budgets alone, padded to a multiple of
 4 uniforms, in the same layout on Philox(key=seed) jumped by 2^128 l.
-So replica r depends on (seed, r) alone, whatever the chunking: a chunk
+So replica r depends on (seed, r) alone, whatever the chunking: a slice
 of replicas opens its own streams and draws each level it needs for all
 its walks in one call. A record run of replica r opens the same
 streams, so it is that replica of the Monte Carlo run.
 
-The chunks run on a thread pool with one thread for each CPU the
-process may use. There is no setting for it. Each thread allocates its
-buffers once and takes chunks in turn until none is left, so a thread
-on a slower core takes fewer; the edges' global node ids are shared
-read-only. A chunk writes only its own replicas' results, so the output
-does not depend on the thread count. The Philox fill, the logarithms,
-the gathers, the comparison and the nonzero scan release the GIL. The
-sparse-matrix set-up, the bincounts and csgraph's breadth-first search
-hold it: about a quarter of a plain social68 chunk (0.25 of 1.05 ms for
-104 replicas, on one core).
+The replicas run in blocks on a thread pool with one thread for each
+CPU the process may use. There is no setting for it. Each thread
+allocates its buffers once and takes blocks in turn until none is left,
+so a thread on a slower core takes fewer. A block writes only its own
+replicas' results, so the output does not depend on the thread count.
+A block is drawn in slices of at most _CHUNK uniforms, and each slice's
+open-edge mask is packed into the block's bit table, bit q of an edge's
+words for replica q (Then et al., "The More the Merrier: Efficient
+Multi-Source Graph Traversal", VLDB 2014). So every replica of a block
+walks the same small graph at once: a level of the search ORs the
+frontier's words along the edges out of the frontier's nodes. The
+Philox fill, the logarithms, the gathers and the comparison release the
+GIL. The search's small numpy calls hold it between them, and two
+threads searching at once traded it at every call: a 1000-replica call
+on a 2000-node path took 91 ms at two threads against 68 ms with one
+search at a time. So one thread of a call searches at a time while the
+others draw. On a plain social68 call of 10^4 replicas at two threads,
+each stage's thread CPU time is 84-99% of its wall time: Philox fill
+99%, transform 95%, packing 90%, search 84% (medians of seven runs).
 """
 
 from __future__ import annotations
@@ -54,7 +63,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .graph import Graph
 from .phase_type import absorbing_walk, phase_type, walk_table
@@ -71,8 +79,9 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-_WORKERS = _cpu_count()   # threads that run chunks of replicas
-_CHUNK = 1 << 16          # uniforms a chunk draws (512 KB; see _Buffers)
+_WORKERS = _cpu_count()   # threads that run blocks of replicas
+_CHUNK = 1 << 16          # uniforms a slice draws (512 KB; see _Buffers)
+_BLOCK = 1 << 23          # bits a block may hold (see replica_infections)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,6 +200,7 @@ class _Layout:
 
     src: np.ndarray         # directed edges src -> dst, sorted by (src, dst)
     dst: np.ndarray
+    by_dst: np.ndarray      # the edges' order by (dst, src)
     rate: np.ndarray        # delta (plain SIR), beta_dst, then 1s (pad)
     delta: np.ndarray
     walk: Optional[tuple]   # walk_table of the folded laws; None in plain SIR
@@ -223,8 +233,9 @@ def _layout(g: Graph, params: EpidemicParams) -> _Layout:
     k = -(-(nb + len(src)) // 4) * 4
     rate = np.concatenate([params.delta if walk is None else [],
                            params.beta[dst], np.ones(k - nb - len(src))])
-    return _Layout(src=src, dst=dst, rate=rate, delta=params.delta,
-                   walk=walk, budget=budget, k=k,
+    return _Layout(src=src, dst=dst, by_dst=np.argsort(dst, kind="stable"),
+                   rate=rate, delta=params.delta, walk=walk, budget=budget,
+                   k=k,
                    infected0=np.array(sorted(params.initially_infected)))
 
 
@@ -275,57 +286,107 @@ def _open_graph(size: int, rows, cols, data) -> sp.csr_matrix:
                          shape=(size, size))
 
 
-def _ids(lay: _Layout, rows: int):
-    """Global ids in a chunk of up to `rows` replicas, where node i of
-    replica q is q*n + i: each edge's source (intp, which bincount
-    counts uncast) and destination, and the initially infected nodes
-    (int32, the index type csgraph takes). Read-only: threads share
-    them."""
-    ids = np.arange(rows)[:, None] * lay.n
-    return (ids + lay.src, (ids + lay.dst).astype(np.int32),
-            (ids + lay.infected0).astype(np.int32).ravel())
-
-
 class _Buffers:
-    """What one thread reuses for every chunk it takes, of up to as many
-    replicas as `ids` has rows: the rows of uniforms, the gathered
-    periods T[:, src], the open-edge mask and the CSR of the open edges,
-    with the shared `_ids`. On social68, at 2^16 uniforms a chunk, they
-    hold 1.3 MB a thread and the `_ids` 0.7 MB a call."""
+    """What one thread reuses for every block it takes, of up to `block`
+    replicas drawn in slices of up to `rows`: the rows of uniforms, the
+    gathered periods T[:, src], the open-edge mask with 7 rows ahead
+    for a slice that starts inside a byte, and the block's words, bit q
+    for replica q: `bits`, each edge's open replicas with the edges in
+    (dst, src) order, `reached` and `front`, each node's reached
+    replicas and those it reached at the last level, and `fronts` and
+    `opens`, which a level gathers its edges' source `front` rows and
+    `bits` rows into. On social68, with a block of
+    2500 replicas and slices of 104, they hold 1.6 MB a thread."""
 
-    def __init__(self, lay: _Layout, ids: tuple):
-        self.src, self.dst, self.seeds = ids
-        self.u = np.empty((len(self.dst), lay.k))
-        self.t = np.empty(self.dst.shape)
-        self.open = np.empty(self.dst.shape, dtype=bool)
-        self.cols = np.empty(self.dst.size + self.seeds.size, np.int32)
-        self.indptr = np.zeros(len(self.dst) * lay.n + 2, np.int32)
+    def __init__(self, lay: _Layout, block: int, rows: int):
+        e, words = len(lay.src), -(-block // 64)
+        self.u = np.empty((rows, lay.k))
+        self.t = np.empty((rows, e))
+        self.open = np.zeros((-(-(rows + 7) // 8) * 8, e), dtype=bool)
+        self.bits, self.fronts, self.opens = (
+            np.empty(e * words, np.uint64) for _ in range(3))
+        self.reached, self.front = (np.empty(lay.n * words, np.uint64)
+                                    for _ in range(2))
+        self.src, self.dst = lay.src[lay.by_dst], lay.dst[lay.by_dst]
+        self.active = np.zeros(lay.n, dtype=bool)
+        self.change = np.ones(e, dtype=bool)
 
 
-def _final_sizes(lay: _Layout, periods, delays, buf: _Buffers) -> np.ndarray:
-    """Nodes ever infected in each replica: breadth-first search of the
-    chunk's open edges from a super-source, node R*n, wired to every
-    replica's initially infected nodes. The open edges' flat indices in
-    the mask pick their global ids from the tables of `buf`. The takes
-    run in mode "wrap", as their indices are in range: in mode "raise"
-    numpy buffers `out`."""
-    r, n = periods.shape
-    source, mask = r * n, buf.open[:r]
-    np.less(delays, np.take(periods, lay.src, axis=1, out=buf.t[:r],
-                            mode="wrap"), out=mask)
-    edge = np.flatnonzero(mask)
-    cols = buf.cols[:len(edge) + r * len(lay.infected0)]
-    np.take(buf.dst, edge, out=cols[:len(edge)], mode="wrap")
-    cols[len(edge):] = buf.seeds[:len(cols) - len(edge)]
-    indptr = buf.indptr[:source + 2]
-    np.cumsum(np.bincount(buf.src.take(edge), minlength=source),
-              out=indptr[1:-1])
-    indptr[-1] = len(cols)
-    order = csgraph.breadth_first_order(   # reads no edge weights
-        sp.csr_matrix((np.broadcast_to(1.0, len(cols)), cols, indptr),
-                      shape=(source + 1, source + 1)),
-        source, directed=True, return_predecessors=False)
-    return np.bincount(order[1:] // n, minlength=r)
+_BIT = np.uint8(1) << np.arange(8, dtype=np.uint8)
+
+
+def _open_bits(lay: _Layout, seed: int, r0: int, size: int,
+               buf: _Buffers) -> np.ndarray:
+    """The open edges of replicas r0..r0+size-1 of the run with `seed`,
+    (edges, words) with the edges in (dst, src) order and bit q of a
+    row for replica r0 + q. The replicas are drawn in slices of the rows
+    of `buf.u`. Each slice's mask is packed along its rows, bit j of
+    byte i for row 8i + j, and ORed into the words' bytes; zero rows
+    pad it to whole bytes, ahead of it when it starts inside one."""
+    e, words = len(lay.src), -(-size // 64)
+    bits = buf.bits[:e * words].reshape(e, words)
+    bits.fill(0)
+    for q in range(0, size, len(buf.u)):
+        s, at = min(len(buf.u), size - q), q % 8
+        periods, _, delays = _draw(lay, seed, r0 + q, buf.u[:s])
+        mask = buf.open[:-(-(at + s) // 8) * 8]
+        mask[:at] = False
+        mask[at + s:] = False
+        np.less(delays, np.take(periods, lay.src, axis=1, out=buf.t[:s],
+                                mode="wrap"), out=mask[at:at + s])
+        packed = np.einsum("ibe,b->ie", mask.view(np.uint8).reshape(
+            len(mask) // 8, 8, e), _BIT)
+        bits.view(np.uint8)[:, q // 8:q // 8 + len(packed)] |= \
+            packed[:, lay.by_dst].T
+    return bits
+
+
+def _block_sizes(lay: _Layout, seed: int, r0: int, r1: int, buf: _Buffers,
+                 search: threading.Lock) -> np.ndarray:
+    """Nodes ever infected in replicas r0..r1-1 of the run with `seed`:
+    one breadth-first search of all of them at once over their open
+    edges' bits (Then et al., VLDB 2014). A level takes the edges out
+    of the frontier's nodes, ORs their frontier and open words into
+    each destination, and keeps the bits not reached before as the next
+    frontier. The search holds `search`, which the call's threads share.
+    The takes run in mode "wrap", as their indices are in range: in mode
+    "raise" numpy buffers `out`."""
+    size, n = r1 - r0, lay.n
+    words = -(-size // 64)
+    bits = _open_bits(lay, seed, r0, size, buf)
+    reached = buf.reached[:n * words].reshape(n, words)
+    reached.fill(0)
+    # rows of `front` are read only while their node is active
+    front = buf.front[:n * words].reshape(n, words)
+    # every bit set: those past the block's replicas meet no open edge
+    nodes = lay.infected0
+    reached[nodes] = front[nodes] = ~np.uint64(0)
+    active, change = buf.active, buf.change
+    active[nodes] = True
+    with search:
+        while True:
+            edge = active.take(buf.src).nonzero()[0]
+            active[nodes] = False
+            m = len(edge)
+            if not m:
+                break
+            into = buf.dst.take(edge)
+            np.not_equal(into[1:], into[:-1], out=change[1:m])
+            first = change[:m].nonzero()[0]
+            fronts = np.take(front, buf.src.take(edge), axis=0, mode="wrap",
+                             out=buf.fronts[:m * words].reshape(m, words))
+            fronts &= np.take(bits, edge, axis=0, mode="wrap",
+                              out=buf.opens[:m * words].reshape(m, words))
+            new = np.bitwise_or.reduceat(fronts, first, axis=0)
+            nodes = into.take(first)
+            old = reached.take(nodes, axis=0)
+            new &= ~old
+            reached[nodes] = old | new
+            front[nodes] = new
+            nodes = nodes[new.any(axis=1)]
+            active[nodes] = True
+    return np.unpackbits(reached.view(np.uint8), axis=1, count=size,
+                         bitorder="little").sum(axis=0, dtype=np.int64)
 
 
 def simulate_sir(g: Graph, params: EpidemicParams, seed: int,
@@ -336,6 +397,8 @@ def simulate_sir(g: Graph, params: EpidemicParams, seed: int,
     It reads that replica's row and budget levels, so its
     infections_after_t0 is `replica_infections(g, params, R, seed)`
     at `replica`, for any R > replica."""
+    from scipy.sparse import csgraph   # loaded only for a record run
+
     lay = _layout(g, params)
     n, k0 = lay.n, len(lay.infected0)
     (periods,), (kind,), (delays,) = _draw(lay, seed, replica,
@@ -376,37 +439,42 @@ def replica_infections(g: Graph, params: EpidemicParams, replicas: int,
     """Infections-after-t0 for each of `replicas` independent runs.
 
     Replica r reads only stream (seed, r), so the result does not
-    depend on how the replicas are chunked or how many threads run the
-    chunks.
+    depend on how the replicas are blocked and sliced or how many
+    threads run the blocks. A block holds at most _BLOCK bits (one an
+    edge and eight a node, a replica: its open edges and the bytes its
+    count unpacks), and at most a half of a thread's share of the
+    replicas, so that each thread takes at least two blocks from the
+    queue.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     lay = _layout(g, params)
-    rows = min(max(1, _CHUNK // lay.k), -(-replicas // _WORKERS))
-    ids = _ids(lay, rows)
+    block = min(max(1, _BLOCK // (len(lay.src) + 8 * lay.n)),
+                -(-replicas // (2 * _WORKERS)))
+    rows = min(max(1, _CHUNK // lay.k), block)
     out = np.empty(replicas, dtype=np.int64)
-    chunks, lock = iter(range(0, replicas, rows)), threading.Lock()
-    failed = []   # once a chunk raises, no thread takes another
+    blocks, lock = iter(range(0, replicas, block)), threading.Lock()
+    search = threading.Lock()   # one search at a time: module docstring
+    failed = []   # once a block raises, no thread takes another
 
     def take():
         with lock:
-            return None if failed else next(chunks, None)
+            return None if failed else next(blocks, None)
 
     def work():
-        """Chunks taken in turn until none is left, through one set of
+        """Blocks taken in turn until none is left, through one set of
         buffers: a thread that finds its core slower takes fewer."""
         try:
-            buf = _Buffers(lay, ids)
-            for c0 in iter(take, None):
-                c1 = min(replicas, c0 + rows)
-                periods, _, delays = _draw(lay, seed, c0, buf.u[:c1 - c0])
-                out[c0:c1] = _final_sizes(lay, periods, delays, buf)
+            buf = _Buffers(lay, block, rows)
+            for b0 in iter(take, None):
+                b1 = min(replicas, b0 + block)
+                out[b0:b1] = _block_sizes(lay, seed, b0, b1, buf, search)
         except BaseException:
             failed.append(True)
             raise
 
-    # chunks write disjoint slices of out; an error surfaces once the
-    # chunks in flight end
+    # blocks write disjoint slices of out; an error surfaces once the
+    # blocks in flight end
     with ThreadPoolExecutor(_WORKERS) as pool:
         for done in [pool.submit(work) for _ in range(_WORKERS)]:
             done.result()

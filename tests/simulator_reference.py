@@ -1,15 +1,18 @@
 """Reference for the simulator's final-size kernel.
 
-`reference_final_sizes` is the kernel as it stood before the threads
-owned their buffers: the open-edge mask, then `divmod` of its flat
+`reference_final_sizes` is the kernel that searched a chunk of
+replicas with csgraph: the open-edge mask, then `divmod` of its flat
 indices into (replica, edge), then `simulator._open_graph` over the
 chunk's global node ids, then csgraph's breadth-first search from a
-super-source. The tests hold `simulator._final_sizes`, which builds the
-same graph in reused buffers from the mask's flat indices alone,
-against it bit for bit.
-"""
+super-source. The tests hold `simulator._block_sizes`, which searches
+a block of replicas at once over their open edges packed one bit a
+replica, against it bit for bit, and `reference_replica_infections`
+runs it over whole calls, one replica at a time or in chunks on a
+pool as the simulator once ran it."""
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.sparse import csgraph
@@ -34,14 +37,19 @@ def reference_final_sizes(lay, periods, delays) -> np.ndarray:
     return np.bincount(order[1:] // n, minlength=r)
 
 
-def reference_replica_infections(g, params, replicas, seed) -> np.ndarray:
-    """Infections after t0 of replicas 0..replicas-1, one replica at a
-    time: each opens its own row stream and runs the reference kernel
-    alone."""
+def reference_replica_infections(g, params, replicas, seed, rows=1,
+                                 workers=1) -> np.ndarray:
+    """Infections after t0 of replicas 0..replicas-1 through the
+    reference kernel, in chunks of `rows` replicas (one replica at a
+    time by default) on a pool of `workers` threads: each chunk opens
+    its own row stream and runs the kernel alone."""
     lay = simulator._layout(g, params)
-    sizes = []
-    for r in range(replicas):
-        periods, _, delays = simulator._draw(lay, seed, r,
-                                             np.empty((1, lay.k)))
-        sizes.append(reference_final_sizes(lay, periods, delays))
+
+    def chunk(r0):
+        periods, _, delays = simulator._draw(
+            lay, seed, r0, np.empty((min(rows, replicas - r0), lay.k)))
+        return reference_final_sizes(lay, periods, delays)
+
+    with ThreadPoolExecutor(workers) as pool:
+        sizes = list(pool.map(chunk, range(0, replicas, rows)))
     return np.concatenate(sizes) - len(lay.infected0)

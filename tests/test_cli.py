@@ -364,7 +364,7 @@ def test_cli_import_loads_no_heavy_scipy():
     loaded = fresh_python("-c", "import sys, netsir.cli; "
                           "print(' '.join(sorted(sys.modules)))").split()
     heavy = {"scipy.optimize", "scipy.stats", "scipy.integrate",
-             "scipy.interpolate"}
+             "scipy.interpolate", "scipy.sparse.csgraph"}
     assert "netsir.cli" in loaded and heavy.isdisjoint(loaded)
 
 

@@ -156,9 +156,9 @@ class TestEstimateLambda:
 
     def test_chunks_keep_their_own_results(self, monkeypatch,
                                            fast_switching):
-        """Eighty calls of 20 chunks of 600 replicas at three threads,
+        """Eighty calls of 20 blocks of 600 replicas at three threads,
         each equal to the one-thread result. numpy hands the interpreter
-        lock over while it copies a chunk's final sizes into the
+        lock over while it copies a block's final sizes into the
         result, so a buffer of final sizes shared by the chunks failed
         between one call in ten and one in five here."""
         g = star_graph(40)
@@ -166,45 +166,49 @@ class TestEstimateLambda:
         monkeypatch.setattr(simulator, "_WORKERS", 1)
         want = replica_infections(g, params, 12_000, 5)
         monkeypatch.setattr(simulator, "_WORKERS", 3)
-        monkeypatch.setattr(simulator, "_CHUNK",
-                            600 * simulator._layout(g, params).k)
+        lay = simulator._layout(g, params)
+        monkeypatch.setattr(simulator, "_CHUNK", 600 * lay.k)
+        monkeypatch.setattr(simulator, "_BLOCK",
+                            600 * (len(lay.src) + 8 * lay.n))
         for _ in range(80):
             got = replica_infections(g, params, 12_000, 5)
             assert np.array_equal(got, want)
 
     def test_chunk_error_reaches_the_caller(self, monkeypatch):
-        """An error in one chunk is raised by the call, and no thread of
+        """An error in one block is raised by the call, and no thread of
         the pool outlives it."""
         calls = itertools.count(1)
-        final_sizes = simulator._final_sizes
+        block_sizes = simulator._block_sizes
 
         def third_fails(*args):
             if next(calls) == 3:
                 raise RuntimeError("chunk failed")
-            return final_sizes(*args)
+            return block_sizes(*args)
 
         monkeypatch.setattr(simulator, "_WORKERS", 2)
         monkeypatch.setattr(simulator, "_CHUNK", 1)
-        monkeypatch.setattr(simulator, "_final_sizes", third_fails)
+        monkeypatch.setattr(simulator, "_BLOCK", 1)
+        monkeypatch.setattr(simulator, "_block_sizes", third_fails)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk failed"):
             estimate_lambda(TWO_NODE, RACE_P, 100, seed=3)
         assert threading.active_count() == threads
 
     def test_failing_chunk_stops_the_queue(self, monkeypatch):
-        """Once one chunk raises, no thread takes another: of 2000
-        one-replica chunks, only those already taken run after the
-        failing third, not every chunk left in the queue."""
+        """Once one block raises, no thread takes another: of 2000
+        one-replica blocks, only those already taken run after the
+        failing third, not every block left in the queue."""
         calls = itertools.count(1)
-        final_sizes = simulator._final_sizes
+        block_sizes = simulator._block_sizes
 
         def third_fails(*args):
             if next(calls) == 3:
                 raise RuntimeError("chunk failed")
-            return final_sizes(*args)
+            return block_sizes(*args)
 
         monkeypatch.setattr(simulator, "_CHUNK", 1)
-        monkeypatch.setattr(simulator, "_final_sizes", third_fails)
+        monkeypatch.setattr(simulator, "_BLOCK", 1)
+        monkeypatch.setattr(simulator, "_block_sizes", third_fails)
         with pytest.raises(RuntimeError, match="chunk failed"):
             replica_infections(TWO_NODE, RACE_P, 2000, seed=3)
         assert next(calls) - 1 <= 2 * simulator._WORKERS + 3
@@ -319,7 +323,8 @@ def kernel_cases(draw):
     """A graph of up to 6 nodes where only the first `linked` may have
     edges (none when linked < 2: the edgeless graph), with per-node
     rates, plain or Erlang(2) isolation laws, and buffers sized for
-    chunks of `rows` replicas that then hold a last chunk of `r`."""
+    blocks of `block` replicas drawn in slices of `rows`, which then
+    hold a last block of `r`."""
     n = draw(st.integers(1, 6))
     linked = draw(st.integers(0, n))
     pairs = [(i, j) for i in range(linked) for j in range(i + 1, linked)]
@@ -332,9 +337,10 @@ def kernel_cases(draw):
         initially_infected=draw(st.sets(st.integers(0, n - 1),
                                         min_size=1)),
         isolation=laws)
-    rows = draw(st.integers(1, 6))
-    return (Graph(node_count=n, edges=frozenset(edges)), params, rows,
-            draw(st.integers(1, rows)))
+    block = draw(st.sampled_from([1, 63, 64, 65, 127]))
+    rows = draw(st.sampled_from([1, 3, 8, 13, block]))
+    return (Graph(node_count=n, edges=frozenset(edges)), params, block,
+            min(rows, block), draw(st.integers(1, block)))
 
 
 EDGELESS_ERLANG = build_params(3, 0.5, 0.5, [1], True)
@@ -342,22 +348,51 @@ EDGELESS_ERLANG = build_params(3, 0.5, 0.5, [1], True)
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(kernel_cases(), st.integers(0, 2**32 - 1))
-@example((Graph(node_count=3, edges=frozenset()), EDGELESS_ERLANG, 4, 1), 7)
+@example((Graph(node_count=3, edges=frozenset()), EDGELESS_ERLANG, 64, 8,
+          1), 7)
 @example((Graph(node_count=4, edges=frozenset({(0, 1), (1, 2)})),
-          build_params(4, 2.0, 0.3, [0], False), 1, 1), 8)
+          build_params(4, 2.0, 0.3, [0], False), 65, 1, 63), 8)
+@example((Graph(node_count=5, edges=frozenset({(0, 1), (1, 2), (2, 3)})),
+          build_params(5, 3.0, 0.05, [0, 4], True), 127, 13, 64), 9)
 def test_final_sizes_match_the_reference(case, seed):
-    """The kernel against the divmod and _open_graph path it replaced,
-    bit for bit: a full chunk, then a last chunk of r replicas through
-    the same buffers, which still hold the full chunk's values."""
-    g, params, rows, r = case
+    """The bit-parallel search of a block against csgraph's search of
+    the same replicas, bit for bit: a full block, then a last block of
+    r replicas through the same buffers, which still hold the full
+    block's bits. Blocks of 1, 63, 64, 65 and 127 replicas fill their
+    last word in part; slices of 1, 3 and 13 rows start inside a byte."""
+    g, params, block, rows, r = case
     lay = simulator._layout(g, params)
-    buf = simulator._Buffers(lay, simulator._ids(lay, rows))
-    for r0, size in ((0, rows), (rows, r)):
+    buf = simulator._Buffers(lay, block, rows)
+    for r0, size in ((0, block), (block, r)):
         periods, _, delays = simulator._draw(lay, seed, r0,
                                              np.empty((size, lay.k)))
         want = reference_final_sizes(lay, periods, delays)
-        got = simulator._final_sizes(lay, periods, delays, buf)
+        got = simulator._block_sizes(lay, seed, r0, r0 + size, buf,
+                                     threading.Lock())
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("infected", [[0, 300], [300]],
+                         ids=["path-end-and-isolated", "isolated-only"])
+def test_deep_outbreaks_match_the_reference(infected, monkeypatch):
+    """A 300-node path at beta 200, delta 1, and a node with no edges:
+    from the path's end, outbreaks run over 200 levels deep. Node 0 is
+    infected but is no edge's destination at the first level, and when
+    only the isolated node is infected every block selects no edge at
+    all. Whole runs at 1 and 3 threads against one replica at a time
+    through csgraph."""
+    g = Graph(node_count=301,
+              edges=frozenset((i, i + 1) for i in range(299)))
+    params = EpidemicParams.build(301, 200.0, 1.0, infected)
+    want = reference_replica_infections(g, params, 150, 12)
+    if infected == [300]:
+        assert not want.any()
+    else:
+        assert want.max() > 200
+    for workers in (1, 3):
+        monkeypatch.setattr(simulator, "_WORKERS", workers)
+        got = replica_infections(g, params, 150, 12)
+        assert np.array_equal(got, want), workers
 
 
 @pytest.mark.parametrize("law", [None, erlang(ErlangSpec(2, 1.0)),
