@@ -187,44 +187,177 @@ def walk_table(pis: np.ndarray, exits: np.ndarray):
     return hold, cum
 
 
-def absorbing_walk(hold, cum, law, phase, budget, more):
-    """Lockstep absorbing walks, one per entry of `law` and `phase`.
+class WalkBuffers:
+    """The arrays that `absorbing_walk` runs in, for up to `size` walks:
+    the times, the exit codes, a mask and six 8-byte words a walk. Four
+    of the words rotate through the roles of walk index, budget offset,
+    table row and hold rate, as each step packs the walks that go on
+    into the free one; the other two hold the uniforms a step reads and
+    the step's codes. One set serves any number of calls, one at a
+    time."""
 
-    Walk k follows law `law[k]` of a `walk_table` from phase `phase[k]`.
-    Each step takes two uniforms: the first draws the hold time, the
-    second the move. Step s of walk k reads budget[k, 2s:2s+2]; once
-    every column is spent, `more()` returns the next budget, an array
-    of any even width with one row per walk. Returns the absorption
-    times, the exit phases and the exit kinds (the index among the
-    table's exit columns).
-    """
-    p = cum.shape[1]
+    def __init__(self, size: int):
+        self.t = np.empty(size)
+        self.code = np.empty(size, dtype=np.intp)
+        self.mask = np.empty(size, dtype=bool)
+        self.words = [np.empty(size) for _ in range(6)]
+        self.ints = [w.view(np.intp) for w in self.words]
+        self.table = None   # the last walk table's _moves, and the table
+
+
+def _level(budget, shape):
+    """`budget` as float64 with nonnegative strides in whole elements,
+    once its leading axes are checked against the walks' `shape`."""
+    if budget.shape[:-1] != shape:
+        raise ValueError(f"budget rows {budget.shape[:-1]}, walks {shape}")
+    if budget.dtype != np.float64 or any(s < 0 or s % 8
+                                         for s in budget.strides):
+        budget = np.ascontiguousarray(budget, dtype=np.float64)
+    return budget
+
+
+def _grid(shape, steps, out):
+    """out, in C order over `shape`: each index dotted with `steps`."""
+    *head, last = [(np.arange(d) * s).reshape((d,) + (1,) * (len(shape)
+                                                               - a - 1))
+                   for a, (d, s) in enumerate(zip(shape, steps))]
+    np.add(sum(head, 0), last, out=out.reshape(shape))
+
+
+def _flat(level, out):
+    """Writes where each walk's uniforms start in `level`'s memory to
+    `out`; returns that memory as one flat view, and the column step."""
+    steps = [s // 8 for s in level.strides]
+    _grid(level.shape[:-1], steps[:-1], out)
+    extent = 1 + sum((d - 1) * s for d, s in zip(level.shape, steps))
+    return (np.lib.stride_tricks.as_strided(level, (extent,), (8,),
+                                            writeable=False), steps[-1])
+
+
+def _moves(hold, cum):
+    """What a step reads of a walk table: the hold rate of each table
+    row, the move columns worth comparing, and how many columns every
+    move draw passes."""
     hold = hold.ravel()
-    moves = cum.reshape(len(hold), -1).T.copy()  # one column of cum a row
-    t = np.zeros(len(law))
-    phase = np.array(phase, dtype=np.intp)
-    kind = np.zeros(len(law), dtype=np.intp)
-    # the walks not yet absorbed, their laws' first table rows, their
-    # phases and their times; integer gathers, as masks cost 4x more
-    live = np.arange(len(law))
-    base = np.asarray(law, dtype=np.intp) * p
-    at = phase.copy()
-    clock = np.zeros(len(law))
-    col = 0
-    while live.size:
-        if col == budget.shape[1]:
-            budget, col = more(), 0
-        row = base + at
-        h = hold[row]
-        clock -= np.log1p(-budget[:, col].take(live)) / h
-        x = budget[:, col + 1].take(live) * h
+    cum = cum.reshape(len(hold), cum.shape[2])
+    # with finite hold rates a move draw x has 0 <= x < inf, so a column
+    # at 0 in every row is passed by every draw and one at +inf by none
+    zero, never = np.all(cum <= 0.0, axis=0), np.all(cum == np.inf, axis=0)
+    if not np.all(np.isfinite(hold)):
+        zero[:] = never[:] = False
+    return hold, cum.T[~(zero | never)], int(zero.sum())
+
+
+def absorbing_walk(hold, cum, law, phase, budget, more, buf=None):
+    """Lockstep absorbing walks, one per row of `budget`.
+
+    `budget` holds the walks on its leading axes, in C order, and their
+    uniforms on its last; `law` and `phase` broadcast to the leading
+    axes. Walk k follows law `law[k]` of a `walk_table` from phase
+    `phase[k]`. Each step takes two uniforms: the first draws the hold
+    time, the second the move. Step s of walk k reads
+    budget[k, 2s:2s+2]; once every column is spent, `more()` returns
+    the next budget, with the same leading axes and any even width.
+    Returns the absorption times, the exit phases and the exit kinds
+    (the index among the table's exit columns), shaped like the leading
+    axes.
+
+    The walks run in `buf`, a `WalkBuffers` for at least as many walks
+    (new ones when omitted), and allocate no array of walks a step; the
+    results are views of it, valid until its next call. Each step
+    gathers the live walks' uniforms by their offsets into the budget's
+    memory and writes every live walk's clock and exit code, so that a
+    walk's last write is the one at its exit.
+    """
+    shape = budget.shape[:-1]
+    size = math.prod(shape)
+    if buf is None:
+        buf = WalkBuffers(size)
+    if len(buf.t) < size:
+        raise ValueError(f"buffers for {len(buf.t)} walks, need {size}")
+    p, width = cum.shape[1], cum.shape[2]
+    if buf.table is None or buf.table[0] is not hold \
+            or buf.table[1] is not cum:
+        buf.table = (hold, cum, _moves(hold, cum))
+    hold, moves, always = buf.table[2]
+    order = [math.prod(shape[a + 1:]) for a in range(len(shape))]
+    t, code, mask = buf.t[:size], buf.code[:size], buf.mask
+    ints, words = buf.ints, buf.words
+    ring = [0, 1, 2, 3]     # the words of live, off, row and h
+    row = ints[2][:size].reshape(shape)
+    np.add(np.multiply(law, p, out=row), phase, out=row)
+    t.fill(0.0)
+    m, col, cols, level = size, 0, 0, None
+
+    def uniforms(c):
+        """Column c of the live walks' budgets, into x."""
+        if whole:
+            return np.copyto(x.reshape(shape), level[..., c])
+        flat.take(np.add(off, c * step, out=k), out=x, mode="wrap")
+
+    while m:
+        # while no walk has exited, live walk i is walk i: its uniforms
+        # are a column of the level and its clock and code are in place
+        whole = m == size
+        live, off, row = (ints[j][:m] for j in ring[:3])
+        h, hi = words[ring[3]][:m], ints[ring[3]][:m]
+        x, k, s = words[4][:m], ints[5][:m], mask[:m]
+        while col == cols:
+            level = _level(budget if level is None else more(), shape)
+            cols, col = level.shape[-1], 0
+            if not whole:
+                flat, step = _flat(level, ints[4][:size])
+                ints[4][:size].take(live, out=off, mode="wrap")
+        hold.take(row, out=h, mode="wrap")
+        uniforms(col)
+        np.divide(np.log1p(np.negative(x, out=x), out=x), h, out=x)
+        if whole:
+            np.subtract(t, x, out=t)
+        else:
+            clock = words[5][:m]    # k's word, free until the next gather
+            t.take(live, out=clock, mode="wrap")
+            t[live] = np.subtract(clock, x, out=clock)
+        uniforms(col + 1)
+        np.multiply(x, h, out=x)
         col += 2
-        pick = sum(c.take(row) <= x for c in moves)
-        out, stay = np.flatnonzero(pick >= p), np.flatnonzero(pick < p)
-        done = live[out]
-        t[done], phase[done], kind[done] = clock[out], at[out], pick[out] - p
-        live, base, at, clock = live[stay], base[stay], pick[stay], clock[stay]
-    return t, phase, kind
+        k.fill(always)          # the pick: columns the move draw passes
+        for c in moves:
+            np.less_equal(c.take(row, out=h, mode="wrap"), x, out=s)
+            k += s
+        # the exit code row * width + pick, read apart at the end
+        np.add(np.multiply(row, width, out=hi), k, out=hi)
+        if whole:
+            np.copyto(code, hi)
+        else:
+            code[live] = hi
+        np.less(k, p, out=s)
+        stay = np.count_nonzero(s)
+        if not stay:
+            break
+        # the next row: the law's first row, plus the pick
+        np.multiply(np.floor_divide(row, p, out=hi), p, out=hi)
+        np.add(hi, k, out=row)
+        if stay < m:
+            if whole:
+                _grid(shape, order, live)
+                flat, step = _flat(level, off)
+            # a walk that goes on moves to the count of those before it,
+            # one that exits to the next slot, which a later walk that
+            # goes on overwrites; each row goes into the free word,
+            # which takes its role
+            np.copyto(k, s)
+            np.subtract(np.cumsum(k, out=k), s, out=k)
+            for j in range(3):
+                ints[ring[3]][:m][k] = ints[ring[j]][:m]
+                ring[j], ring[3] = ring[3], ring[j]
+            m = stay
+    row, pick, rem = (ints[j][:size] for j in ring[:3])
+    np.floor_divide(code, width, out=row)
+    np.subtract(code, np.multiply(row, width, out=pick), out=pick)
+    np.subtract(row, np.multiply(np.floor_divide(row, p, out=rem), p,
+                                 out=rem), out=row)
+    pick -= p
+    return t.reshape(shape), row.reshape(shape), pick.reshape(shape)
 
 
 def sample(d: PhaseType, rng: np.random.Generator, size=None):

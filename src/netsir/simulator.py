@@ -46,9 +46,18 @@ GIL. The search's small numpy calls hold it between them, and two
 threads searching at once traded it at every call: a 1000-replica call
 on a 2000-node path took 91 ms at two threads against 68 ms with one
 search at a time. So one thread of a call searches at a time while the
-others draw. On a plain social68 call of 10^4 replicas at two threads,
-each stage's thread CPU time is 84-99% of its wall time: Philox fill
-99%, transform 95%, packing 90%, search 84% (medians of seven runs).
+others draw. The phase walk makes about 25 numpy calls a step, however
+many walks it steps, so its batch size is the lever: slices of 2^17
+uniforms (157 rows of an Erlang(2) social68 call) halve its calls
+against 2^16, and it runs in the thread's WalkBuffers, eight words a
+walk, allocating no array of walks a step; 2^18 ran faster still, but
+its slices of uniforms raised the peak RSS of mc-social68 by 6%. On 10^4-
+replica social68 calls at two threads, each stage's thread CPU time is
+76-100% of its wall time: under Erlang(2) laws Philox fill 99%, walk
+82%, transform 97%, packing 85%, search 76%, and in plain SIR fill
+100%, transform 98%, packing 87%, search 91% (medians of seven runs).
+Two threads over one read 1.55-1.68x on the Erlang(2) call, against
+1.32-1.53x with the allocating walk of slices of 2^16.
 """
 
 from __future__ import annotations
@@ -65,7 +74,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph
-from .phase_type import absorbing_walk, phase_type, walk_table
+from .phase_type import WalkBuffers, absorbing_walk, phase_type, walk_table
 
 _KINDS = ("infect", "recover", "isolate")
 
@@ -80,7 +89,7 @@ def _cpu_count() -> int:
 
 
 _WORKERS = _cpu_count()   # threads that run blocks of replicas
-_CHUNK = 1 << 16          # uniforms a slice draws (512 KB; see _Buffers)
+_CHUNK = 1 << 17          # uniforms a slice draws (1 MB; see _Buffers)
 _BLOCK = 1 << 23          # bits a block may hold (see replica_infections)
 
 
@@ -240,15 +249,18 @@ def _layout(g: Graph, params: EpidemicParams) -> _Layout:
 
 
 def _budget(lay: _Layout, u: np.ndarray) -> np.ndarray:
-    """The walk budgets at the head of rows u, one row per walk."""
-    return u[:, :lay.n * lay.budget].reshape(-1, lay.budget)
+    """The walk budgets at the head of rows u, (R, n, budget): a view."""
+    return u[:, :lay.n * lay.budget].reshape(len(u), lay.n, lay.budget)
 
 
-def _draw(lay: _Layout, seed: int, r0: int, u: np.ndarray):
+def _draw(lay: _Layout, seed: int, r0: int, u: np.ndarray,
+          walk: Optional[WalkBuffers] = None):
     """Periods T (R, n), exit kinds (0 recover, 1 isolate) and edge
     delays E (R, edges) of replicas r0..r0+R-1 of the run with `seed`,
     whose rows are read into u (R, k). The delays, and plain SIR's
-    periods, are views of u, computed in place."""
+    periods, are views of u, computed in place; under removal laws the
+    periods and kinds are views of `walk`, the walk's buffers (new ones
+    when omitted)."""
     r, n, nb = len(u), lay.n, lay.n * lay.budget
     _stream(seed, r0, lay.k).random(out=u)
     width = -(-nb // 4) * 4
@@ -261,12 +273,10 @@ def _draw(lay: _Layout, seed: int, r0: int, u: np.ndarray):
 
     if lay.walk is None:
         periods = u[:, :n]
-        kind = np.zeros((r, n), dtype=np.intp)
+        kind = np.broadcast_to(np.intp(0), (r, n))
     else:
-        t, _, kind = absorbing_walk(*lay.walk, np.tile(np.arange(n), r),
-                                    np.zeros(r * n, np.intp),
-                                    _budget(lay, u), more)
-        periods, kind = t.reshape(r, n), kind.reshape(r, n)
+        periods, _, kind = absorbing_walk(*lay.walk, np.arange(n), 0,
+                                          _budget(lay, u), more, walk)
     # -log1p(-u) / rate in place, bit for bit (in plain SIR, whole rows);
     # a delay past the float range is infinite, as it should be
     x = u[:, lay.k - len(lay.rate):]
@@ -289,19 +299,24 @@ def _open_graph(size: int, rows, cols, data) -> sp.csr_matrix:
 class _Buffers:
     """What one thread reuses for every block it takes, of up to `block`
     replicas drawn in slices of up to `rows`: the rows of uniforms, the
-    gathered periods T[:, src], the open-edge mask with 7 rows ahead
-    for a slice that starts inside a byte, and the block's words, bit q
-    for replica q: `bits`, each edge's open replicas with the edges in
-    (dst, src) order, `reached` and `front`, each node's reached
-    replicas and those it reached at the last level, and `fronts` and
-    `opens`, which a level gathers its edges' source `front` rows and
-    `bits` rows into. On social68, with a block of
-    2500 replicas and slices of 104, they hold 1.6 MB a thread."""
+    phase walk's buffers (under removal laws), the gathered periods
+    T[:, src] of a group of rows (an eighth of _CHUNK's doubles at
+    most), the open-edge mask with 7 rows ahead for a slice that starts
+    inside a byte, and the block's words, bit q for replica q: `bits`,
+    each edge's open replicas with the edges in (dst, src) order,
+    `reached` and `front`, each node's reached replicas and those it
+    reached at the last level, and `fronts` and `opens`, which a level
+    gathers its edges' source `front` rows and `bits` rows into. On
+    social68, with a block of 2500 replicas, they hold 1.9 MB a thread
+    in plain SIR (slices of 208) and 2.6 MB under Erlang(2) laws
+    (slices of 157, the walk's 0.7 MB of it)."""
 
     def __init__(self, lay: _Layout, block: int, rows: int):
         e, words = len(lay.src), -(-block // 64)
         self.u = np.empty((rows, lay.k))
-        self.t = np.empty((rows, e))
+        self.walk = None if lay.walk is None else WalkBuffers(rows * lay.n)
+        self.t = np.empty((min(rows, max(1, (_CHUNK >> 3) // max(e, 1))),
+                           e))
         self.open = np.zeros((-(-(rows + 7) // 8) * 8, e), dtype=bool)
         self.bits, self.fronts, self.opens = (
             np.empty(e * words, np.uint64) for _ in range(3))
@@ -328,12 +343,15 @@ def _open_bits(lay: _Layout, seed: int, r0: int, size: int,
     bits.fill(0)
     for q in range(0, size, len(buf.u)):
         s, at = min(len(buf.u), size - q), q % 8
-        periods, _, delays = _draw(lay, seed, r0 + q, buf.u[:s])
+        periods, _, delays = _draw(lay, seed, r0 + q, buf.u[:s], buf.walk)
         mask = buf.open[:-(-(at + s) // 8) * 8]
         mask[:at] = False
         mask[at + s:] = False
-        np.less(delays, np.take(periods, lay.src, axis=1, out=buf.t[:s],
-                                mode="wrap"), out=mask[at:at + s])
+        for i in range(0, s, len(buf.t)):
+            j = min(s, i + len(buf.t))
+            np.less(delays[i:j], np.take(periods[i:j], lay.src, axis=1,
+                                         out=buf.t[:j - i], mode="wrap"),
+                    out=mask[at + i:at + j])
         packed = np.einsum("ibe,b->ie", mask.view(np.uint8).reshape(
             len(mask) // 8, 8, e), _BIT)
         bits.view(np.uint8)[:, q // 8:q // 8 + len(packed)] |= \

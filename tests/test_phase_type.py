@@ -1,11 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from netsir import (ErlangSpec, PhaseType, cdf, erlang, exit_rates, mean,
                     min_with_exponential, sample)
-from netsir.phase_type import absorbing_walk, phase_type, walk_table
+from netsir.phase_type import (WalkBuffers, absorbing_walk, phase_type,
+                               walk_table)
 from conftest import ks_statistic
+from walk_reference import reference_absorbing_walk
 
 # jumps 1 -> 2 and back: a law whose walks have no step bound
 BACKWARD = PhaseType(Pi=np.array([[-2.0, 1.0], [1.5, -3.0]]))
@@ -234,3 +239,76 @@ class TestWalks:
         for width in (2, 4, 10):
             for a, b in zip(full, walks(width)):
                 assert np.array_equal(a, b)
+
+
+@st.composite
+def walk_tables(draw):
+    """The walk table of 1 to 3 laws of 1 to 3 phases, laid out as the
+    simulator lays out its removal laws: an Erlang chain at its own mean,
+    in some with a move back from the last phase to the first (a law
+    with cycles), and a recovery rate, which may be 0, folded in as the
+    first of two exit kinds."""
+    laws, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pis, exits = [], []
+    for _ in range(laws):
+        pi = erlang(ErlangSpec(p, draw(st.floats(0.2, 5.0)))).Pi.copy()
+        if p > 1:
+            pi[-1, 0] = draw(st.sampled_from([0.0, 0.5, 0.95])) * -pi[0, 0]
+        delta = draw(st.sampled_from([0.0, 0.05, 1.0]))
+        pis.append(pi - delta * np.eye(p))
+        exits.append(np.column_stack([np.full(p, delta), -pi.sum(axis=1)]))
+    return walk_table(np.array(pis), np.array(exits)), laws, p
+
+
+def uniforms(seed, level, rows, cols):
+    """(rows, cols) uniforms of budget level `level` of the run `seed`,
+    as a view with a wider row stride, as the simulator's budgets are."""
+    gen = np.random.Generator(np.random.Philox(key=seed).jumped(level))
+    return gen.random((rows, cols + 3))[:, :cols]
+
+
+def same_walks(table, laws, p, rows, width, seed, buf):
+    """The buffered walk of `rows` replicas of each law, on (rows, laws)
+    budgets of `width` uniforms a walk and levels of 2 or 4 after them,
+    against the reference on the same uniforms, one row a walk."""
+    law, phase = np.arange(laws), np.arange(laws) % p
+    levels = itertools.count(1)
+
+    def more(shape):
+        level = next(levels)
+        u = uniforms(seed, level, rows, laws * (2 + 2 * (level % 2)))
+        return u.reshape(shape + (-1,))
+
+    want = reference_absorbing_walk(
+        *table, np.tile(law, rows), np.tile(phase, rows),
+        uniforms(seed, 0, rows, laws * width).reshape(rows * laws, width),
+        lambda: more((rows * laws,)))
+    levels = itertools.count(1)
+    got = absorbing_walk(
+        *table, law, phase,
+        uniforms(seed, 0, rows, laws * width).reshape(rows, laws, width),
+        lambda: more((rows, laws)), buf)
+    for a, b in zip(got, want):
+        assert a.shape == (rows, laws) and a.dtype == b.dtype
+        assert np.array_equal(a.ravel(), b)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(walk_tables(), walk_tables(), st.integers(1, 40), st.integers(1, 40),
+       st.sampled_from([0, 2, 4, 6]), st.integers(0, 2**32 - 1))
+def test_buffered_walk_matches_the_reference(first, second, big, small,
+                                             width, seed):
+    """Times, exit phases and exit kinds bit for bit, through one set of
+    buffers for 90 walks: a call of `big` replicas of each law of one
+    table, then one of `small` replicas of another's, which runs in what
+    the first left behind. A count past the buffers raises, and runs in
+    buffers of its own."""
+    buf = WalkBuffers(90)
+    for (table, laws, p), rows in ((first, max(big, small)),
+                                   (second, min(big, small))):
+        if rows * laws > 90:
+            with pytest.raises(ValueError, match="buffers for"):
+                same_walks(table, laws, p, rows, width, seed, buf)
+            same_walks(table, laws, p, rows, width, seed, None)
+        else:
+            same_walks(table, laws, p, rows, width, seed, buf)

@@ -1,6 +1,8 @@
 import itertools
 import sys
 import threading
+import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -415,6 +417,33 @@ def test_replicas_match_the_reference(law, monkeypatch, fast_switching):
         for replicas in (1, 60):
             got = replica_infections(g, params, replicas, 31)
             assert np.array_equal(got, want[:replicas]), (workers, chunk)
+
+
+@pytest.mark.parametrize("law, replicas, bound_mb", [
+    (erlang(ErlangSpec(2, 10.0)), 10_000, 4.5),
+    (RETURNING, 400, 3.5),
+], ids=["erlang2", "cyclic"])
+def test_peak_memory_of_a_call(law, replicas, bound_mb, monkeypatch):
+    """The tracemalloc peak of one call at one thread on social68 at
+    mc-social68's rates: its buffers and whatever a slice allocates.
+    Measured at 3.71-3.74 MB (Erlang(2), 10^4 replicas) and 2.91 MB
+    (the law with cycles, 400 replicas: two blocks of full slices, each
+    reading budget levels of a slice's rows); each bound is that plus
+    20%. A walk that allocates its arrays each step peaked at 5.14 and
+    4.07 MB at these slice sizes."""
+    g = load_edge_list((resources.files("netsir") / "data"
+                        / "social68.txt").read_text())
+    infected = np.random.default_rng(2024).choice(68, 4, replace=False)
+    params = EpidemicParams.build(68, 0.0133, 0.05, infected.tolist(),
+                                  isolation=(law,) * 68)
+    monkeypatch.setattr(simulator, "_WORKERS", 1)
+    tracemalloc.start()
+    try:
+        replica_infections(g, params, replicas, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
 
 
 class TestIsolationModel:
