@@ -88,7 +88,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
-        if self.seed >= 2 ** 128:   # a Philox key has 128 bits
+        if self.seed >= 2 ** 128:   # _stream takes seeds in [0, 2**128)
             raise ConfigError(f"seed must be < 2**128, got {self.seed}")
         if self.replicas >= 2 ** 40:    # 8 TiB of int64 results
             raise ConfigError(

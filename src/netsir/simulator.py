@@ -19,16 +19,16 @@ Dijkstra run gives a record run's event times.
 
 Replica r reads one row of K uniforms: a budget for each node's phase
 walk (two uniforms a step, p steps, which a law without cycles never
-outruns; one uniform, the period, in plain SIR), one uniform per
-directed edge, and padding up to a multiple of 4. The row is
-Philox(key=seed) advanced by r*K/4 blocks. A walk that outruns its
-budget, as on a law with cycles, reads a further budget from level
-l = 1, 2, ...: a row of the node budgets alone, padded to a multiple of
-4 uniforms, in the same layout on Philox(key=seed) jumped by 2^128 l.
-So replica r depends on (seed, r) alone, whatever the chunking: a slice
-of replicas opens its own streams and draws each level it needs for all
-its walks in one call. A record run of replica r opens the same
-streams, so it is that replica of the Monte Carlo run.
+outruns; one uniform, the period, in plain SIR), then one uniform per
+directed edge. Each uniform is one 64-bit draw of PCG64DXSM(seed)
+(O'Neill 2014), so row r is draws rK .. rK+K-1, reached by the
+generator's O(log r) advance. A walk that outruns its budget, as on a
+law with cycles, reads a further budget from level l = 1, 2, ...: a row
+of the node budgets alone, in the same layout on PCG64DXSM(seed) jumped
+l times. So replica r depends on (seed, r) alone, whatever the
+chunking: a slice of replicas opens its own streams and draws each
+level it needs for all its walks in one call. A record run of replica r
+opens the same streams, so it is that replica of the Monte Carlo run.
 
 The replicas run in blocks on a thread pool with one thread for each
 CPU the process may use. There is no setting for it. Each thread
@@ -41,23 +41,24 @@ words for replica q (Then et al., "The More the Merrier: Efficient
 Multi-Source Graph Traversal", VLDB 2014). So every replica of a block
 walks the same small graph at once: a level of the search ORs the
 frontier's words along the edges out of the frontier's nodes. The
-Philox fill, the logarithms, the gathers and the comparison release the
-GIL. The search's small numpy calls hold it between them, and two
-threads searching at once traded it at every call: a 1000-replica call
-on a 2000-node path took 91 ms at two threads against 68 ms with one
-search at a time. So one thread of a call searches at a time while the
-others draw. The phase walk makes about 25 numpy calls a step, however
-many walks it steps, so its batch size is the lever: slices of 2^17
-uniforms (157 rows of an Erlang(2) social68 call) halve its calls
-against 2^16, and it runs in the thread's WalkBuffers, eight words a
-walk, allocating no array of walks a step; 2^18 ran faster still, but
-its slices of uniforms raised the peak RSS of mc-social68 by 6%. On 10^4-
-replica social68 calls at two threads, each stage's thread CPU time is
-76-100% of its wall time: under Erlang(2) laws Philox fill 99%, walk
-82%, transform 97%, packing 85%, search 76%, and in plain SIR fill
-100%, transform 98%, packing 87%, search 91% (medians of seven runs).
-Two threads over one read 1.55-1.68x on the Erlang(2) call, against
-1.32-1.53x with the allocating walk of slices of 2^16.
+fill, the logarithms, the gathers and the comparison release the GIL.
+The search's small numpy calls hold it between them, and two threads
+searching at once traded it at every call: a 1000-replica call on a
+2000-node path took 91 ms at two threads against 68 ms with one search
+at a time. So one thread of a call searches at a time while the others
+draw. The phase walk makes about 25 numpy calls a step, however many
+walks it steps, so its batch size is the lever: slices of 2^17 uniforms
+(157 rows of an Erlang(2) social68 call) halve its calls against 2^16,
+and it runs in the thread's WalkBuffers, eight words a walk, allocating
+no array of walks a step; 2^18 ran faster still, but its slices of
+uniforms raised the peak RSS of mc-social68 by 6%. PCG64DXSM fills a
+uniform in 2.3-4.1 ns, numpy's Philox4x64-10 in 5.4-9.0 ns (2 vCPUs,
+Xeon). On a plain social68 slice of 208 rows at one thread the fill is
+33-34% of the slice's stages, the transform as much again, the gather
+and comparison 18-19%, and the packing and the search (prorated from a
+block) 4-10% each; under Erlang(2) laws the walk is 37% and the fill
+23%. Two threads over one read 1.56-1.65x on plain 10^4-replica calls
+and 1.34-1.55x under Erlang(2) laws.
 """
 
 from __future__ import annotations
@@ -190,16 +191,19 @@ class LambdaEstimate:
 
 
 def _stream(seed: int, r0: int, k: int, level: int = 0):
-    """Philox(key=seed) jumped by 2^128 level, advanced past r0 rows of
-    k uniforms. seed and r0 must be integers, r0 >= 0: Philox would
-    truncate a float key and step back on a negative advance."""
+    """PCG64DXSM(seed) jumped `level` times, advanced past r0 rows of k
+    uniforms: one 64-bit draw a uniform. seed must be an integer in
+    [0, 2^128) and r0 an integer >= 0: a float would be truncated, and a
+    negative advance would step back into other replicas' rows."""
     seed, r0 = operator.index(seed), operator.index(r0)
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     if r0 < 0:
         raise ValueError(f"replica must be >= 0, got {r0}")
-    bg = np.random.Philox(key=seed)
+    bg = np.random.PCG64DXSM(seed)
     if level:
         bg = bg.jumped(level)
-    bg.advance(r0 * (k // 4))
+    bg.advance(r0 * k)
     return np.random.Generator(bg)
 
 
@@ -210,7 +214,7 @@ class _Layout:
     src: np.ndarray         # directed edges src -> dst, sorted by (src, dst)
     dst: np.ndarray
     by_dst: np.ndarray      # the edges' order by (dst, src)
-    rate: np.ndarray        # delta (plain SIR), beta_dst, then 1s (pad)
+    rate: np.ndarray        # delta (plain SIR), then beta_dst
     delta: np.ndarray
     walk: Optional[tuple]   # walk_table of the folded laws; None in plain SIR
     budget: int             # uniforms per node
@@ -238,19 +242,12 @@ def _layout(g: Graph, params: EpidemicParams) -> _Layout:
                           -gens.sum(axis=2)], axis=2)
         walk = walk_table(params.folded, exits)
         budget = 2 * p
-    nb = n * budget
-    k = -(-(nb + len(src)) // 4) * 4
     rate = np.concatenate([params.delta if walk is None else [],
-                           params.beta[dst], np.ones(k - nb - len(src))])
+                           params.beta[dst]])
     return _Layout(src=src, dst=dst, by_dst=np.argsort(dst, kind="stable"),
                    rate=rate, delta=params.delta, walk=walk, budget=budget,
-                   k=k,
+                   k=n * budget + len(src),
                    infected0=np.array(sorted(params.initially_infected)))
-
-
-def _budget(lay: _Layout, u: np.ndarray) -> np.ndarray:
-    """The walk budgets at the head of rows u, (R, n, budget): a view."""
-    return u[:, :lay.n * lay.budget].reshape(len(u), lay.n, lay.budget)
 
 
 def _draw(lay: _Layout, seed: int, r0: int, u: np.ndarray,
@@ -263,26 +260,27 @@ def _draw(lay: _Layout, seed: int, r0: int, u: np.ndarray,
     when omitted)."""
     r, n, nb = len(u), lay.n, lay.n * lay.budget
     _stream(seed, r0, lay.k).random(out=u)
-    width = -(-nb // 4) * 4
     level = itertools.count(1)
 
     def more():
         """The walks' budgets of level 1, 2, ..."""
-        return _budget(lay, _stream(seed, r0, width, next(level)).random(
-            (r, width)))
+        return _stream(seed, r0, nb, next(level)).random(
+            (r, n, lay.budget))
 
     if lay.walk is None:
         periods = u[:, :n]
         kind = np.broadcast_to(np.intp(0), (r, n))
     else:
+        # the budgets at the head of the rows, (R, n, budget): a view
+        budgets = u[:, :nb].reshape(r, n, lay.budget)
         periods, _, kind = absorbing_walk(*lay.walk, np.arange(n), 0,
-                                          _budget(lay, u), more, walk)
+                                          budgets, more, walk)
     # -log1p(-u) / rate in place, bit for bit (in plain SIR, whole rows);
     # a delay past the float range is infinite, as it should be
     x = u[:, lay.k - len(lay.rate):]
     with np.errstate(over="ignore"):
         np.divide(np.log1p(np.negative(x, out=x), out=x), -lay.rate, out=x)
-    return periods, kind, u[:, nb:nb + len(lay.src)]
+    return periods, kind, u[:, nb:]
 
 
 def _open_graph(size: int, rows, cols, data) -> sp.csr_matrix:

@@ -251,16 +251,71 @@ class TestStreams:
         assert a.event_log == simulate_sir(TWO_NODE, RACE_P, 5, 2).event_log
 
     def test_float_indices_refused(self):
-        # Philox would truncate the key: seed 1.5 would run as seed 1
+        # a float seed or replica must not be truncated: seed 1.5 would
+        # run as seed 1
         with pytest.raises(TypeError):
             estimate_lambda(TWO_NODE, RACE_P, 1000, 1.5)
         with pytest.raises(TypeError):
             simulate_sir(TWO_NODE, RACE_P, 1, 2.0)
 
     def test_negative_replica_refused(self):
-        # Philox would step its counter back into other replicas' rows
+        # a negative advance would step back into other replicas' rows
         with pytest.raises(ValueError, match="replica must be >= 0"):
             simulate_sir(TWO_NODE, RACE_P, 1, -1)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_seed_outside_128_bits_refused(self, seed):
+        refused = r"seed must be in \[0, 2\*\*128\)"
+        with pytest.raises(ValueError, match=refused):
+            estimate_lambda(TWO_NODE, RACE_P, 10, seed)
+        with pytest.raises(ValueError, match=refused):
+            simulate_sir(TWO_NODE, RACE_P, seed)
+        assert simulate_sir(TWO_NODE, RACE_P, 2 ** 128 - 1).final_removed >= 1
+
+    @pytest.mark.parametrize("seed, r, k, level",
+                             [(0, 0, 5, 0), (7, 3, 10, 0),
+                              (2 ** 100, 11, 6, 0), (5, 4, 8, 1),
+                              (5, 0, 3, 2), (2 ** 127, 9, 4, 3)])
+    def test_row_r_starts_at_draw_r_k(self, seed, r, k, level):
+        # row r of level l is draws r*k, r*k+1, ... of PCG64DXSM(seed)
+        # jumped l times, one 64-bit draw a uniform
+        bg = np.random.PCG64DXSM(seed)
+        whole = np.random.Generator(bg.jumped(level) if level else bg)
+        want = whole.random(r * k + 2 * k)[r * k:]
+        got = simulator._stream(seed, r, k, level).random(2 * k)
+        assert np.array_equal(got, want)
+
+    def test_stream_values_pinned(self):
+        # a numpy whose PCG64DXSM or SeedSequence differs changes every
+        # Monte Carlo result; this fails first
+        got = [x.hex() for x in simulator._stream(7, 3, 10).random(4)]
+        assert got == ["0x1.85d5d67f80098p-3", "0x1.1987124c546b4p-1",
+                       "0x1.aaa6388620504p-1", "0x1.b73bf2230ed83p-1"]
+
+    @pytest.mark.parametrize("law, budget",
+                             [(None, 1), (erlang(ErlangSpec(2, 1.0)), 4),
+                              (RETURNING, 4)],
+                             ids=["plain", "erlang2", "cyclic"])
+    def test_rows_and_levels_are_unpadded(self, law, budget, monkeypatch):
+        # a row holds the node budgets, then one delay an edge, nothing
+        # more; a budget level holds the node budgets alone
+        g = path_graph(7)
+        laws = None if law is None else (law,) * 7
+        params = EpidemicParams.build(7, 2.0, 0.05, [0], isolation=laws)
+        lay = simulator._layout(g, params)
+        assert (lay.budget, lay.k) == (budget, 7 * budget + 2 * g.edge_count)
+        calls = []
+        stream = simulator._stream
+
+        def recorded(seed, r0, k, level=0):
+            calls.append((k, level))
+            return stream(seed, r0, k, level)
+
+        monkeypatch.setattr(simulator, "_stream", recorded)
+        replica_infections(g, params, 200, seed=3)
+        assert {k for k, level in calls if level == 0} == {lay.k}
+        levels = {k for k, level in calls if level > 0}
+        assert levels == ({7 * budget} if law is RETURNING else set())
 
     @MODES
     @pytest.mark.parametrize("g", [star_graph(6), path_graph(7)],
