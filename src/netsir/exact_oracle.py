@@ -25,11 +25,14 @@ system and `exact_removed_series` both read that Q.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .graph import Graph
+from .phase_type import poisson_terms
 from .simulator import EpidemicParams
 
 STATE_CAP = 1_000_000
@@ -247,16 +250,26 @@ def exact_removed_series(g: Graph, params: EpidemicParams,
                          t_grid) -> np.ndarray:
     """E[sigma_R(t)] on an increasing grid: the initial distribution is
     carried from one grid point to the next by exp((t_k - t_{k-1}) Q^T),
-    Q the generator of `_generator`."""
+    Q the generator of `_generator`, by uniformization. With q the
+    largest out-rate and P = I + Q/q, exp(dt Q^T) pi is the sum over k
+    of Pois(k; q dt) (P^T)^k pi, cut as `phase_type.cdf` cuts its sum.
+    Every term is computed from its inputs alone, so the series reads
+    no random state."""
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) < 0) or np.any(t_grid < 0):
         raise ValueError("t_grid must be nonnegative and increasing")
     q, _, _, removed, _ = _generator(g, params)
+    rate = float(-q.diagonal().min())
+    step = (q.T / rate).tocsr()
     pi = np.zeros(q.shape[0])
     pi[0] = 1.0
     out = np.empty(len(t_grid))
     for k, dt in enumerate(np.diff(t_grid, prepend=0.0)):
         if dt > 0.0:
-            pi = spla.expm_multiply(q.T * dt, pi)
+            lam = rate * dt
+            x, pi = pi, np.zeros_like(pi)       # x = (P^T)^j pi
+            for j, log_j in poisson_terms(lam):
+                pi += math.exp(j * math.log(lam) - lam - log_j) * x
+                x = x + step @ x
         out[k] = float(pi @ removed)
     return out

@@ -124,6 +124,18 @@ def exit_rates(d: PhaseType) -> np.ndarray:
     return -d.Pi.sum(axis=1) + 0.0  # clears negative zeros
 
 
+def poisson_terms(top: float):
+    """k and log k! for k = 0, 1, ..., until the Poisson mass from k on
+    is below 1e-16 at every mean up to `top`: past top,
+    Pois(k; top) / (1 - top/(k+1)) bounds it."""
+    for k in itertools.count():
+        log_k = math.lgamma(k + 1)
+        if k > top and (top == 0.0 or math.exp(k * math.log(top) - top - log_k)
+                        < 1e-16 * (1 - top / (k + 1))):
+            return
+        yield k, log_k
+
+
 def cdf(d: PhaseType, t):
     """P(T <= t), by uniformization. Accepts a scalar or an array.
 
@@ -143,17 +155,10 @@ def cdf(d: PhaseType, t):
     exits = exit_rates(d) / q
     lam = q * t_arr
     log_lam = np.log(lam, out=np.full_like(lam, -np.inf), where=lam > 0)
-    top = float(lam.max(initial=0.0))
     x = d.phi.copy()      # phi P^k
     b = 0.0               # b_k
     vals = np.zeros_like(t_arr)
-    for k in itertools.count():
-        log_k = math.lgamma(k + 1)
-        # past the largest qt, Pois(k; top) / (1 - top/(k+1)) bounds the
-        # Poisson mass from k on at every t
-        if k > top and (top == 0.0 or math.exp(k * math.log(top) - top - log_k)
-                        < 1e-16 * (1 - top / (k + 1))):
-            break
+    for k, log_k in poisson_terms(float(lam.max(initial=0.0))):
         if b:
             vals += b * np.exp((k * log_lam if k else 0.0) - lam - log_k)
         b += float(x @ exits)
@@ -189,49 +194,29 @@ def walk_table(pis: np.ndarray, exits: np.ndarray):
 
 class WalkBuffers:
     """The arrays that `absorbing_walk` runs in, for up to `size` walks:
-    the times, the exit codes, a mask and six 8-byte words a walk. Four
-    of the words rotate through the roles of walk index, budget offset,
-    table row and hold rate, as each step packs the walks that go on
-    into the free one; the other two hold the uniforms a step reads and
-    the step's codes. One set serves any number of calls, one at a
-    time."""
+    the times, the exit codes, a mask and five 8-byte words a walk, so
+    seven words in all. Three of the words rotate through the roles of
+    walk index, table row and hold rate, as each step packs the walks
+    that go on into the free one; the other two hold the uniforms a step
+    reads and their offsets, then the step's clocks and picks. One set
+    serves any number of calls, one at a time."""
 
     def __init__(self, size: int):
         self.t = np.empty(size)
         self.code = np.empty(size, dtype=np.intp)
         self.mask = np.empty(size, dtype=bool)
-        self.words = [np.empty(size) for _ in range(6)]
+        self.words = [np.empty(size) for _ in range(5)]
         self.ints = [w.view(np.intp) for w in self.words]
         self.table = None   # the last walk table's _moves, and the table
 
 
-def _level(budget, shape):
-    """`budget` as float64 with nonnegative strides in whole elements,
-    once its leading axes are checked against the walks' `shape`."""
-    if budget.shape[:-1] != shape:
-        raise ValueError(f"budget rows {budget.shape[:-1]}, walks {shape}")
-    if budget.dtype != np.float64 or any(s < 0 or s % 8
-                                         for s in budget.strides):
-        budget = np.ascontiguousarray(budget, dtype=np.float64)
-    return budget
-
-
-def _grid(shape, steps, out):
-    """out, in C order over `shape`: each index dotted with `steps`."""
-    *head, last = [(np.arange(d) * s).reshape((d,) + (1,) * (len(shape)
-                                                               - a - 1))
-                   for a, (d, s) in enumerate(zip(shape, steps))]
-    np.add(sum(head, 0), last, out=out.reshape(shape))
-
-
-def _flat(level, out):
-    """Writes where each walk's uniforms start in `level`'s memory to
-    `out`; returns that memory as one flat view, and the column step."""
-    steps = [s // 8 for s in level.strides]
-    _grid(level.shape[:-1], steps[:-1], out)
-    extent = 1 + sum((d - 1) * s for d, s in zip(level.shape, steps))
-    return (np.lib.stride_tricks.as_strided(level, (extent,), (8,),
-                                            writeable=False), steps[-1])
+def _level(budget, walks):
+    """`budget`, one row of uniforms a walk, once its rows are checked
+    against the walks: as one flat float64 array, and its width."""
+    if np.ndim(budget) != 2 or len(budget) != walks:
+        raise ValueError(f"budget shape {np.shape(budget)}, walks {walks}")
+    flat = np.ascontiguousarray(budget, dtype=np.float64).ravel()
+    return flat, budget.shape[1]
 
 
 def _moves(hold, cum):
@@ -248,29 +233,28 @@ def _moves(hold, cum):
     return hold, cum.T[~(zero | never)], int(zero.sum())
 
 
-def absorbing_walk(hold, cum, law, phase, budget, more, buf=None):
+def absorbing_walk(hold, cum, start, budget, more, buf=None):
     """Lockstep absorbing walks, one per row of `budget`.
 
-    `budget` holds the walks on its leading axes, in C order, and their
-    uniforms on its last; `law` and `phase` broadcast to the leading
-    axes. Walk k follows law `law[k]` of a `walk_table` from phase
-    `phase[k]`. Each step takes two uniforms: the first draws the hold
-    time, the second the move. Step s of walk k reads
-    budget[k, 2s:2s+2]; once every column is spent, `more()` returns
-    the next budget, with the same leading axes and any even width.
-    Returns the absorption times, the exit phases and the exit kinds
-    (the index among the table's exit columns), shaped like the leading
-    axes.
+    Walk k starts in row `start[k]` of a `walk_table`: law * p + phase,
+    p the table's phase count. `budget` is a C-contiguous float64 array
+    of one row of uniforms a walk (another layout is copied into one).
+    Each step takes two uniforms: the first draws the hold time, the
+    second the move. Step s of walk k reads budget[k, 2s:2s+2]; once
+    every column is spent, `more()` returns the next budget, in the
+    same layout with any even width. Returns the absorption times, the
+    exit phases and the exit kinds (the index among the table's exit
+    columns), one a walk.
 
     The walks run in `buf`, a `WalkBuffers` for at least as many walks
     (new ones when omitted), and allocate no array of walks a step; the
     results are views of it, valid until its next call. Each step
-    gathers the live walks' uniforms by their offsets into the budget's
-    memory and writes every live walk's clock and exit code, so that a
-    walk's last write is the one at its exit.
+    gathers the live walks' uniforms from the flat budget at offsets
+    live * cols + col, cols the budget's width, and writes every live
+    walk's clock and exit code, so that a walk's last write is the one
+    at its exit.
     """
-    shape = budget.shape[:-1]
-    size = math.prod(shape)
+    size = len(start)
     if buf is None:
         buf = WalkBuffers(size)
     if len(buf.t) < size:
@@ -280,43 +264,32 @@ def absorbing_walk(hold, cum, law, phase, budget, more, buf=None):
             or buf.table[1] is not cum:
         buf.table = (hold, cum, _moves(hold, cum))
     hold, moves, always = buf.table[2]
-    order = [math.prod(shape[a + 1:]) for a in range(len(shape))]
     t, code, mask = buf.t[:size], buf.code[:size], buf.mask
     ints, words = buf.ints, buf.words
-    ring = [0, 1, 2, 3]     # the words of live, off, row and h
-    row = ints[2][:size].reshape(shape)
-    np.add(np.multiply(law, p, out=row), phase, out=row)
+    ring = [0, 1, 2]        # the words of live, row and h
+    np.copyto(ints[0][:size], np.arange(size))
+    np.copyto(ints[1][:size], start)
     t.fill(0.0)
-    m, col, cols, level = size, 0, 0, None
+    m, col, cols, flat = size, 0, 0, None
 
     def uniforms(c):
         """Column c of the live walks' budgets, into x."""
-        if whole:
-            return np.copyto(x.reshape(shape), level[..., c])
-        flat.take(np.add(off, c * step, out=k), out=x, mode="wrap")
+        np.add(np.multiply(live, cols, out=k), c, out=k)
+        flat.take(k, out=x, mode="wrap")
 
     while m:
-        # while no walk has exited, live walk i is walk i: its uniforms
-        # are a column of the level and its clock and code are in place
-        whole = m == size
-        live, off, row = (ints[j][:m] for j in ring[:3])
-        h, hi = words[ring[3]][:m], ints[ring[3]][:m]
-        x, k, s = words[4][:m], ints[5][:m], mask[:m]
+        live, row = ints[ring[0]][:m], ints[ring[1]][:m]
+        h, hi = words[ring[2]][:m], ints[ring[2]][:m]
+        x, k, s = words[3][:m], ints[4][:m], mask[:m]
         while col == cols:
-            level = _level(budget if level is None else more(), shape)
-            cols, col = level.shape[-1], 0
-            if not whole:
-                flat, step = _flat(level, ints[4][:size])
-                ints[4][:size].take(live, out=off, mode="wrap")
+            flat, cols = _level(budget if flat is None else more(), size)
+            col = 0
         hold.take(row, out=h, mode="wrap")
         uniforms(col)
         np.divide(np.log1p(np.negative(x, out=x), out=x), h, out=x)
-        if whole:
-            np.subtract(t, x, out=t)
-        else:
-            clock = words[5][:m]    # k's word, free until the next gather
-            t.take(live, out=clock, mode="wrap")
-            t[live] = np.subtract(clock, x, out=clock)
+        clock = words[4][:m]    # k's word, free until the next gather
+        t.take(live, out=clock, mode="wrap")
+        t[live] = np.subtract(clock, x, out=clock)
         uniforms(col + 1)
         np.multiply(x, h, out=x)
         col += 2
@@ -326,10 +299,7 @@ def absorbing_walk(hold, cum, law, phase, budget, more, buf=None):
             k += s
         # the exit code row * width + pick, read apart at the end
         np.add(np.multiply(row, width, out=hi), k, out=hi)
-        if whole:
-            np.copyto(code, hi)
-        else:
-            code[live] = hi
+        code[live] = hi
         np.less(k, p, out=s)
         stay = np.count_nonzero(s)
         if not stay:
@@ -338,26 +308,23 @@ def absorbing_walk(hold, cum, law, phase, budget, more, buf=None):
         np.multiply(np.floor_divide(row, p, out=hi), p, out=hi)
         np.add(hi, k, out=row)
         if stay < m:
-            if whole:
-                _grid(shape, order, live)
-                flat, step = _flat(level, off)
             # a walk that goes on moves to the count of those before it,
             # one that exits to the next slot, which a later walk that
             # goes on overwrites; each row goes into the free word,
             # which takes its role
             np.copyto(k, s)
             np.subtract(np.cumsum(k, out=k), s, out=k)
-            for j in range(3):
-                ints[ring[3]][:m][k] = ints[ring[j]][:m]
-                ring[j], ring[3] = ring[3], ring[j]
+            for j in range(2):
+                ints[ring[2]][:m][k] = ints[ring[j]][:m]
+                ring[j], ring[2] = ring[2], ring[j]
             m = stay
-    row, pick, rem = (ints[j][:size] for j in ring[:3])
+    row, pick, rem = (ints[j][:size] for j in ring)
     np.floor_divide(code, width, out=row)
     np.subtract(code, np.multiply(row, width, out=pick), out=pick)
     np.subtract(row, np.multiply(np.floor_divide(row, p, out=rem), p,
                                  out=rem), out=row)
     pick -= p
-    return t.reshape(shape), row.reshape(shape), pick.reshape(shape)
+    return t, row, pick
 
 
 def sample(d: PhaseType, rng: np.random.Generator, size=None):
@@ -373,7 +340,6 @@ def sample(d: PhaseType, rng: np.random.Generator, size=None):
     start = np.minimum(np.searchsorted(np.cumsum(d.phi), rng.random(size),
                                        side="right"), d.p - 1)
     hold, cum = walk_table(d.Pi[None], exit_rates(d)[None, :, None])
-    t, phase, _ = absorbing_walk(hold, cum, np.zeros(size, dtype=np.intp),
-                                 start, np.empty((size, 0)),
+    t, phase, _ = absorbing_walk(hold, cum, start, np.empty((size, 0)),
                                  lambda: rng.random((size, 2)))
     return t, phase

@@ -49,16 +49,18 @@ at a time. So one thread of a call searches at a time while the others
 draw. The phase walk makes about 25 numpy calls a step, however many
 walks it steps, so its batch size is the lever: slices of 2^17 uniforms
 (157 rows of an Erlang(2) social68 call) halve its calls against 2^16,
-and it runs in the thread's WalkBuffers, eight words a walk, allocating
-no array of walks a step; 2^18 ran faster still, but its slices of
-uniforms raised the peak RSS of mc-social68 by 6%. PCG64DXSM fills a
-uniform in 2.3-4.1 ns, numpy's Philox4x64-10 in 5.4-9.0 ns (2 vCPUs,
-Xeon). On a plain social68 slice of 208 rows at one thread the fill is
-33-34% of the slice's stages, the transform as much again, the gather
-and comparison 18-19%, and the packing and the search (prorated from a
-block) 4-10% each; under Erlang(2) laws the walk is 37% and the fill
-23%. Two threads over one read 1.56-1.65x on plain 10^4-replica calls
-and 1.34-1.55x under Erlang(2) laws.
+and it runs in the thread's WalkBuffers, seven words a walk, allocating
+no array of walks a step. It reads one layout, a row of uniforms a
+walk, so a slice's budgets are copied out of its rows once. 2^18 ran
+faster still, but its slices of uniforms raised the peak RSS of
+mc-social68 by 6%. PCG64DXSM fills a uniform in 2.3-4.1 ns, numpy's
+Philox4x64-10 in 5.4-9.0 ns (2 vCPUs, Xeon). On a plain social68 slice
+of 208 rows at one thread the fill is 33-34% of the slice's stages,
+the transform as much again, the gather and comparison 18-19%, and the
+packing and the search (prorated from a block) 4-10% each; under
+Erlang(2) laws the walk, with the copy, is 35% and the fill 27%. Two
+threads over one read 1.56-1.65x on plain 10^4-replica calls and
+1.31-1.53x under Erlang(2) laws.
 """
 
 from __future__ import annotations
@@ -250,31 +252,32 @@ def _layout(g: Graph, params: EpidemicParams) -> _Layout:
                    infected0=np.array(sorted(params.initially_infected)))
 
 
-def _draw(lay: _Layout, seed: int, r0: int, u: np.ndarray,
-          walk: Optional[WalkBuffers] = None):
-    """Periods T (R, n), exit kinds (0 recover, 1 isolate) and edge
-    delays E (R, edges) of replicas r0..r0+R-1 of the run with `seed`,
-    whose rows are read into u (R, k). The delays, and plain SIR's
-    periods, are views of u, computed in place; under removal laws the
-    periods and kinds are views of `walk`, the walk's buffers (new ones
-    when omitted)."""
-    r, n, nb = len(u), lay.n, lay.n * lay.budget
+def _draw(lay: _Layout, seed: int, r0: int, r: int, buf: _Buffers):
+    """Periods T (r, n), exit kinds (0 recover, 1 isolate) and edge
+    delays E (r, edges) of replicas r0..r0+r-1 of the run with `seed`,
+    whose rows are read into buf.u[:r]. The delays, and plain SIR's
+    periods, are views of those rows, computed in place; under removal
+    laws the periods and kinds are views of the walk's buffers, and the
+    walk reads the budgets from their copy in `buf.budget`."""
+    u, n, nb = buf.u[:r], lay.n, lay.n * lay.budget
     _stream(seed, r0, lay.k).random(out=u)
     level = itertools.count(1)
 
     def more():
         """The walks' budgets of level 1, 2, ..."""
         return _stream(seed, r0, nb, next(level)).random(
-            (r, n, lay.budget))
+            (r * n, lay.budget))
 
     if lay.walk is None:
         periods = u[:, :n]
         kind = np.broadcast_to(np.intp(0), (r, n))
     else:
-        # the budgets at the head of the rows, (R, n, budget): a view
-        budgets = u[:, :nb].reshape(r, n, lay.budget)
-        periods, _, kind = absorbing_walk(*lay.walk, np.arange(n), 0,
-                                          budgets, more, walk)
+        # node i of row q is walk q * n + i
+        budgets = buf.budget[:r * n]
+        np.copyto(budgets.reshape(r, nb), u[:, :nb])
+        t, _, kind = absorbing_walk(*lay.walk, buf.start[:r * n], budgets,
+                                    more, buf.walk)
+        periods, kind = t.reshape(r, n), kind.reshape(r, n)
     # -log1p(-u) / rate in place, bit for bit (in plain SIR, whole rows);
     # a delay past the float range is infinite, as it should be
     x = u[:, lay.k - len(lay.rate):]
@@ -304,15 +307,23 @@ class _Buffers:
     each edge's open replicas with the edges in (dst, src) order,
     `reached` and `front`, each node's reached replicas and those it
     reached at the last level, and `fronts` and `opens`, which a level
-    gathers its edges' source `front` rows and `bits` rows into. On
-    social68, with a block of 2500 replicas, they hold 1.9 MB a thread
-    in plain SIR (slices of 208) and 2.6 MB under Erlang(2) laws
-    (slices of 157, the walk's 0.7 MB of it)."""
+    gathers its edges' source `front` rows and `bits` rows into. Under
+    removal laws they also hold the walk's input, a walk for each node
+    of each row: the budgets copied out of the rows, (rows * n, budget),
+    and each walk's start row. On social68, with a block of 2500
+    replicas, they hold 1.9 MB a thread in plain SIR (slices of 208) and
+    2.9 MB under Erlang(2) laws (slices of 157; the walk's 1.0 MB of it,
+    0.34 MB the budgets and 0.61 MB the WalkBuffers)."""
 
     def __init__(self, lay: _Layout, block: int, rows: int):
         e, words = len(lay.src), -(-block // 64)
         self.u = np.empty((rows, lay.k))
-        self.walk = None if lay.walk is None else WalkBuffers(rows * lay.n)
+        self.budget = self.start = self.walk = None
+        if lay.walk is not None:
+            self.budget = np.empty((rows * lay.n, lay.budget))
+            self.start = np.tile(np.arange(lay.n) * lay.walk[1].shape[1],
+                                 rows)
+            self.walk = WalkBuffers(rows * lay.n)
         self.t = np.empty((min(rows, max(1, (_CHUNK >> 3) // max(e, 1))),
                            e))
         self.open = np.zeros((-(-(rows + 7) // 8) * 8, e), dtype=bool)
@@ -341,7 +352,7 @@ def _open_bits(lay: _Layout, seed: int, r0: int, size: int,
     bits.fill(0)
     for q in range(0, size, len(buf.u)):
         s, at = min(len(buf.u), size - q), q % 8
-        periods, _, delays = _draw(lay, seed, r0 + q, buf.u[:s], buf.walk)
+        periods, _, delays = _draw(lay, seed, r0 + q, s, buf)
         mask = buf.open[:-(-(at + s) // 8) * 8]
         mask[:at] = False
         mask[at + s:] = False
@@ -417,8 +428,8 @@ def simulate_sir(g: Graph, params: EpidemicParams, seed: int,
 
     lay = _layout(g, params)
     n, k0 = lay.n, len(lay.infected0)
-    (periods,), (kind,), (delays,) = _draw(lay, seed, replica,
-                                           np.empty((1, lay.k)))
+    (periods,), (kind,), (delays,) = _draw(lay, seed, replica, 1,
+                                           _Buffers(lay, 1, 1))
     live = delays < periods[lay.src]
     infected = csgraph.dijkstra(
         _open_graph(n, lay.src[live], lay.dst[live], delays[live]),

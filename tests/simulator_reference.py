@@ -46,8 +46,9 @@ def reference_replica_infections(g, params, replicas, seed, rows=1,
     lay = simulator._layout(g, params)
 
     def chunk(r0):
+        size = min(rows, replicas - r0)
         periods, _, delays = simulator._draw(
-            lay, seed, r0, np.empty((min(rows, replicas - r0), lay.k)))
+            lay, seed, r0, size, simulator._Buffers(lay, size, size))
         return reference_final_sizes(lay, periods, delays)
 
     with ThreadPoolExecutor(workers) as pool:

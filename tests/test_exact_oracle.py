@@ -280,6 +280,34 @@ class TestRemovedSeries:
             exact_removed_series(TWO_NODE, RACE_P, [1.0, 0.5])
 
 
+def test_removed_series_reads_no_random_state():
+    """Two calls give the same series bit for bit when numpy's global
+    random state is reseeded between them: 5 nodes under Erlang(p) laws
+    with a backward move from the last phase, a chain of 2000 states."""
+    rng = np.random.default_rng(2)
+    p = int(rng.integers(2, 4))
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    edges = [pairs[i] for i in rng.choice(len(pairs), 6, replace=False)]
+    laws = []
+    for mean in rng.uniform(0.5, 3.0, 5):
+        pi = erlang(ErlangSpec(p, mean)).Pi.copy()
+        pi[p - 1, int(rng.integers(0, p - 1))] = 0.9 * p / mean
+        laws.append(PhaseType(Pi=pi))
+    g = Graph(node_count=5, edges=frozenset(edges))
+    params = EpidemicParams(beta=rng.uniform(0.2, 1.0, 5),
+                            delta=rng.uniform(0.0, 0.5, 5),
+                            initially_infected={0, 2}, isolation=tuple(laws))
+    grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0]
+    state = np.random.get_state()
+    try:
+        np.random.seed(1)
+        first = exact_removed_series(g, params, grid)
+        np.random.seed(2)
+        assert np.array_equal(exact_removed_series(g, params, grid), first)
+    finally:
+        np.random.set_state(state)
+
+
 @pytest.mark.parametrize("delta", [1e-320, 1e-310])
 def test_subnormal_recovery_rate(delta):
     """A state whose only moves are subnormal recoveries still passes on

@@ -233,12 +233,23 @@ class TestWalks:
             def more():
                 c = next(starts)
                 return pairs[:, c:c + width]
-            return absorbing_walk(hold, cum, zeros, zeros, pairs[:, :width],
-                                  more)
+            return absorbing_walk(hold, cum, zeros, pairs[:, :width], more)
         full = walks(80)
         for width in (2, 4, 10):
             for a, b in zip(full, walks(width)):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("first, later", [
+        ((4, 2), (5, 2)), ((5, 1, 2), (5, 2)), ((5, 0), (4, 2)),
+        ((5, 0), (5, 1, 2))], ids=["budget-rows", "budget-3d", "more-rows",
+                                   "more-3d"])
+    def test_budget_of_another_shape_raises(self, first, later):
+        # one row of uniforms a walk, on the budget and on every level
+        hold, cum = walk_table(BACKWARD.Pi[None],
+                               exit_rates(BACKWARD)[None, :, None])
+        with pytest.raises(ValueError, match="budget shape"):
+            absorbing_walk(hold, cum, np.zeros(5, dtype=np.intp),
+                           np.full(first, 0.5), lambda: np.full(later, 0.5))
 
 
 @st.composite
@@ -262,35 +273,32 @@ def walk_tables(draw):
 
 def uniforms(seed, level, rows, cols):
     """(rows, cols) uniforms of budget level `level` of the run `seed`,
-    as a view with a wider row stride, as the simulator's budgets are."""
+    the first cols of rows of cols + 3, in one C-contiguous array, as
+    the simulator's budgets are."""
     gen = np.random.Generator(np.random.Philox(key=seed).jumped(level))
-    return gen.random((rows, cols + 3))[:, :cols]
+    return np.ascontiguousarray(gen.random((rows, cols + 3))[:, :cols])
 
 
 def same_walks(table, laws, p, rows, width, seed, buf):
-    """The buffered walk of `rows` replicas of each law, on (rows, laws)
-    budgets of `width` uniforms a walk and levels of 2 or 4 after them,
-    against the reference on the same uniforms, one row a walk."""
-    law, phase = np.arange(laws), np.arange(laws) % p
+    """The buffered walk of `rows` replicas of each law, on budgets of
+    `width` uniforms a walk and levels of 2 or 4 after them, one row a
+    walk, against the reference on the same uniforms."""
+    law = np.tile(np.arange(laws), rows)
+    phase = np.tile(np.arange(laws) % p, rows)
     levels = itertools.count(1)
 
-    def more(shape):
+    def more():
         level = next(levels)
         u = uniforms(seed, level, rows, laws * (2 + 2 * (level % 2)))
-        return u.reshape(shape + (-1,))
+        return u.reshape(rows * laws, -1)
 
-    want = reference_absorbing_walk(
-        *table, np.tile(law, rows), np.tile(phase, rows),
-        uniforms(seed, 0, rows, laws * width).reshape(rows * laws, width),
-        lambda: more((rows * laws,)))
+    budget = uniforms(seed, 0, rows, laws * width).reshape(rows * laws, width)
+    want = reference_absorbing_walk(*table, law, phase, budget, more)
     levels = itertools.count(1)
-    got = absorbing_walk(
-        *table, law, phase,
-        uniforms(seed, 0, rows, laws * width).reshape(rows, laws, width),
-        lambda: more((rows, laws)), buf)
+    got = absorbing_walk(*table, law * p + phase, budget, more, buf)
     for a, b in zip(got, want):
-        assert a.shape == (rows, laws) and a.dtype == b.dtype
-        assert np.array_equal(a.ravel(), b)
+        assert a.shape == (rows * laws,) and a.dtype == b.dtype
+        assert np.array_equal(a, b)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

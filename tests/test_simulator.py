@@ -420,9 +420,9 @@ def test_final_sizes_match_the_reference(case, seed):
     g, params, block, rows, r = case
     lay = simulator._layout(g, params)
     buf = simulator._Buffers(lay, block, rows)
+    ref = simulator._Buffers(lay, block, block)
     for r0, size in ((0, block), (block, r)):
-        periods, _, delays = simulator._draw(lay, seed, r0,
-                                             np.empty((size, lay.k)))
+        periods, _, delays = simulator._draw(lay, seed, r0, size, ref)
         want = reference_final_sizes(lay, periods, delays)
         got = simulator._block_sizes(lay, seed, r0, r0 + size, buf,
                                      threading.Lock())
@@ -481,11 +481,13 @@ def test_replicas_match_the_reference(law, monkeypatch, fast_switching):
 def test_peak_memory_of_a_call(law, replicas, bound_mb, monkeypatch):
     """The tracemalloc peak of one call at one thread on social68 at
     mc-social68's rates: its buffers and whatever a slice allocates.
-    Measured at 3.71-3.74 MB (Erlang(2), 10^4 replicas) and 2.91 MB
+    Measured at 4.04-4.06 MB (Erlang(2), 10^4 replicas) and 3.11 MB
     (the law with cycles, 400 replicas: two blocks of full slices, each
-    reading budget levels of a slice's rows); each bound is that plus
-    20%. A walk that allocates its arrays each step peaked at 5.14 and
-    4.07 MB at these slice sizes."""
+    reading budget levels of a slice's rows), with the slice's budgets
+    copied into a buffer of the thread; the bounds are 20% over the
+    3.70-3.73 and 2.90 MB of a walk that read them in place. A walk
+    that allocates its arrays each step peaked at 5.14 and 4.07 MB at
+    these slice sizes."""
     g = load_edge_list((resources.files("netsir") / "data"
                         / "social68.txt").read_text())
     infected = np.random.default_rng(2024).choice(68, 4, replace=False)
