@@ -18,6 +18,22 @@ and 2 and the SIS baseline share one certificate-row builder, which
 works from the sparse adjacency and the infected mask, and add only
 their own per-column terms; solutions are read back by slicing.
 
+Problems 1 and 2 carry a start for the solver, written
+down from the uniform design rather than searched for: its rates at
+_START_SPEND of the uniform spend, strictly inside their boxes and under
+the budget; v = c v_u, with v_u the certificate that
+`bound.certificate_for` gives that design and c = _START_SCALE > 1; and
+t = c (v^T x0 + eps), c times the bound row's numerator at v. In plain
+mode the certificate rows hold at v_u with equality, and their constant
+terms k = delta_j + eps do not scale with v, so at v each row's ratio
+is (c S + k) / (c (S + k)) < 1, S its terms in v_u; the bound row's
+ratio at t is 1/c. In isolation mode the fitted monomial
+under-estimates x + delta, which c must also cover. Under a cap
+the bound row is strictly negative only if v^T x0 + eps is below
+lambda_cap + sigma_I(0). Where the uniform design is not Hurwitz there
+is no start, and where the start misses a row, the solver runs phase I
+from the box centre, as it does for the SIS baseline.
+
 Every cost curve has the one normalized form c * x**power + o:
 
     prevention  beta   power -1   (1 at beta_lo,  0 at beta_hi)
@@ -45,6 +61,17 @@ from .simulator import EpidemicParams
 
 _WIDE_BOX = (1e-8, 1e8)
 _FIT_GRID = 10_000   # points on which a monomial fit re-verifies itself
+# The solver's start (see the module docstring): the uniform design at
+# _START_SPEND of its spend, its certificate and bound scaled by
+# _START_SCALE. With 1.5 and 0.98, the optimize-social68 plain and
+# Erlang(2) GPs take 11 and 12 Newton steps, and two seeded 500-node GPs
+# (plain and Erlang(2), budget n) 13 and 15, against 17, 17, 18 and 26
+# with phase I from the box centre. Scaling t by c against v_u in place
+# of v leaves the bound row within (c - 1) eps of its bound: 39 and 32
+# steps on social68. At c = 1, or at the whole spend, rows sit on their
+# bounds and phase I runs.
+_START_SPEND = 0.98
+_START_SCALE = 1.5
 
 
 class BudgetModelError(ValueError):
@@ -267,12 +294,14 @@ class Allocation:
                 self.second.tolist()}
 
 
-def _compile(families, lo, hi, names) -> gp.LogConvexProblem:
+def _compile(families, lo, hi, names,
+             start=None) -> gp.LogConvexProblem:
     """Stack term families into a compiled GP. A family (seg, logc,
     entries) holds one monomial term per entry of seg: term k lies in
     segment seg[k] with log-coefficient logc[k], and each (col, exp) of
     entries puts exponent exp[k] on column col[k]. Scalars broadcast;
-    the compiled form drops exponents that cancel to zero."""
+    the compiled form drops exponents that cancel to zero. `start` is
+    the solver's start point, if any."""
     seg, logc, rows, cols, exps = [], [], [], [], []
     for s, lc, entries in families:
         s = np.atleast_1d(s)
@@ -288,7 +317,8 @@ def _compile(families, lo, hi, names) -> gp.LogConvexProblem:
                         np.concatenate(cols))), shape=(len(seg), len(lo)))
     return gp.LogConvexProblem(
         F, np.concatenate(logc)[order],
-        np.searchsorted(seg[order], np.arange(seg.max() + 1)), lo, hi, names)
+        np.searchsorted(seg[order], np.arange(seg.max() + 1)), lo, hi, names,
+        start)
 
 
 def _certificate_rows(g: Graph, transmit: np.ndarray, p: int,
@@ -345,18 +375,44 @@ def _boxes(costs: CostModel, n: int, p: int, last: dict) -> tuple:
     return lo, hi, names + list(last)
 
 
+def _uniform_rates(costs: CostModel, n: int, fraction: float = 1.0):
+    """beta and the second rate of the uniform design at `fraction` of
+    its spend: the budget split equally per node and between the two
+    resource types, saturating at the expensive ends when it exceeds
+    2n."""
+    spend = fraction * min(1.0, max(0.0, costs.budget / (2.0 * n)))
+    return tuple(np.full(n, curve.rate_at(spend)) for curve in costs._curves)
+
+
+def _uniform_start(g: Graph, infected, costs: CostModel, p: int,
+                   delta_fixed, minimizing: bool) -> Optional[np.ndarray]:
+    """The start point of problems 1 and 2 over [v | beta | second | t]
+    (see the module docstring), or None when the uniform design at
+    _START_SPEND is not Hurwitz."""
+    beta, second = _uniform_rates(costs, g.node_count, _START_SPEND)
+    sys = bound_mod.build_sir_system(g, allocation_params(
+        infected, costs.mode, beta, second, delta_fixed, p))
+    cert = bound_mod.certificate_for(sys)
+    if cert is None:
+        return None
+    v = _START_SCALE * cert[0]
+    t = ([_START_SCALE * (v @ sys.initial + bound_mod.DEFAULT_SLACK)]
+         if minimizing else [])
+    return np.concatenate([v, beta, second, t])
+
+
 def _allocation_problem(g: Graph, infected, costs: CostModel, p: int,
                         den_logc, den_exp, own: list,
                         lambda_cap: Optional[float],
-                        **fields) -> AllocationProblem:
+                        delta_fixed=None) -> AllocationProblem:
     """Problems 1 and 2: the certificate rows, the bound row
 
         (sum of the infected nodes' v_{i,0} + eps) / t <= 1
 
-    and the budget row. Minimizing, t = lambda_bar + sigma_I(0) is the
-    last column and the objective; under a cap, t is fixed at
-    lambda_cap + sigma_I(0) and the spend is minimized, which picks a
-    canonical feasible point."""
+    and the budget row, with the uniform design's start. Minimizing,
+    t = lambda_bar + sigma_I(0) is the last column and the objective;
+    under a cap, t is fixed at lambda_cap + sigma_I(0) and the spend is
+    minimized, which picks a canonical feasible point."""
     n = g.node_count
     transmit = np.ones(n, dtype=bool)
     transmit[list(infected)] = False   # J_ii = 0
@@ -377,10 +433,12 @@ def _allocation_problem(g: Graph, infected, costs: CostModel, p: int,
                   [(heads, 1.0)] + per_t),
                  (bound_seg, math.log(bound_mod.DEFAULT_SLACK) + scale, per_t)]
     families += _budget_terms(costs, n, p, bound_seg + 1)
+    start = _uniform_start(g, infected, costs, p, delta_fixed,
+                           lambda_cap is None)
     return AllocationProblem(
-        gp_problem=_compile(families, *_boxes(costs, n, p, last)), graph=g,
-        infected=infected, costs=costs, lambda_cap=lambda_cap, p=p,
-        **fields)
+        gp_problem=_compile(families, *_boxes(costs, n, p, last), start),
+        graph=g, infected=infected, costs=costs, lambda_cap=lambda_cap,
+        p=p, delta_fixed=delta_fixed)
 
 
 def _checked_infected(g: Graph, infected) -> frozenset:
@@ -538,10 +596,7 @@ def baseline_uniform(g: Graph, infected, costs: CostModel,
     """Spend the budget equally per node, split equally between the two
     resource types; rates follow by inverting the cost curves. Spending
     saturates at the expensive ends when the budget exceeds 2n."""
-    n = g.node_count
-    spend = min(1.0, max(0.0, costs.budget / (2.0 * n)))
-    beta, second = (np.full(n, curve.rate_at(spend))
-                    for curve in costs._curves)
+    beta, second = _uniform_rates(costs, g.node_count)
     return _certify(g, infected, costs, beta, second,
                     delta_fixed=delta_fixed, p=p, strategy="uniform")
 

@@ -18,9 +18,16 @@ matrix, so each Newton step is a few array operations and one Cholesky
 factorization. Each step is corrected for the rows' curvature with a
 second solve against the same factor (Mehrotra's corrector reuses the
 factor the same way), so a step aims at MU = 20 times the barrier
-parameter and the social68 allocation GPs take 17 steps, not 52.
-certified_gap proves how far a solution is from optimal by weak
-duality, from its point and multipliers alone.
+parameter. A problem may carry a start point: when every constraint row
+is strictly negative there, phase II starts from it. Otherwise the solve
+starts at the box centre, and where a row is not strictly negative
+there, phase I first finds a point where all are, on a second compiled
+system. The allocation GPs start from the uniform design's
+certificate (see netsir.allocator), so the social68 GPs skip phase I
+and take 11 and 12 steps, against 17 and 17 from the box centre and 52
+without the curvature correction. certified_gap proves how far a
+solution is from optimal by weak duality, from its point and
+multipliers alone.
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ class GpSolution:
     objective_value: float
     status: str  # optimal | infeasible | max_iter
     kkt_residual: float   # |r_dual|_inf; the phase-I s* when infeasible
-    newton_iters: int = 0
+    newton_iters: int = 0   # both phases
+    phase1_iters: int = 0   # 0 when the solve started strictly feasible
     gap: float = math.nan  # surrogate duality gap -f^T lam at exit
     x: Optional[np.ndarray] = None  # point in the compiled column order
     lam: Optional[np.ndarray] = None  # constraint multipliers, with x
@@ -199,14 +207,19 @@ class LogConvexProblem:
     starts, are the objective (segment 0) and the constraints (<= 0) as
     log-sum-exps of affine forms in y = log x. Each box lo_i < hi_i
     adds an upper and a lower segment after them. `variables` names the
-    columns.
+    columns. `start`, a point x > 0 in column order, is where the solve
+    begins if every constraint row, box rows included, is strictly
+    negative there; without one, or where a row is not, the solve begins
+    at the box centre with phase I.
     """
 
-    def __init__(self, F, b, starts, lo, hi, variables: Sequence[str]):
+    def __init__(self, F, b, starts, lo, hi, variables: Sequence[str],
+                 start: Optional[np.ndarray] = None):
         self.lo, self.hi = np.asarray(lo, float), np.asarray(hi, float)
         if not np.all((0 < self.lo) & (self.lo < self.hi)
                       & np.isfinite(self.hi)):
             raise ValueError("boxes must satisfy 0 < lo < hi < inf")
+        self.start = None if start is None else np.log(start)
         self.variables = list(variables)
         self.ineq_count = len(starts) - 1
         n = len(self.lo)
@@ -226,15 +239,21 @@ class LogConvexProblem:
     def center_point(self) -> np.ndarray:
         return 0.5 * (np.log(self.lo) + np.log(self.hi))
 
+    def strictly_feasible(self, y: np.ndarray) -> bool:
+        """Every constraint row at y is below -1e-10."""
+        return bool(np.all(self.system.values(y)[1:] < -1e-10))
+
 
 # ---------------------------------------------------------------------------
 # primal-dual interior-point solver (Boyd & Vandenberghe, section 11.7)
 
 # Each step aims at t = MU * m / eta. Steps per solve with the curvature
-# correction, on the social68 plain and Erlang(2) GPs, then three seeded
-# 500-node plain GPs: 17 and 18, then 25-26 at MU = 10; 17 and 17, then
-# 17-18 at MU = 20; 17 and 19, then 18-19 at MU = 30. Without the
-# correction MU = 2 was best: 52 and 52, against 141 and 198 at MU = 10.
+# correction, both phases from the box centre, on the social68 plain and
+# Erlang(2) GPs, then three seeded 500-node plain GPs: 17 and 18, then
+# 25-26 at MU = 10; 17 and 17, then 17-18 at MU = 20; 17 and 19, then
+# 18-19 at MU = 30. Without the correction MU = 2 was best: 52 and 52,
+# against 141 and 198 at MU = 10. From the uniform design's certificate,
+# with no phase I, the social68 GPs take 11 and 12 steps at MU = 20.
 MU = 20.0
 PHASE1_TOL = 1e-7   # phase-I lower bounds above this prove infeasibility
 _ALPHA, _BETA = 0.01, 0.5   # residual decrease and backtracking factor
@@ -349,11 +368,15 @@ def solve_compiled(lcp: LogConvexProblem, tol: float = 1e-7,
     """Solve a compiled geometric program by a log-space primal-dual
     method.
 
-    Phase I minimizes the largest constraint violation s over (y, s)
-    and stops once s < 0; a converged s* whose lower bound s* - gap
-    exceeds PHASE1_TOL proves infeasibility, with s* as kkt_residual.
-    It converges to min(tol, PHASE1_TOL), so a loose tol cannot end it
-    before either holds.
+    The solve starts at lcp.start when every constraint row is below
+    -1e-10 there, and goes straight to phase II. Otherwise it starts at
+    the box centre, and if a row is not below -1e-10 there either, phase
+    I runs first, on the compiled phase1() system: it minimizes the
+    largest constraint violation s over (y, s) and stops once s < 0; a
+    converged s* whose lower bound s* - gap exceeds PHASE1_TOL proves
+    infeasibility, with s* as kkt_residual. It converges to min(tol,
+    PHASE1_TOL), so a loose tol cannot end it before either holds.
+    phase1_iters counts its steps.
     Phase II runs the same loop on the problem itself. status is
     'optimal' once the dual residual |grad f0 + sum lam_k grad f_k|_inf
     (kkt_residual) and the surrogate duality gap -f^T lam (gap) are
@@ -366,22 +389,26 @@ def solve_compiled(lcp: LogConvexProblem, tol: float = 1e-7,
     multipliers, from which certified_gap bounds the optimality gap.
     """
     system = lcp.system
-    y = lcp.center_point()
-    vals = system.values(y)[1:]
+    y = lcp.start
     steps1 = 0
-    if np.any(vals >= -1e-10):
-        # phase I on (y, s), started with margin one
-        ys, _, _, eta, steps1, status = _primal_dual(
-            system.phase1(), np.append(y, vals.max() + 1.0),
-            min(tol, PHASE1_TOL), max_newton, stop=lambda ys: ys[-1] < 0)
-        if status != "stopped":
-            infeasible = status == "optimal" and ys[-1] - eta > PHASE1_TOL
-            return GpSolution(point={}, objective_value=math.nan,
-                              status="infeasible" if infeasible
-                              else "max_iter",
-                              kkt_residual=float(ys[-1]), gap=eta,
-                              newton_iters=steps1)
-        y = ys[:-1]
+    if y is None or not lcp.strictly_feasible(y):
+        y = lcp.center_point()
+        if not lcp.strictly_feasible(y):
+            # phase I on (y, s), started with margin one
+            ys, _, _, eta, steps1, status = _primal_dual(
+                system.phase1(),
+                np.append(y, system.values(y)[1:].max() + 1.0),
+                min(tol, PHASE1_TOL), max_newton,
+                stop=lambda ys: ys[-1] < 0)
+            if status != "stopped":
+                infeasible = (status == "optimal"
+                              and ys[-1] - eta > PHASE1_TOL)
+                return GpSolution(point={}, objective_value=math.nan,
+                                  status="infeasible" if infeasible
+                                  else "max_iter",
+                                  kkt_residual=float(ys[-1]), gap=eta,
+                                  newton_iters=steps1, phase1_iters=steps1)
+            y = ys[:-1]
 
     y, lam, r_dual, eta, steps2, status = _primal_dual(
         system, y, tol, max_newton - steps1)
@@ -389,7 +416,8 @@ def solve_compiled(lcp: LogConvexProblem, tol: float = 1e-7,
     return GpSolution(point=dict(zip(lcp.variables, x.tolist())),
                       objective_value=math.exp(system.values(y)[0]),
                       status=status, kkt_residual=float(np.abs(r_dual).max()),
-                      gap=eta, newton_iters=steps1 + steps2, x=x, lam=lam)
+                      gap=eta, newton_iters=steps1 + steps2,
+                      phase1_iters=steps1, x=x, lam=lam)
 
 
 def _lagrangian_bound(system: StackedLse, y: np.ndarray, s: np.ndarray,

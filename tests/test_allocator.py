@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -143,6 +144,17 @@ class TestMonomialFit:
         assert fit.alpha == pytest.approx(0.90331660119840, rel=1e-12)
 
 
+def _social68():
+    """social68 and the optimize-social68 infected set: four nodes drawn
+    with seed 2024."""
+    from importlib import resources
+    g = load_edge_list((resources.files("netsir") / "data"
+                        / "social68.txt").read_text())
+    infected = frozenset(int(i) for i in np.random.default_rng(
+        2024).choice(g.node_count, size=4, replace=False))
+    return g, infected
+
+
 class TestProblem1:
     def test_variable_and_constraint_structure(self):
         prob = build_problem1(TWO_NODE, {0}, PLAIN_COSTS)
@@ -215,11 +227,7 @@ class TestProblem1:
     @staticmethod
     def social68_problems():
         """The plain and Erlang(2) GPs of the optimize-social68 configs."""
-        from importlib import resources
-        g = load_edge_list((resources.files("netsir") / "data"
-                            / "social68.txt").read_text())
-        infected = frozenset(int(i) for i in np.random.default_rng(
-            2024).choice(g.node_count, size=4, replace=False))
+        g, infected = _social68()
         plain = CostModel(beta_box=(0.00266, 0.0133), delta_box=(0.05, 0.1),
                           budget=68.0)
         iso = CostModel(beta_box=(0.00266, 0.0133), gamma_box=(2.0, 20.0),
@@ -338,6 +346,86 @@ class TestProblem2:
         assert np.all(alloc.gamma >= 0.5 - 1e-9)
         assert np.all(alloc.gamma <= 4.0 + 1e-9)
         assert alloc.total_cost <= self.ISO_COSTS.budget + 1e-8
+
+
+class TestUniformStart:
+    """Problems 1 and 2 start from the uniform design's certificate: where
+    it is strictly feasible, no phase-I step runs and the solve ends
+    where a box-centre solve does; elsewhere phase I runs as before."""
+    PLAIN = CostModel(beta_box=(0.00266, 0.0133), delta_box=(0.05, 0.1),
+                      budget=68.0)
+
+    @staticmethod
+    def from_centre(lcp):
+        centre = copy.copy(lcp)
+        centre.start = None
+        return centre
+
+    def check_skips_phase1(self, lcp, tol=1e-6):
+        assert lcp.system.values(lcp.start)[1:].max() < -1e-10
+        sol = gp.solve_compiled(lcp, tol=tol)
+        centre = gp.solve_compiled(self.from_centre(lcp), tol=tol)
+        assert sol.status == centre.status == "optimal"
+        assert sol.phase1_iters == 0 < centre.phase1_iters
+        # the objective is t = lambda_bar + sigma_I(0), or under a cap the
+        # spend; lambda_bar itself is then the cap
+        diff = abs(sol.objective_value - centre.objective_value)
+        assert diff <= 10 * tol * (1 + abs(centre.objective_value))
+        return sol
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["plain", "erlang2"])
+    def test_social68(self, which):
+        """The optimize-social68 GPs: no phase I, and at most 14 Newton
+        steps against 17 from the box centre."""
+        sol = self.check_skips_phase1(
+            TestProblem1.social68_problems()[which])
+        assert sol.newton_iters <= 14
+
+    def test_erlang3(self):
+        """Erlang(3), delta 0.3, gamma in [0.5, 4] on social68."""
+        g, infected = _social68()
+        costs = CostModel(beta_box=(0.00266, 0.0133), gamma_box=(0.5, 4.0),
+                          budget=68.0)
+        self.check_skips_phase1(
+            build_problem2(g, infected, costs, p=3, delta=0.3).gp_problem)
+
+    def test_cap_above_the_uniform_bound(self):
+        """Under a cap of 15 the start's bound row is strictly negative:
+        1.5 v_u^T x0 + eps, v_u the uniform design's certificate, is below
+        15 + sigma_I(0). The minimal spend matches the box-centre solve."""
+        g, infected = _social68()
+        assert baseline_uniform(g, infected, self.PLAIN).lambda_bar < 15.0
+        prob = build_problem1(g, infected, self.PLAIN, lambda_cap=15.0)
+        self.check_skips_phase1(prob.gp_problem)
+        assert solve_allocation(prob, tol=1e-6).lambda_bar == 15.0
+
+    def test_uniform_design_not_hurwitz_runs_phase1(self):
+        """At budget 20 the uniform design certifies nothing, so there is
+        no start: phase I runs from the box centre to the same optimum."""
+        g, infected = _social68()
+        costs = CostModel(beta_box=(0.00266, 0.0133), delta_box=(0.05, 0.1),
+                          budget=20.0)
+        assert not baseline_uniform(g, infected, costs).is_certified
+        lcp = build_problem1(g, infected, costs).gp_problem
+        assert lcp.start is None
+        sol = gp.solve_compiled(lcp, tol=1e-6)
+        assert sol.status == "optimal"
+        assert 0 < sol.phase1_iters < sol.newton_iters <= 21
+        # t - 4 at this solve from the box centre before problems carried
+        # a start
+        assert sol.point["t"] - 4 == pytest.approx(33.3898684727, rel=1e-8)
+
+    def test_cap_out_of_reach_still_infeasible(self):
+        """A cap below what the budget can buy: the start misses the bound
+        row, and phase I proves the cap infeasible."""
+        g, infected = _social68()
+        prob = build_problem1(g, infected, self.PLAIN, lambda_cap=0.5)
+        lcp = prob.gp_problem
+        assert lcp.start is not None
+        assert not lcp.strictly_feasible(lcp.start)
+        assert gp.solve_compiled(lcp, tol=1e-6).phase1_iters > 0
+        with pytest.raises(AllocationInfeasible):
+            solve_allocation(prob, tol=1e-6)
 
 
 @pytest.mark.parametrize("infected", [{5}, {-1}], ids=["5", "-1"])
