@@ -17,6 +17,44 @@ import numpy as np
 _ATOL = 1e-9
 
 
+_FAULTS = ("Pi must be finite",
+           "Pi must be Metzler (off-diagonal >= 0)",
+           "Pi row sums must be <= 0",
+           "Pi must be invertible (all phases transient)",
+           "phi must be a probability distribution")
+
+
+def _singular(pi: np.ndarray) -> bool:
+    try:
+        np.linalg.solve(pi, np.ones(pi.shape[0]))
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def _check(pis: np.ndarray, phis: np.ndarray) -> None:
+    """Check a stack of laws at once: (k, p, p) generators and their
+    (k, p) initial distributions. Raises the ValueError of the first
+    law that fails a check, for the first check it fails, in the order
+    finite, Metzler, row sums, invertible, distribution."""
+    k, p, _ = pis.shape
+    with np.errstate(invalid="ignore"):     # inf - inf in a row sum
+        fails = np.zeros((k, len(_FAULTS)), dtype=bool)
+        fails[:, 0] = ~np.isfinite(pis).all(axis=(1, 2))
+        fails[:, 1] = (pis[:, ~np.eye(p, dtype=bool)] < 0).any(axis=1)
+        fails[:, 2] = (pis.sum(axis=2) > _ATOL).any(axis=1)
+    fails[:, 4] = (phis < 0).any(axis=1) \
+        | (np.abs(phis.sum(axis=1) - 1.0) > _ATOL)
+    rest = ~fails[:, :3].any(axis=1)
+    try:
+        np.linalg.solve(pis[rest], np.ones((int(rest.sum()), p, 1)))
+    except np.linalg.LinAlgError:    # find which: the stacked solve fails
+        fails[rest, 3] = [_singular(pi) for pi in pis[rest]]
+    bad = fails.any(axis=1)
+    if bad.any():
+        raise ValueError(_FAULTS[int(np.argmax(fails[np.argmax(bad)]))])
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseType:
     """Distribution of the absorption time of a CTMC with transient
@@ -35,23 +73,19 @@ class PhaseType:
             phi = np.zeros(p)
             phi[0] = 1.0
         phi = np.array(phi, dtype=float)
-        if not np.all(np.isfinite(pi)):
-            raise ValueError("Pi must be finite")
-        off = pi - np.diag(np.diag(pi))
-        if np.any(off < 0):
-            raise ValueError("Pi must be Metzler (off-diagonal >= 0)")
-        if np.any(pi.sum(axis=1) > _ATOL):
-            raise ValueError("Pi row sums must be <= 0")
-        try:
-            np.linalg.solve(pi, np.ones(p))
-        except np.linalg.LinAlgError:
-            raise ValueError("Pi must be invertible (all phases transient)") from None
-        if np.any(phi < 0) or abs(phi.sum() - 1.0) > _ATOL:
-            raise ValueError("phi must be a probability distribution")
+        _check(pi[None], phi.reshape(1, -1))
         pi.setflags(write=False)
         phi.setflags(write=False)
         object.__setattr__(self, "Pi", pi)
         object.__setattr__(self, "phi", phi)
+
+    @classmethod
+    def _checked(cls, pi: np.ndarray, phi: np.ndarray) -> "PhaseType":
+        """A law from a read-only Pi and phi that `_check` has passed."""
+        law = object.__new__(cls)
+        object.__setattr__(law, "Pi", pi)
+        object.__setattr__(law, "phi", phi)
+        return law
 
     @property
     def p(self) -> int:
@@ -73,24 +107,41 @@ class ErlangSpec:
             raise ValueError("mean must be positive")
 
 
+def _erlang_generators(p: int, means: np.ndarray) -> np.ndarray:
+    """The (k, p, p) stack of Erlang(p, mean) generators, one per mean:
+    rate p/mean on the diagonal, negated, and on the superdiagonal."""
+    with np.errstate(over="ignore"):    # a rate past the float range is
+        rate = p / means                # refused by the finite check
+    pis = np.zeros((len(means), p, p))
+    pis[:, np.arange(p), np.arange(p)] = -rate[:, None]
+    pis[:, np.arange(p - 1), np.arange(1, p)] = rate[:, None]
+    return pis
+
+
 def erlang(spec: ErlangSpec) -> PhaseType:
     """Erlang phase-type: bidiagonal generator with rate shape/mean per
     phase; only the last phase exits."""
-    p, gamma = spec.shape, spec.mean
-    rate = p / gamma
-    pi = np.diag(np.full(p, -rate))
-    for l in range(p - 1):
-        pi[l, l + 1] = rate
-    return PhaseType(Pi=pi)
+    return PhaseType(Pi=_erlang_generators(spec.shape,
+                                           np.array([spec.mean]))[0])
 
 
 def erlang_laws(p: int, means) -> tuple:
-    """One Erlang(p, mean) law per entry of the vector `means`, each
-    distinct mean built once."""
+    """One Erlang(p, mean) law per entry of the vector `means`: the
+    distinct means' generators are built as one stack and checked
+    once, in increasing mean, and each is indexed per entry."""
     values, which = np.unique(np.asarray(means, dtype=float),
                               return_inverse=True)
-    built = [erlang(ErlangSpec(p, m)) for m in values.tolist()]
-    return tuple(built[k] for k in which)
+    if not values.size:
+        return ()
+    ErlangSpec(p, float(values[0]))     # the shape, and the least mean
+    pis = _erlang_generators(p, values)
+    phi = np.zeros(p)
+    phi[0] = 1.0
+    _check(pis, phi[None])
+    pis.setflags(write=False)
+    phi.setflags(write=False)
+    built = [PhaseType._checked(pi, phi) for pi in pis]
+    return tuple(built[k] for k in which.ravel())
 
 
 def phase_type(laws) -> np.ndarray:

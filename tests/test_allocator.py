@@ -399,6 +399,17 @@ class TestUniformStart:
         self.check_skips_phase1(prob.gp_problem)
         assert solve_allocation(prob, tol=1e-6).lambda_bar == 15.0
 
+    @pytest.mark.parametrize("cap", [10.0, 12.0])
+    def test_cap_just_above_the_uniform_bound(self, cap):
+        """Caps above the uniform design's lambda_bar (5.93) but below
+        1.5 v_u^T x0 + eps - sigma_I(0) at 10: the start scales v_u by
+        c < 1.5, so its bound row is strictly negative and no phase-I
+        step runs."""
+        g, infected = _social68()
+        prob = build_problem1(g, infected, self.PLAIN, lambda_cap=cap)
+        self.check_skips_phase1(prob.gp_problem)
+        assert solve_allocation(prob, tol=1e-6).lambda_bar == cap
+
     def test_uniform_design_not_hurwitz_runs_phase1(self):
         """At budget 20 the uniform design certifies nothing, so there is
         no start: phase I runs from the box centre to the same optimum."""

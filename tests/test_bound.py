@@ -312,25 +312,63 @@ class TestCertificates:
                 done += 1
 
 
+def small_rates(n):
+    return st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n)
+
+
 @st.composite
-def small_systems(draw):
-    """Plain or isolation systems on at most 4 nodes, p in {1, 2, 3},
-    with zero delta allowed in the raw isolation interface."""
+def small_graphs(draw):
+    """(g, infected, beta): at most 4 nodes, a non-empty infected set."""
     n = draw(st.integers(1, 4))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     g = Graph(node_count=n, edges=frozenset(edges))
     infected = draw(st.sets(st.integers(0, n - 1), min_size=1))
-    rates = st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n)
-    beta = draw(rates)
-    p = draw(st.sampled_from([None, 1, 2, 3]))
-    if p is None:
-        return build_sir_system(g, EpidemicParams.build(n, beta, draw(rates),
-                                                        infected))
-    delta = draw(st.one_of(st.just(0.0), rates))
+    return g, infected, draw(small_rates(n))
+
+
+@st.composite
+def small_isolation(draw, p=None):
+    """(g, infected, beta, delta, laws) with p phases, drawn from {1, 2,
+    3} when not given: zero delta allowed, one Erlang law per node with
+    its own mean, and for p > 1 its own backward move from the last
+    phase to the first (none, half or 0.9 of the phase rate), which
+    makes the law cyclic."""
+    g, infected, beta = draw(small_graphs())
+    n = g.node_count
+    p = draw(st.sampled_from([1, 2, 3])) if p is None else p
+    delta = draw(st.one_of(st.just(0.0), small_rates(n)))
     means = draw(st.lists(st.floats(0.2, 5.0), min_size=n, max_size=n))
-    laws = [erlang(ErlangSpec(p, m)) for m in means]
-    return isolation_system_from(g, infected, delta, laws, beta)
+    backs = draw(st.lists(st.sampled_from([0.0, 0.5, 0.9] if p > 1
+                                          else [0.0]),
+                          min_size=n, max_size=n))
+    laws = []
+    for m, back in zip(means, backs):
+        pi = erlang(ErlangSpec(p, m)).Pi.copy()
+        pi[-1, 0] += back * p / m
+        laws.append(PhaseType(Pi=pi))
+    return g, infected, beta, delta, laws
+
+
+@st.composite
+def small_systems(draw):
+    """Plain or isolation systems on at most 4 nodes, p in {1, 2, 3},
+    the isolation ones from `small_isolation`."""
+    p = draw(st.sampled_from([None, 1, 2, 3]))
+    if p is not None:
+        g, infected, beta, delta, laws = draw(small_isolation(p))
+        return isolation_system_from(g, infected, delta, laws, beta)
+    g, infected, beta = draw(small_graphs())
+    return build_sir_system(g, EpidemicParams.build(
+        g.node_count, beta, draw(small_rates(g.node_count)), infected))
+
+
+def mean_periods(laws, delta):
+    """tau_k = u1^T (-(Pi_k - delta_k I))^{-1} 1, solved per law."""
+    delta = np.broadcast_to(delta, (len(laws),))
+    return np.array([np.linalg.solve(-(law.Pi - d * np.eye(law.p)),
+                                     np.ones(law.p))[0]
+                     for law, d in zip(laws, delta)])
 
 
 _PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -367,6 +405,88 @@ class TestSparseProperties:
     def test_hurwitz_same_on_sparse_and_dense(self, sys_):
         assert is_hurwitz_metzler(sys_.matrix) == \
             is_hurwitz_metzler(sys_.matrix.toarray())
+
+
+class TestNodeForm:
+    """Isolation systems are certified on the n x n node matrix M1 = K -
+    diag(1/tau), with the certificate and the value lifted back node by
+    node: so an isolation system and its plain twin, the plain system
+    with delta_k = 1/tau_k, give the same bound."""
+
+    @_PROPERTY
+    @given(small_isolation())
+    def test_the_mean_period_alone_decides_lambda(self, case):
+        g, infected, beta, delta, laws = case
+        iso = lambda_bound(isolation_system_from(g, infected, delta, laws,
+                                                 beta))
+        twin = lambda_bound(build_sir_system(g, EpidemicParams.build(
+            g.node_count, beta, 1.0 / mean_periods(laws, delta), infected)))
+        assert math.isfinite(iso) == math.isfinite(twin)
+        if math.isfinite(iso):
+            assert iso == pytest.approx(twin, rel=1e-12)
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return sparse2k()
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Records the length of every GMRES right-hand side and the
+        matrix products each solve takes."""
+        solves = []
+        krylov = netsir.bound._krylov
+
+        class Counting:
+            def __init__(self, a):
+                self.a, self.shape = a, a.shape
+
+            def __matmul__(self, x):
+                solves[-1][1] += 1
+                return self.a @ x
+
+        def counting(a, b, atol):
+            solves.append([len(b), 0])
+            return krylov(Counting(a), b, atol)
+        monkeypatch.setattr(netsir.bound, "_krylov", counting)
+        return solves
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.99])
+    def test_erlang3_at_the_plain_counts(self, graph, monkeypatch, level):
+        # sparse2k's Erlang(3) system solves on 2000 unknowns, not 6000,
+        # and takes at most two products more than its plain twin in
+        # each solve; its bound is the twin's
+        solves = self.counted(monkeypatch)
+        g, infected, rho = graph
+        n, law = g.node_count, erlang(ErlangSpec(3, 1.0))
+        tau = mean_periods([law], 1.0)[0]
+        iso = build_sir_system(g, EpidemicParams.build(
+            n, level / (rho * tau), 1.0, infected, isolation=(law,) * n))
+        twin = build_sir_system(g, EpidemicParams.build(
+            n, level / (rho * tau), 1.0 / tau, infected))
+        got = lambda_bound(iso)
+        iso_solves, solves[:] = list(solves), []
+        want = lambda_bound(twin)
+        assert [length for length, _ in iso_solves] == [2000, 2000]
+        assert [length for length, _ in solves] == [2000, 2000]
+        for (_, mine), (_, plain) in zip(iso_solves, solves):
+            assert mine <= plain + 2
+        assert got == pytest.approx(want, rel=1e-12)
+        v, lam = certificate_for(iso)
+        assert verify_certificate(iso, v, lam, slack=5e-7)
+
+    def test_bare_matrix_solves_on_itself(self, monkeypatch):
+        # a system from a bare matrix, however it was made, solves on
+        # that matrix: GMRES sees its n*p unknowns
+        solves = self.counted(monkeypatch)
+        built = isolation_system_from(TWO_NODE, [0], 0.2,
+                                      [erlang(ErlangSpec(3, 1.0))] * 2, 0.4)
+        bare = ComparisonSystem(matrix=built.matrix,
+                                weight_row=built.weight_row,
+                                initial=built.initial,
+                                sigma_I0=built.sigma_I0)
+        assert lambda_bound(bare) == pytest.approx(lambda_bound(built),
+                                                   rel=1e-12)
+        assert [length for length, _ in solves] == [6, 6, 2, 2]
 
 
 @st.composite
@@ -589,18 +709,27 @@ class TestKrylovCertification:
     def test_supercritical_unbounded_from_one_lu(self, graph, lu_calls):
         self.unbounded_from_one_lu(self.system(graph, "plain", 1.5), lu_calls)
 
+    def test_erlang3_supercritical_unbounded_from_one_node_lu(self, graph,
+                                                              lu_calls):
+        # the 6000-unknown system's LU factors its 2000 x 2000 node matrix
+        sys_ = self.system(graph, "erlang3", 1.5)
+        assert sys_.dim == 6000
+        self.unbounded_from_one_lu(sys_, lu_calls, shape=(2000, 2000))
+
     @pytest.mark.parametrize("mode", ["plain", "erlang2"])
     def test_social68_supercritical_unbounded_from_one_lu(self, small_graph,
                                                          lu_calls, mode):
+        # the isolation system's LU factors its 68 x 68 node matrix
         self.unbounded_from_one_lu(self.system(small_graph, mode, 1.5),
-                                   lu_calls)
+                                   lu_calls, shape=(68, 68))
 
     @staticmethod
-    def unbounded_from_one_lu(sys_, lu_calls):
+    def unbounded_from_one_lu(sys_, lu_calls, shape=None):
+        shape = shape or sys_.matrix.shape
         assert lambda_bound(sys_) is UNBOUNDED
-        assert lu_calls == [sys_.matrix.shape]
+        assert lu_calls == [shape]
         assert certificate_for(sys_) is None
-        assert lu_calls == [sys_.matrix.shape] * 2
+        assert lu_calls == [shape] * 2
 
 
 def test_comparison_system_validation():

@@ -313,14 +313,15 @@ class TestBound:
 
     def test_one_erlang_per_distinct_gamma(self, tmp_path, monkeypatch):
         """Isolation bound builds one Erlang law for a scalar gamma, and
-        one per distinct value of a gamma vector."""
+        one per distinct value of a gamma vector, as one stack of
+        generators."""
         calls = []
-        erlang = netsir.phase_type.erlang
+        generators = netsir.phase_type._erlang_generators
 
-        def counted(spec):
-            calls.append(spec.mean)
-            return erlang(spec)
-        monkeypatch.setattr(netsir.phase_type, "erlang", counted)
+        def counted(p, means):
+            calls.extend(means.tolist())
+            return generators(p, means)
+        monkeypatch.setattr(netsir.phase_type, "_erlang_generators", counted)
         graph = tmp_path / "path.txt"
         graph.write_text("0 1\n1 2\n2 3\n")
         cfg = tmp_path / "c.json"
